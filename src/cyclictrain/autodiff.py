@@ -9,18 +9,21 @@ so gradients never accumulate across two backward passes.
 
 The op set splits in two groups:
 
-* model primitives: ``matmul``, ``conv2d``, ``relu``, ``sigmoid``,
-  ``softmax``, ``add``, ``mul``, ``mean``, ``maxpool2d``,
+* model primitives: ``matmul``, ``conv2d``, ``relu``, ``leaky_relu``,
+  ``sigmoid``, ``softmax``, ``add``, ``mul``, ``mean``, ``maxpool2d``,
   ``upsample_nearest`` -- everything the network branches are built from;
 * loss/glue support: ``sub``, ``neg``, ``div``, ``log``, ``softplus``,
   ``tsum``, ``reshape``, ``take_rows`` -- needed to express differentiable
   losses (cross entropy, L1, IoU ratios) on the same tape.
+
+Inside a ``no_grad()`` block no op records anything; evaluation runs there.
 
 All arrays are float64; there is no implicit down-casting anywhere.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +39,7 @@ __all__ = [
     "neg",
     "matmul",
     "relu",
+    "leaky_relu",
     "sigmoid",
     "softplus",
     "log",
@@ -48,6 +52,7 @@ __all__ = [
     "reshape",
     "permute",
     "take_rows",
+    "no_grad",
     "GradCheckReport",
     "grad_check",
 ]
@@ -145,9 +150,29 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block, also usable as a decorator.
+
+    Op outputs get no parents and no backward closure even when an input
+    requires a gradient, so forward-only passes keep no activations alive.
+    The previous setting is restored on exit, nested or not.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._bwd = bwd
@@ -270,6 +295,23 @@ def relu(a) -> Tensor:
         _accumulate(a, g * mask)
 
     return _node(np.where(mask, a.data, 0.0), (a,), bwd)
+
+
+def leaky_relu(a, slope: float = 0.1) -> Tensor:
+    """``relu(x) - slope * relu(-x)`` as one node, bit-equal to that composition.
+
+    The gradient is ``g`` above zero, ``slope * g`` below it and zero at
+    exactly zero, the subgradient the composition picks.
+    """
+    a = _as_tensor(a)
+    pos = a.data > 0.0
+    # + 0.0 turns -0.0 into 0.0, as the composition's subtraction does
+    data = np.where(pos, a.data, slope * a.data) + 0.0
+
+    def bwd(g):
+        _accumulate(a, np.where(pos, g, slope * g * (a.data < 0.0)))
+
+    return _node(data, (a,), bwd)
 
 
 def sigmoid(a) -> Tensor:
@@ -427,8 +469,27 @@ def matmul(a, b) -> Tensor:
 # spatial ops (NCHW layout, stride 1 convolutions, zero padding)
 
 
+def _patches(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
+    """im2col: the ``(C*kh*kw, N*ho*wo)`` patch matrix of a padded NCHW array.
+
+    Row ``(c, di, dj)`` holds input channel ``c`` shifted by tap ``(di, dj)``
+    at every output position, so a convolution is one matrix product.
+    """
+    n, c = xp.shape[:2]
+    cols = np.empty((c, kh, kw, n, ho, wo))
+    for di in range(kh):
+        for dj in range(kw):
+            cols[:, di, dj] = xp[:, :, di : di + ho, dj : dj + wo].transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
+
 def conv2d(x, w, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) of NCHW input with OCHW kernels."""
+    """2-D convolution (cross-correlation) of NCHW input with OCHW kernels.
+
+    Forward and the kernel gradient are one GEMM each over the patch matrix
+    (rebuilt in backward rather than kept alive on the tape); the input
+    gradient is one matmul per kernel tap.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D operands ({x.shape} vs {w.shape})")
@@ -449,35 +510,26 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    out = np.zeros((n, o, ho, wo))
-    for di in range(kh):
-        for dj in range(kw):
-            out += np.einsum(
-                "nchw,oc->nohw",
-                xp[:, :, di : di + ho, dj : dj + wo],
-                w.data[:, :, di, dj],
-                optimize=True,
-            )
+    out = w.data.reshape(o, -1) @ _patches(xp, kh, kw, ho, wo)
+    # C order, as every other op's output: reductions further down the tape
+    # sum in memory order, so a transposed view would change their results
+    out = np.ascontiguousarray(out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
 
     def bwd(g):
         if x.requires_grad:
+            g3 = g.reshape(n, o, ho * wo)
             gxp = np.zeros_like(xp)
             for di in range(kh):
                 for dj in range(kw):
-                    gxp[:, :, di : di + ho, dj : dj + wo] += np.einsum(
-                        "nohw,oc->nchw", g, w.data[:, :, di, dj], optimize=True
-                    )
+                    gxp[:, :, di : di + ho, dj : dj + wo] += np.matmul(
+                        w.data[:, :, di, dj].T, g3
+                    ).reshape(n, c, ho, wo)
             gx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
             _accumulate(x, gx)
         if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for di in range(kh):
-                for dj in range(kw):
-                    gw[:, :, di, dj] = np.einsum(
-                        "nohw,nchw->oc", g, xp[:, :, di : di + ho, dj : dj + wo],
-                        optimize=True,
-                    )
-            _accumulate(w, gw)
+            g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+            gw = g2 @ _patches(xp, kh, kw, ho, wo).T
+            _accumulate(w, gw.reshape(w.data.shape))
 
     return _node(out, (x, w), bwd)
 

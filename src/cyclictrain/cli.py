@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import engine, synthdata
+from .autodiff import no_grad
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_hash, load_run_config
 from .engine import finetune, run_pretraining
@@ -263,6 +264,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@no_grad()
 def _dump_predictions(model, bundle, weights, directory) -> None:
     """Raw per-task predictions on the test split, for offline rescoring."""
     os.makedirs(directory, exist_ok=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import synthdata
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .losses import LossBreakdown, cls_loss, consistency_loss, loc_loss, seg_loss
 from .metrics import Detection, GroundTruth, MetricsRecord, auc, dice, map_at_iou
 from .model import (
@@ -453,8 +453,12 @@ def _forward_batches(model, samples, batch_size=64):
         yield chunk, np.stack([s.image for s in chunk])[:, None, :, :]
 
 
+@no_grad()
 def evaluate_task(model, spec, samples, task, weights=None):
-    """Metric value for one task on a sample list: AUC, mAP40 or Dice."""
+    """Metric value for one task on a sample list: AUC, mAP40 or Dice.
+
+    Runs without recording a tape, whatever the weights' trainability.
+    """
     if not samples:
         return None, _METRIC_FOR_TASK[task]
     if task == "cls":

@@ -20,15 +20,12 @@ from .autodiff import (
     Tensor,
     add,
     conv2d,
+    leaky_relu,
     matmul,
     maxpool2d,
-    mul,
-    neg,
     permute,
-    relu,
     reshape,
     sigmoid,
-    sub,
     upsample_nearest,
 )
 
@@ -161,18 +158,20 @@ class ModelGraph:
             p.tensor.grad = None
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Backprop ``loss`` and return one gradient per parameter.
+        """Backprop ``loss`` and return one gradient per trainable parameter.
 
-        All parameter gradients reset first: a parameter that did not
-        participate in this loss comes back as exact zeros even if some
-        earlier backward pass had written to it.
+        Frozen parameters get no entry.  All parameter gradients reset
+        first: a trainable parameter that did not participate in this loss
+        comes back as exact zeros even if some earlier backward pass had
+        written to it.
         """
         self.zero_grad()
         loss.backward()
         out: dict[str, np.ndarray] = {}
         for name, p in self._params.items():
-            g = p.tensor.grad
-            out[name] = g if g is not None else np.zeros_like(p.tensor.data)
+            if p.trainable:
+                g = p.tensor.grad
+                out[name] = g if g is not None else np.zeros_like(p.tensor.data)
         return out
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -399,10 +398,9 @@ class MultiTaskModel:
 
     @staticmethod
     def _act(x):
-        # leaky rectifier composed from the primitive set; the small negative
-        # slope keeps gradients alive when imbalanced losses push a whole
-        # feature map negative early in training
-        return sub(relu(x), mul(Tensor(0.1), relu(neg(x))))
+        # the small negative slope keeps gradients alive when imbalanced
+        # losses push a whole feature map negative early in training
+        return leaky_relu(x, 0.1)
 
     def backbone_features(self, images, weights=None) -> Tensor:
         """Three conv stages with one pooling step: (N, C, H/2, W/2)."""

@@ -16,6 +16,7 @@ from cyclictrain.autodiff import (
     add,
     conv2d,
     grad_check,
+    leaky_relu,
     matmul,
     maxpool2d,
     mean,
@@ -66,7 +67,7 @@ SMALL_ARCH = ArchConfig(image_size=16, stage_channels=(6, 10, 16), loc_channels=
 
 
 def _all_primitives_builder(seed):
-    """A small model whose loss path exercises all ten model primitives."""
+    """A small model whose loss path exercises all eleven model primitives."""
     rs = np.random.RandomState(seed)
     params = {
         "conv/w": Tensor(rs.randn(3, 2, 3, 3) * 0.4, requires_grad=True),
@@ -84,7 +85,7 @@ def _all_primitives_builder(seed):
         h = maxpool2d(h, 3)            # (2,3,2,2)
         h = upsample_nearest(h, 2)     # (2,3,4,4)
         pooled = mean(h, axis=(2, 3))  # (2,3)
-        logits = add(matmul(pooled, params["fc/w"]), params["fc/b"])
+        logits = leaky_relu(add(matmul(pooled, params["fc/w"]), params["fc/b"]))
         probs = softmax(logits, axis=-1)
         gated = mul(probs, sigmoid(matmul(pooled, params["gate"])))
         diff = add(gated, Tensor(-target))

@@ -9,12 +9,14 @@ from cyclictrain.autodiff import (
     conv2d,
     div,
     grad_check,
+    leaky_relu,
     log,
     matmul,
     maxpool2d,
     mean,
     mul,
     neg,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -41,6 +43,95 @@ def test_identity_forward():
 def test_relu_definition():
     out = relu(Tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+
+def _conv_oracle(x, w, padding, g):
+    """Cross-correlation and the gradients of ``sum(out * g)``, element by element."""
+    n, c, h, wid = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros(g.shape)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for b in range(n):
+        for f in range(o):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    window = xp[b, :, i : i + kh, j : j + kw]
+                    out[b, f, i, j] = np.sum(window * w[f])
+                    gxp[b, :, i : i + kh, j : j + kw] += g[b, f, i, j] * w[f]
+                    gw[f] += g[b, f, i, j] * window
+    return out, gxp[:, :, padding : padding + h, padding : padding + wid], gw
+
+
+def _rel(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_matches_nested_loop_oracle(channels, kernel, padding):
+    rs = np.random.RandomState(10 * channels + kernel + padding)
+    x = rs.randn(2, channels, 5, 7)  # H != W catches a swapped spatial axis
+    w = rs.randn(4, channels, kernel, kernel)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, padding=padding)
+    g = rs.randn(2, 4, 5 + 2 * padding - kernel + 1, 7 + 2 * padding - kernel + 1)
+    expected, gx, gw = _conv_oracle(x, w, padding, g)
+    assert out.shape == expected.shape
+    assert _rel(out.data, expected) <= 1e-12
+    tsum(mul(out, Tensor(g))).backward()
+    assert _rel(xt.grad, gx) <= 1e-12
+    assert _rel(wt.grad, gw) <= 1e-12
+
+
+def test_leaky_relu_is_bit_equal_to_relu_composition():
+    rs = np.random.RandomState(5)
+    x = np.concatenate([rs.randn(40), [0.0, -0.0, -5e-324, 5e-324, -1e-310]])
+    g = np.concatenate([rs.randn(40), [1.5, -2.0, 0.7, -0.3, 0.0]])
+
+    def run(act):
+        t = Tensor(x.copy(), requires_grad=True)
+        out = act(t)
+        tsum(mul(out, Tensor(g))).backward()
+        return out.data.tobytes(), t.grad.tobytes()
+
+    fused = run(leaky_relu)
+    composed = run(lambda t: sub(relu(t), mul(Tensor(0.1), relu(neg(t)))))
+    assert fused[0] == composed[0]
+    assert fused[1] == composed[1]
+
+
+def test_no_grad_records_no_tape():
+    w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    with no_grad():
+        out = leaky_relu(mul(w, w))
+    assert out._parents == ()
+    assert out._bwd is None
+    assert not out.requires_grad
+    assert np.array_equal(out.data, [1.0, 4.0, 9.0])
+    assert mul(w, w).requires_grad  # recording resumes after the block
+
+
+def test_no_grad_restores_the_flag_when_nested_and_after_an_exception():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert not mul(w, w).requires_grad  # still off after the inner block
+    assert mul(w, w).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert mul(w, w).requires_grad
+
+    @no_grad()
+    def forward():
+        return mul(w, w)
+
+    assert not forward().requires_grad
+    assert mul(w, w).requires_grad
 
 
 def test_conv_all_ones_valid():
@@ -164,6 +255,7 @@ def _primitive_cases(rs):
             lambda t: mean(matmul(t, Tensor(v))),
         ),
         "relu": (m, lambda t: mean(relu(t))),
+        "leaky_relu": (m, lambda t: mean(mul(leaky_relu(t), c45a))),
         "sigmoid": (m, lambda t: mean(sigmoid(t))),
         "softplus": (m, lambda t: mean(softplus(t))),
         "log": (np.abs(m) + 0.5, lambda t: mean(log(t))),

@@ -10,7 +10,9 @@ from cyclictrain.config import (
     load_run_config,
     run_config_from_dict,
 )
+from cyclictrain.engine import prepare_bundles
 from cyclictrain.metrics import auc, dice, map_at_iou, Detection, GroundTruth
+from cyclictrain.model import build_model
 
 
 def _base_config(out_dir, **train):
@@ -352,6 +354,23 @@ def test_cmd_eval_matches_direct_metric_invocation(tmp_path):
                                    int(data["gt_box_classes"][at])))
             at += 1
     assert abs(map_at_iou(dets, gts, 0.40) - reported["loc"]["value"]) < 1e-12
+
+
+def test_dumped_predictions_equal_a_plain_forward(tmp_path):
+    cfg = load_run_config(_write(tmp_path, _base_config(str(tmp_path / "out"))))
+    model = build_model(cfg.arch, [s.model_spec() for s in cfg.datasets])
+    bundle = prepare_bundles(cfg.datasets, cfg.train)["boxesmasks"]
+    cli._dump_predictions(model, bundle, None, str(tmp_path / "dump"))
+    data = np.load(tmp_path / "dump" / "predictions.npz")
+
+    x = np.stack([s.image for s in bundle.test])[:, None, :, :]
+    logits = model.forward_cls(x, "boxesmasks")
+    assert logits.requires_grad  # the plain forward records a tape
+    assert np.array_equal(data["cls_scores"], 1.0 / (1.0 + np.exp(-logits.data)))
+    boxes, loc_logits = model.forward_loc(x, "boxesmasks")
+    assert np.array_equal(data["loc_boxes"], boxes.data)
+    assert np.array_equal(data["loc_logits"], loc_logits.data)
+    assert np.array_equal(data["seg_logits"], model.forward_seg(x, "boxesmasks").data)
 
 
 def test_cmd_eval_warns_on_config_hash_mismatch(tmp_path, capsys):

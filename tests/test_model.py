@@ -17,6 +17,7 @@ from cyclictrain.model import (
     loc_decoder_component,
     seg_head_component,
 )
+from cyclictrain.optim import AdamW
 
 ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
                   query_dim=8, loc_grid=4, seg_channels=(6, 4))
@@ -271,6 +272,29 @@ def test_other_datasets_components_always_frozen():
             for comp in ("cls_head/d1", "loc_decoder/d1", "seg_head/d1"):
                 for p in model.graph.component_parameters(comp):
                     assert not p.trainable
+
+
+def test_backward_returns_no_gradient_for_a_frozen_component():
+    model = _census_model()
+    opt = AdamW(lr=1e-2, weight_decay=0.1)
+    x = _images(2)
+    # a release step first, so the backbone holds optimizer state
+    apply_freeze_mask(model, "cls", "release", "d0")
+    opt.step(model.graph.parameters(),
+             model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2)))))
+
+    apply_freeze_mask(model, "cls", "lock", "d0")
+    backbone = model.graph.component_parameters(BACKBONE)
+    weights = {p.name: p.tensor.data.tobytes() for p in backbone}
+    state = {p.name: (opt.state_for(p.name).step_count, opt.state_for(p.name).m.tobytes(),
+                      opt.state_for(p.name).v.tobytes()) for p in backbone}
+    grads = model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2))))
+    assert set(grads) == {p.name for p in model.graph.component_parameters("cls_head/d0")}
+    opt.step(model.graph.parameters(), grads)
+    for p in backbone:
+        st = opt.state_for(p.name)
+        assert p.tensor.data.tobytes() == weights[p.name], p.name
+        assert (st.step_count, st.m.tobytes(), st.v.tobytes()) == state[p.name], p.name
 
 
 def test_freeze_mask_validates_inputs():
