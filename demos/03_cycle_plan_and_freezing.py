@@ -6,6 +6,7 @@ each entry's frozen/trainable pattern is printed as an F/T table.
 """
 
 from cyclictrain.engine import TrainConfig, build_cycle_plan
+from cyclictrain.model import trainable_components
 from cyclictrain.synthdata import SynthDatasetSpec, preset_cls_loc_seg, preset_organ_pairs
 
 COLUMNS = ["backbone", "loc_encoder", "loc_decoder", "seg_decoder", "seg_head"]
@@ -15,12 +16,8 @@ def flag(entry, column, dataset_id):
     per_dataset = {"loc_decoder": f"loc_decoder/{dataset_id}",
                    "seg_head": f"seg_head/{dataset_id}"}
     comp = per_dataset.get(column, column)
-    relevant = {
-        "loc": {"backbone", "loc_encoder", per_dataset["loc_decoder"]},
-        "seg": {"backbone", "seg_decoder", per_dataset["seg_head"]},
-        "cls": {"backbone"},
-    }[entry.task]
-    if comp not in relevant:
+    # everything the task routes through, i.e. what its release epoch trains
+    if comp not in trainable_components(entry.task, "release", dataset_id):
         return "-"
     return "T" if comp in entry.trainable_components else "F"
 

@@ -2,7 +2,9 @@
 
 Head-only finetuning adds a fresh localization decoder and trains nothing
 else: every pre-existing component's checksum stays constant while the new
-decoder learns.  Full finetuning unfreezes everything.  The script reports
+decoder learns.  Full finetuning also trains the shared components the new
+dataset's tasks route through (backbone and localization encoder) and
+leaves the pretraining dataset's heads untouched.  The script reports
 the trainable-parameter fraction and final metrics for both modes.
 """
 

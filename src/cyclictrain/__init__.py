@@ -37,9 +37,9 @@ from .model import (
     ArchConfig,
     DatasetModelSpec,
     MultiTaskModel,
-    apply_freeze_mask,
     build_model,
     count_params,
+    trainable_components,
 )
 from .optim import AdamW, AdamWState
 from .synthdata import SynthDatasetSpec, SynthSample, augment, few_shot_subset, generate_dataset, split

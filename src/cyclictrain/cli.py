@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_hash, load_run_config
 from .engine import finetune, run_pretraining
 from .metrics import MetricsRecord
-from .model import build_model
+from .model import build_model, component_dataset
 
 CSV_HEADER = "cycle,epoch,dataset,task,mode,metric,value"
 
@@ -126,7 +126,14 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str, allow_new: set[str] | None = None):
+def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str, init_new_head: bool = False):
+    """The config's model with the checkpoint's weights, and the checkpoint.
+
+    The finetune dataset's heads join the model when the checkpoint holds
+    their parameters (a finetuned checkpoint) or when ``init_new_head``
+    asks for fresh ones; every other parameter must come from the
+    checkpoint.
+    """
     cp = load_checkpoint(checkpoint_path)
     chash = config_hash(cfg)
     if cp.config_hash and cp.config_hash != chash:
@@ -136,14 +143,26 @@ def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str, allow_new:
             file=sys.stderr,
         )
     model = _build_from_config(cfg)
-    missing = {n for n in model.graph.names() if n not in cp.arrays}
-    if missing and allow_new is None:
+    fresh: set[str] = set()
+    target = cfg.finetune.dataset if cfg.finetune is not None else None
+    if target is not None and target.dataset_id not in model.datasets:
+        held = target.dataset_id in {component_dataset(c) for c in cp.components.values()}
+        if held or init_new_head:
+            known = set(model.graph.names())
+            model.add_dataset(
+                target.model_spec(),
+                seed=synthdata.derive_seed(cfg.train.seed, "new_head", target.dataset_id),
+            )
+            if not held:
+                fresh = set(model.graph.names()) - known
+    missing = sorted(set(model.graph.names()) - set(cp.arrays) - fresh)
+    if missing:
         raise CheckpointError(
-            f"checkpoint lacks parameters for {sorted(missing)[:4]}..."
+            f"checkpoint lacks parameters for {missing[:4]}..."
             if len(missing) > 4
-            else f"checkpoint lacks parameters for {sorted(missing)}"
+            else f"checkpoint lacks parameters for {missing}"
         )
-    model.graph.load_arrays(cp.arrays, allow_missing=allow_new)
+    model.graph.load_arrays(cp.arrays, allow_missing=fresh)
     return model, cp
 
 
@@ -157,36 +176,14 @@ def cmd_finetune(args) -> int:
     few_shot = args.few_shot if args.few_shot is not None else cfg.finetune.few_shot
     target = cfg.finetune.dataset
 
-    cp = load_checkpoint(args.checkpoint)
-    model = _build_from_config(cfg)
-    new_dataset = target.dataset_id not in model.datasets
-    if new_dataset:
-        if not args.init_new_head:
-            print(
-                f"error: dataset '{target.dataset_id}' has no head in the "
-                "checkpointed model; pass --init-new-head to create one",
-                file=sys.stderr,
-            )
-            return 2
-        model.add_dataset(
-            target.model_spec(),
-            seed=synthdata.derive_seed(cfg.train.seed, "new_head", target.dataset_id),
-        )
-        new_names = {
-            p.name
-            for p in model.graph.parameters()
-            if p.name not in cp.arrays
-        }
-        model.graph.load_arrays(cp.arrays, allow_missing=new_names)
-    else:
-        model.graph.load_arrays(cp.arrays)
-    chash = config_hash(cfg)
-    if cp.config_hash and cp.config_hash != chash:
+    model, _ = _load_model_from_checkpoint(cfg, args.checkpoint, args.init_new_head)
+    if target.dataset_id not in model.datasets:
         print(
-            f"warning: checkpoint config hash {cp.config_hash[:12]} != "
-            f"config {chash[:12]}",
+            f"error: dataset '{target.dataset_id}' has no head in the "
+            "checkpointed model; pass --init-new-head to create one",
             file=sys.stderr,
         )
+        return 2
 
     writer = MetricsWriter(out_dir)
     try:
@@ -197,7 +194,6 @@ def cmd_finetune(args) -> int:
             mode=mode,
             few_shot_k=few_shot,
             epochs=cfg.finetune.epochs,
-            init_new_head=False if not new_dataset else True,
         )
         for r in result.records:
             writer.write(r)
@@ -207,7 +203,7 @@ def cmd_finetune(args) -> int:
         os.path.join(out_dir, "checkpoint"),
         result.model,
         counters={"cycle": 0, "epoch": cfg.finetune.epochs},
-        config_hash=chash,
+        config_hash=config_hash(cfg),
     )
     summary = {
         "mode": mode,

@@ -1,23 +1,28 @@
 """Experiment configuration: a strict, nested JSON file.
 
-Unknown keys are fatal, types are checked, and defaults are materialized
-into a canonical dict whose SHA-256 becomes the config hash recorded in
+The schema is the dataclasses themselves: :class:`RunConfig` and the
+classes its fields name.  Unknown keys are fatal, values are checked
+against the field annotations, and a field without a default is required.
+Every field, defaults materialized, enters the config hash recorded in
 checkpoints.  Parsing failures report the JSON line/column; validation
 failures report the dotted field path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 
-from .engine import TrainConfig
+from .engine import TASK_ORDER, TrainConfig
 from .model import ArchConfig
 from .synthdata import SynthDatasetSpec
 
 __all__ = ["ConfigError", "FinetuneSpec", "RunConfig", "load_run_config",
-           "run_config_from_dict", "canonical_dict", "config_hash"]
+           "run_config_from_dict", "config_hash"]
 
 
 class ConfigError(ValueError):
@@ -49,72 +54,8 @@ class RunConfig:
     finetune: FinetuneSpec | None = None
 
 
-_ARCH_FIELDS = {
-    "image_size": int,
-    "in_channels": int,
-    "stage_channels": list,
-    "loc_channels": int,
-    "query_dim": int,
-    "loc_grid": int,
-    "seg_channels": list,
-    "init_seed": int,
-}
-
-_TRAIN_FIELDS = {
-    "lr_backbone": float,
-    "lr_loc": float,
-    "lr_seg": float,
-    "lr_cls_head": float,
-    "momentum": float,
-    "consistency_weight": float,
-    "student_teacher": bool,
-    "mirror_heads": bool,
-    "lock_release": dict,
-    "batch_size": int,
-    "weight_decay": float,
-    "step_decay_factor": float,
-    "step_decay_interval": int,
-    "epochs_per_task": int,
-    "num_cycles": int,
-    "eval_after_release": bool,
-    "eval_every_epoch": bool,
-    "seed": int,
-}
-
-_DATASET_FIELDS = {
-    "dataset_id": str,
-    "num_images": int,
-    "tasks": list,
-    "image_size": int,
-    "shape_classes": list,
-    "noise_level": float,
-    "seed": int,
-    "min_instances": int,
-    "max_instances": int,
-    "subtasks": list,
-    "round_robin_classes": bool,
-}
-
-_FINETUNE_FIELDS = {
-    "dataset": dict,
-    "mode": str,
-    "few_shot": int,
-    "epochs": int,
-}
-
-_TOP_FIELDS = {
-    "out_dir": str,
-    "datasets": list,
-    "arch": dict,
-    "train": dict,
-    "finetune": dict,
-}
-
-
-def _check_keys(d: dict, allowed: dict, path: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}{key}: unknown key")
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
 def _coerce(value, expected, path: str):
@@ -129,78 +70,71 @@ def _coerce(value, expected, path: str):
     return value
 
 
-def _build(d: dict, fields: dict, path: str) -> dict:
-    _check_keys(d, fields, path)
-    out = {}
-    for key, value in d.items():
-        out[key] = _coerce(value, fields[key], f"{path}{key}")
-    return out
+def _value(tp, value, path: str):
+    """A JSON value converted to the field annotation ``tp``."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        # ``X | None`` fields take an X; leave the key out for None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _value(tp, value, path)
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, path)
+    if typing.get_origin(tp) is tuple:
+        items = _coerce(value, list, path)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(items)
+        elif len(items) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} items, got {len(items)}")
+        return tuple(_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, items)))
+    return _coerce(value, tp, path)
 
 
-def _dataset_from_dict(d: dict, path: str) -> SynthDatasetSpec:
-    kw = _build(d, _DATASET_FIELDS, path)
-    for list_key in ("tasks", "shape_classes", "subtasks"):
-        if list_key in kw:
-            kw[list_key] = tuple(kw[list_key])
+def _lock_release(value, path: str) -> dict[str, bool]:
+    """Per-task flags, merged over the defaults."""
+    flags = _coerce(value, dict, path)
+    for task, flag in flags.items():
+        if task not in TASK_ORDER:
+            raise ConfigError(f"{path}.{task}: unknown task")
+        _coerce(flag, bool, f"{path}.{task}")
+    return {**TrainConfig().lock_release, **flags}
+
+
+def _from_dict(cls, d, path: str):
+    """Build dataclass ``cls`` from a JSON object, schema from its fields."""
+    where = path or "top level"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in d:
+        if key not in fields:
+            raise ConfigError(f"{_join(path, key)}: unknown key")
+    hints = typing.get_type_hints(cls)
+    kw = {}
+    for name, f in fields.items():
+        field_path = _join(path, name)
+        if name not in d:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{field_path}: required key missing")
+        elif cls is TrainConfig and name == "lock_release":
+            kw[name] = _lock_release(d[name], field_path)
+        else:
+            kw[name] = _value(hints[name], d[name], field_path)
     try:
-        return SynthDatasetSpec(**kw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path[:-1]}: {e}")
+        return cls(**kw)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}")
 
 
 def run_config_from_dict(d: dict) -> RunConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("top level: expected an object")
-    _check_keys(d, _TOP_FIELDS, "")
-    if "out_dir" not in d:
-        raise ConfigError("out_dir: required key missing")
-    if "datasets" not in d or not d["datasets"]:
+    cfg = _from_dict(RunConfig, d, "")
+    if not cfg.datasets:
         raise ConfigError("datasets: at least one dataset is required")
-    out_dir = _coerce(d["out_dir"], str, "out_dir")
-    datasets = []
     seen_ids = set()
-    for i, ds in enumerate(d["datasets"]):
-        if not isinstance(ds, dict):
-            raise ConfigError(f"datasets[{i}]: expected an object")
-        spec = _dataset_from_dict(ds, f"datasets[{i}].")
+    for i, spec in enumerate(cfg.datasets):
         if spec.dataset_id in seen_ids:
             raise ConfigError(f"datasets[{i}].dataset_id: duplicate '{spec.dataset_id}'")
         seen_ids.add(spec.dataset_id)
-        datasets.append(spec)
-    try:
-        arch = ArchConfig(**{
-            k: (tuple(v) if isinstance(v, list) else v)
-            for k, v in _build(d.get("arch", {}), _ARCH_FIELDS, "arch.").items()
-        })
-    except ValueError as e:
-        raise ConfigError(f"arch: {e}")
-    train_kw = _build(d.get("train", {}), _TRAIN_FIELDS, "train.")
-    if "lock_release" in train_kw:
-        lr = train_kw["lock_release"]
-        for task, flag in lr.items():
-            if task not in ("cls", "loc", "seg"):
-                raise ConfigError(f"train.lock_release.{task}: unknown task")
-            if not isinstance(flag, bool):
-                raise ConfigError(f"train.lock_release.{task}: expected bool")
-        merged = {"cls": False, "loc": True, "seg": True}
-        merged.update(lr)
-        train_kw["lock_release"] = merged
-    try:
-        train = TrainConfig(**train_kw)
-    except ValueError as e:
-        raise ConfigError(f"train: {e}")
-    finetune = None
-    if "finetune" in d:
-        ft = _build(d["finetune"], _FINETUNE_FIELDS, "finetune.")
-        if "dataset" not in ft:
-            raise ConfigError("finetune.dataset: required key missing")
-        ft["dataset"] = _dataset_from_dict(ft["dataset"], "finetune.dataset.")
-        try:
-            finetune = FinetuneSpec(**ft)
-        except ValueError as e:
-            raise ConfigError(f"finetune: {e}")
-    return RunConfig(out_dir=out_dir, datasets=tuple(datasets), arch=arch,
-                     train=train, finetune=finetune)
+    return cfg
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -216,81 +150,12 @@ def load_run_config(path: str) -> RunConfig:
     return run_config_from_dict(data)
 
 
-def canonical_dict(cfg: RunConfig) -> dict:
-    """All fields materialized, suitable for hashing and display."""
-    return {
-        "out_dir": cfg.out_dir,
-        "arch": {
-            "image_size": cfg.arch.image_size,
-            "in_channels": cfg.arch.in_channels,
-            "stage_channels": list(cfg.arch.stage_channels),
-            "loc_channels": cfg.arch.loc_channels,
-            "query_dim": cfg.arch.query_dim,
-            "loc_grid": cfg.arch.loc_grid,
-            "seg_channels": list(cfg.arch.seg_channels),
-            "init_seed": cfg.arch.init_seed,
-        },
-        "train": {
-            "lr_backbone": cfg.train.lr_backbone,
-            "lr_loc": cfg.train.lr_loc,
-            "lr_seg": cfg.train.lr_seg,
-            "lr_cls_head": cfg.train.lr_cls_head,
-            "momentum": cfg.train.momentum,
-            "consistency_weight": cfg.train.consistency_weight,
-            "student_teacher": cfg.train.student_teacher,
-            "mirror_heads": cfg.train.mirror_heads,
-            "lock_release": dict(sorted(cfg.train.lock_release.items())),
-            "batch_size": cfg.train.batch_size,
-            "weight_decay": cfg.train.weight_decay,
-            "step_decay_factor": cfg.train.step_decay_factor,
-            "step_decay_interval": cfg.train.step_decay_interval,
-            "epochs_per_task": cfg.train.epochs_per_task,
-            "num_cycles": cfg.train.num_cycles,
-            "eval_after_release": cfg.train.eval_after_release,
-            "eval_every_epoch": cfg.train.eval_every_epoch,
-            "seed": cfg.train.seed,
-        },
-        "datasets": [
-            {
-                "dataset_id": s.dataset_id,
-                "num_images": s.num_images,
-                "tasks": list(s.tasks),
-                "image_size": s.image_size,
-                "shape_classes": list(s.shape_classes),
-                "noise_level": s.noise_level,
-                "seed": s.seed,
-                "min_instances": s.min_instances,
-                "max_instances": s.max_instances,
-                "subtasks": list(s.subtasks),
-                "round_robin_classes": s.round_robin_classes,
-            }
-            for s in cfg.datasets
-        ],
-        "finetune": None
-        if cfg.finetune is None
-        else {
-            "dataset": {
-                "dataset_id": cfg.finetune.dataset.dataset_id,
-                "num_images": cfg.finetune.dataset.num_images,
-                "tasks": list(cfg.finetune.dataset.tasks),
-                "image_size": cfg.finetune.dataset.image_size,
-                "shape_classes": list(cfg.finetune.dataset.shape_classes),
-                "noise_level": cfg.finetune.dataset.noise_level,
-                "seed": cfg.finetune.dataset.seed,
-                "min_instances": cfg.finetune.dataset.min_instances,
-                "max_instances": cfg.finetune.dataset.max_instances,
-                "subtasks": list(cfg.finetune.dataset.subtasks),
-                "round_robin_classes": cfg.finetune.dataset.round_robin_classes,
-            },
-            "mode": cfg.finetune.mode,
-            "few_shot": cfg.finetune.few_shot,
-            "epochs": cfg.finetune.epochs,
-        },
-    }
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canon = canonical_dict(cfg)
-    canon.pop("out_dir")  # output location does not change the experiment
+    """SHA-256 over every field, defaults materialized, except ``out_dir``.
+
+    The output location does not change the experiment.
+    """
+    canon = dataclasses.asdict(cfg)
+    del canon["out_dir"]
     payload = json.dumps(canon, sort_keys=True).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -25,18 +25,14 @@ from .model import (
     LOC_ENCODER,
     SEG_DECODER,
     MultiTaskModel,
-    cls_head_component,
     component_kind,
-    count_params,
-    loc_decoder_component,
-    seg_head_component,
+    trainable_components,
 )
 from .optim import AdamW
 from .synthdata import (
     SynthDatasetSpec,
     augment,
     derive_seed,
-    split,
     stratified_split,
     subtask_samples,
 )
@@ -154,22 +150,6 @@ class CyclePlan:
     cycle_index: int
 
 
-def _trainable_for(task: str, mode: str, dataset_id: str) -> frozenset[str]:
-    if mode == "lock":
-        table = {
-            "cls": {cls_head_component(dataset_id)},
-            "loc": {loc_decoder_component(dataset_id)},
-            "seg": {seg_head_component(dataset_id)},
-        }
-    else:
-        table = {
-            "cls": {BACKBONE, cls_head_component(dataset_id)},
-            "loc": {BACKBONE, LOC_ENCODER, loc_decoder_component(dataset_id)},
-            "seg": {BACKBONE, SEG_DECODER, seg_head_component(dataset_id)},
-        }
-    return frozenset(table[task])
-
-
 def build_cycle_plan(dataset_specs, config: TrainConfig, cycle_index: int = 0) -> CyclePlan:
     """Expand datasets into the ordered epoch list for one cycle.
 
@@ -186,29 +166,22 @@ def build_cycle_plan(dataset_specs, config: TrainConfig, cycle_index: int = 0) -
         for task in TASK_ORDER:
             if task not in spec.tasks:
                 continue
+            modes = ("lock", "release") if config.lock_release.get(task, False) else ("release",)
             for subtask in subtasks:
                 for _ in range(config.epochs_per_task):
-                    if config.lock_release.get(task, False):
+                    for mode in modes:
                         entries.append(
                             EpochPlanEntry(
                                 dataset_id=spec.dataset_id,
                                 task=task,
-                                mode="lock",
-                                data_fraction="half",
-                                trainable_components=_trainable_for(task, "lock", spec.dataset_id),
+                                mode=mode,
+                                data_fraction="half" if mode == "lock" else "full",
+                                trainable_components=trainable_components(
+                                    task, mode, spec.dataset_id
+                                ),
                                 subtask=subtask,
                             )
                         )
-                    entries.append(
-                        EpochPlanEntry(
-                            dataset_id=spec.dataset_id,
-                            task=task,
-                            mode="release",
-                            data_fraction="full",
-                            trainable_components=_trainable_for(task, "release", spec.dataset_id),
-                            subtask=subtask,
-                        )
-                    )
     return CyclePlan(entries=tuple(entries), cycle_index=cycle_index)
 
 
@@ -627,10 +600,13 @@ def finetune(
 ) -> FinetuneResult:
     """Adapt the model to one dataset, fully or through its heads only.
 
-    ``head_only`` trains nothing but the target dataset's own heads/decoders
-    for the whole run and verifies after every epoch that no other component
-    changed.  ``few_shot_k`` restricts the training split to k samples.
-    No teacher is involved: finetuning pays task losses only.
+    Per declared task, ``head_only`` trains what a lock epoch trains (the
+    dataset's own head/decoder) and ``full`` what a release epoch trains
+    (those plus the shared components the task routes through).  Every
+    other component stays frozen, which is verified after every epoch.
+    The data is split as in pretraining; ``few_shot_k`` restricts the
+    training split to k samples.  No teacher is involved: finetuning pays
+    task losses only.
     """
     if mode not in ("full", "head_only"):
         raise ValueError(f"unknown finetune mode '{mode}'")
@@ -645,25 +621,22 @@ def finetune(
             dataset_spec.model_spec(), seed=derive_seed(config.seed, "new_head", ds)
         )
 
-    samples = synthdata.generate_dataset(dataset_spec)
-    train, val, test = split(samples, seed=derive_seed(config.seed, "split", ds))
+    bundle = prepare_bundles([dataset_spec], config)[ds]
+    train = bundle.train
     if few_shot_k is not None:
         train = synthdata.few_shot_subset(train, few_shot_k, seed=derive_seed(config.seed, "few_shot", ds))
 
-    own = {cls_head_component(ds), loc_decoder_component(ds), seg_head_component(ds)}
-    if mode == "head_only":
-        trainable = {c for c in model.graph.components() if c in own}
-        model.graph.set_trainable_components(trainable)
-    else:
-        model.graph.set_all_trainable()
-    frozen_components = [c for c in model.graph.components() if c not in own] if mode == "head_only" else []
+    schedule_mode = "lock" if mode == "head_only" else "release"
+    trainable = frozenset().union(
+        *(trainable_components(task, schedule_mode, ds) for task in dataset_spec.tasks)
+    )
+    model.graph.set_trainable_components(trainable)
     frozen_checksums = {
-        c: h for c, h in model.graph.component_checksums().items() if c in frozen_components
+        c: h for c, h in model.graph.component_checksums().items() if c not in trainable
     }
 
     optimizer = make_optimizer(config)
     records: list[MetricsRecord] = []
-    bundle = DatasetBundle(spec=dataset_spec, train=train, val=val, test=test)
     for epoch in range(1, epochs + 1):
         epoch_seed = derive_seed(config.seed, "finetune_epoch", ds, epoch)
         order = np.random.RandomState(derive_seed(epoch_seed, "order")).permutation(len(train))
@@ -678,13 +651,10 @@ def finetune(
                 total, _, _ = _batch_losses(model, None, task, ds, batch, config)
                 grads = model.graph.backward(total)
                 optimizer.step(model.graph.parameters(), grads)
-        if mode == "head_only":
-            now = model.graph.component_checksums()
-            for c, expected in frozen_checksums.items():
-                if now[c] != expected:
-                    raise RuntimeError(
-                        f"head-only finetune modified frozen component '{c}'"
-                    )
+        now = model.graph.component_checksums()
+        for c, expected in frozen_checksums.items():
+            if now[c] != expected:
+                raise RuntimeError(f"{mode} finetune modified frozen component '{c}'")
         for task, metric_name, value in evaluate_dataset(model, bundle):
             if value is None:
                 continue
@@ -699,14 +669,11 @@ def finetune(
                     value=value,
                 )
             )
-    counts, total = count_params(model)
-    trainable = sum(
-        p.tensor.data.size for p in model.graph.parameters() if p.trainable
-    )
+    params = model.graph.parameters()
     return FinetuneResult(
         model=model,
         records=records,
-        trainable_params=trainable,
-        total_params=total,
+        trainable_params=sum(p.tensor.data.size for p in params if p.trainable),
+        total_params=sum(p.tensor.data.size for p in params),
         train_size=len(train),
     )

@@ -42,10 +42,9 @@ __all__ = [
     "ModelGraph",
     "ArchConfig",
     "DatasetModelSpec",
-    "FeatureBundle",
     "MultiTaskModel",
     "build_model",
-    "apply_freeze_mask",
+    "trainable_components",
     "count_params",
 ]
 
@@ -148,10 +147,6 @@ class ModelGraph:
     def set_trainable_components(self, components: set[str]) -> None:
         for p in self._params.values():
             p.trainable = p.component in components
-
-    def set_all_trainable(self) -> None:
-        for p in self._params.values():
-            p.trainable = True
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -282,15 +277,6 @@ class DatasetModelSpec:
         if self.seg_classes is not None:
             out.append("seg")
         return tuple(out)
-
-
-@dataclass
-class FeatureBundle:
-    """Intermediate activations shared between student and teacher passes."""
-
-    backbone_emb: Tensor
-    loc_enc_emb: Tensor | None = None
-    seg_dec_emb: Tensor | None = None
 
 
 class MultiTaskModel:
@@ -498,16 +484,6 @@ class MultiTaskModel:
         dec = self.seg_decoder_features(emb, weights)
         return self.seg_logits(dec, dataset_id, weights)
 
-    def forward_features(self, images, task: str, weights=None) -> FeatureBundle:
-        """Backbone embedding plus the branch feature the task consumes."""
-        emb = self.backbone_features(images, weights)
-        bundle = FeatureBundle(backbone_emb=emb)
-        if task == "loc":
-            bundle.loc_enc_emb = self.loc_encoder_features(emb, weights)
-        elif task == "seg":
-            bundle.seg_dec_emb = self.seg_decoder_features(emb, weights)
-        return bundle
-
     def _require(self, dataset_id: str, task: str) -> DatasetModelSpec:
         spec = self.datasets.get(dataset_id)
         if spec is None:
@@ -544,35 +520,27 @@ def build_model(arch: ArchConfig, dataset_specs, seed: int | None = None) -> Mul
     return model
 
 
-_LOCK_TRAINABLE = {
-    "cls": lambda ds: {cls_head_component(ds)},
-    "loc": lambda ds: {loc_decoder_component(ds)},
-    "seg": lambda ds: {seg_head_component(ds)},
-}
-
-_RELEASE_TRAINABLE = {
-    "cls": lambda ds: {BACKBONE, cls_head_component(ds)},
-    "loc": lambda ds: {BACKBONE, LOC_ENCODER, loc_decoder_component(ds)},
-    "seg": lambda ds: {BACKBONE, SEG_DECODER, seg_head_component(ds)},
+# task -> (its per-dataset head/decoder, the shared components it routes through)
+_TASK_COMPONENTS = {
+    "cls": (cls_head_component, (BACKBONE,)),
+    "loc": (loc_decoder_component, (BACKBONE, LOC_ENCODER)),
+    "seg": (seg_head_component, (BACKBONE, SEG_DECODER)),
 }
 
 
-def apply_freeze_mask(model: MultiTaskModel, task: str, mode: str, dataset_id: str) -> frozenset[str]:
-    """Set trainability for one (task, mode, dataset) step and return it.
+def trainable_components(task: str, mode: str, dataset_id: str) -> frozenset[str]:
+    """The components one (task, mode) epoch on ``dataset_id`` trains.
 
-    Lock mode trains only the task-specific head/decoder; release mode also
-    unfreezes the components the task routes through.  Heads and decoders of
-    every other dataset are always frozen.
+    Lock mode trains only the task's own head/decoder; release mode also
+    unfreezes the shared components the task routes through.  Heads and
+    decoders of every other dataset are never included.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task '{task}'")
     if mode not in ("lock", "release"):
         raise ValueError(f"unknown mode '{mode}'")
-    model._require(dataset_id, task)
-    table = _LOCK_TRAINABLE if mode == "lock" else _RELEASE_TRAINABLE
-    trainable = frozenset(table[task](dataset_id))
-    model.graph.set_trainable_components(set(trainable))
-    return trainable
+    head, shared = _TASK_COMPONENTS[task]
+    return frozenset((head(dataset_id),) + (shared if mode == "release" else ()))
 
 
 def count_params(model: MultiTaskModel) -> tuple[dict[str, int], int]:

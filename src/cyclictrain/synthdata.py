@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -347,19 +347,7 @@ def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
         arrays["box_classes"] = flat_classes
     manifest = {
         "format_version": 1,
-        "spec": {
-            "dataset_id": spec.dataset_id,
-            "num_images": spec.num_images,
-            "tasks": list(spec.tasks),
-            "image_size": spec.image_size,
-            "shape_classes": list(spec.shape_classes),
-            "noise_level": spec.noise_level,
-            "seed": spec.seed,
-            "min_instances": spec.min_instances,
-            "max_instances": spec.max_instances,
-            "subtasks": list(spec.subtasks),
-            "round_robin_classes": spec.round_robin_classes,
-        },
+        "spec": asdict(spec),
         "arrays": {
             name: {"file": f"{name}.bin", "dtype": str(a.dtype), "shape": list(a.shape)}
             for name, a in arrays.items()
@@ -376,20 +364,7 @@ def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
 def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as f:
         manifest = json.load(f)
-    spec_d = manifest["spec"]
-    spec = SynthDatasetSpec(
-        dataset_id=spec_d["dataset_id"],
-        num_images=spec_d["num_images"],
-        tasks=tuple(spec_d["tasks"]),
-        image_size=spec_d["image_size"],
-        shape_classes=tuple(spec_d["shape_classes"]),
-        noise_level=spec_d["noise_level"],
-        seed=spec_d["seed"],
-        min_instances=spec_d["min_instances"],
-        max_instances=spec_d["max_instances"],
-        subtasks=tuple(spec_d["subtasks"]),
-        round_robin_classes=spec_d["round_robin_classes"],
-    )
+    spec = SynthDatasetSpec(**manifest["spec"])
     arrays: dict[str, np.ndarray] = {}
     for name, meta in manifest["arrays"].items():
         with open(os.path.join(directory, meta["file"]), "rb") as f:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +8,17 @@ import pytest
 from cyclictrain import cli
 from cyclictrain.config import (
     ConfigError,
+    RunConfig,
     config_hash,
     load_run_config,
     run_config_from_dict,
 )
-from cyclictrain.engine import prepare_bundles
+from cyclictrain.engine import TrainConfig, prepare_bundles
 from cyclictrain.metrics import auc, dice, map_at_iou, Detection, GroundTruth
-from cyclictrain.model import build_model
+from cyclictrain.model import ArchConfig, build_model
+from cyclictrain.synthdata import SynthDatasetSpec
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def _base_config(out_dir, **train):
@@ -106,6 +112,58 @@ def test_config_hash_stable_and_out_dir_independent():
     assert config_hash(a) == config_hash(b)
     c = run_config_from_dict(_base_config("out1", seed=6))
     assert config_hash(a) != config_hash(c)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("run_config.json", "370c18be92f7dfa4472cf8980b61a30b13806a90d285defb5d6477ee852def58"),
+    ("finetune_config.json", "7de0413efa93dfdcb3bec097f3fadbd39d20bfe699843d01f6471d99e06bfb17"),
+], ids=["run_config", "finetune_config"])
+def test_config_hash_pinned(name, expected):
+    # checkpoints written by earlier versions must keep matching their config
+    assert config_hash(load_run_config(str(DEMOS / name))) == expected
+
+
+def _changed(value):
+    """A different value of the same type that the dataclasses still accept."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return 2 * value or 1
+    if isinstance(value, float):
+        return value / 2 or 0.5
+    if isinstance(value, str):
+        return value + "2"
+    if isinstance(value, dict):
+        return {k: _changed(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], int):
+            return tuple(_changed(v) for v in value)
+        return value[:-1]
+    raise TypeError(f"no rule to change a {type(value).__name__}")
+
+
+_HASH_BASE = RunConfig(
+    out_dir="out",
+    datasets=(SynthDatasetSpec("d", num_images=8, tasks=("cls", "loc"), max_instances=1,
+                               subtasks=("ellipse",)),),
+)
+
+
+@pytest.mark.parametrize("section, field", [
+    (section, f.name)
+    for section, cls in (("train", TrainConfig), ("arch", ArchConfig),
+                         ("datasets", SynthDatasetSpec))
+    for f in dataclasses.fields(cls)
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_every_field_enters_the_config_hash(section, field):
+    if section == "datasets":
+        spec = _HASH_BASE.datasets[0]
+        new = (dataclasses.replace(spec, **{field: _changed(getattr(spec, field))}),)
+    else:
+        part = getattr(_HASH_BASE, section)
+        new = dataclasses.replace(part, **{field: _changed(getattr(part, field))})
+    changed = dataclasses.replace(_HASH_BASE, **{section: new})
+    assert config_hash(changed) != config_hash(_HASH_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +439,30 @@ def test_cmd_eval_warns_on_config_hash_mismatch(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", ckpt, "--config", path,
                      "--dataset", "boxesmasks"]) == 0
     assert "config hash" in capsys.readouterr().err
+
+
+def test_cmd_eval_scores_a_finetuned_checkpoint_on_its_dataset(tmp_path, capsys):
+    out, cfg = _pretrained(tmp_path)
+    cfg["finetune"] = {
+        "dataset": {
+            "dataset_id": "fresh",
+            "num_images": 16,
+            "tasks": ["loc"],
+            "image_size": 16,
+            "min_instances": 1,
+            "max_instances": 1,
+            "seed": 21,
+        },
+        "mode": "head_only",
+        "epochs": 1,
+    }
+    path = _write(tmp_path, cfg, "ft.json")
+    assert cli.main(["finetune", "--checkpoint", str(out / "checkpoints" / "final"),
+                     "--config", path, "--init-new-head"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(out / "finetune" / "checkpoint"),
+                     "--config", path, "--dataset", "fresh"]) == 0
+    assert "fresh loc mAP40: " in capsys.readouterr().out
 
 
 def test_cmd_eval_unknown_dataset_fails(tmp_path):

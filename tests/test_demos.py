@@ -1,0 +1,24 @@
+"""Smoke test: the demos that train nothing run to completion.
+
+They import public names from the package, so removing or renaming one
+breaks a demo; running them here catches that.  Demos 04 and 05 run
+pretraining and are left out to keep the suite fast.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", [
+    "01_generate_data.py",
+    "02_autodiff_and_gradcheck.py",
+    "03_cycle_plan_and_freezing.py",
+    "06_metrics_tour.py",
+])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out.strip()

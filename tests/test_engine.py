@@ -7,6 +7,7 @@ from cyclictrain.engine import (
     TrainConfig,
     build_cycle_plan,
     ema_update,
+    evaluate_dataset,
     export_teacher,
     finetune,
     make_optimizer,
@@ -15,7 +16,7 @@ from cyclictrain.engine import (
     run_pretraining,
     sample_lock_subset,
 )
-from cyclictrain.model import ArchConfig, build_model
+from cyclictrain.model import ArchConfig, build_model, trainable_components
 from cyclictrain.synthdata import SynthDatasetSpec, preset_organ_pairs
 
 SMALL_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
@@ -437,12 +438,27 @@ def test_few_shot_finetune_uses_exactly_k_samples():
     assert result.train_size == 3
 
 
-def test_full_finetune_trains_all_components():
-    specs = [_tiny_specs()[0]]
-    model, _, cfg = _build(specs, batch_size=8)
-    spec = SynthDatasetSpec("ft", num_images=12, tasks=("cls",), image_size=16, seed=5)
-    finetune(model, spec, cfg, mode="full", epochs=1)
-    assert all(p.trainable for p in model.graph.parameters())
+def test_full_finetune_trains_only_routed_components():
+    # weight decay moves every parameter the optimizer steps, gradient or not
+    specs = _tiny_specs()
+    model, _, cfg = _build(specs, batch_size=8, weight_decay=0.1)
+    routed = trainable_components("cls", "release", "a")
+    before = model.graph.component_checksums()
+    result = finetune(model, specs[0], cfg, mode="full", epochs=1)
+    after = model.graph.component_checksums()
+    for comp, checksum in before.items():
+        assert (after[comp] != checksum) == (comp in routed), comp
+    assert result.trainable_params == sum(
+        p.tensor.data.size for p in model.graph.parameters() if p.component in routed
+    )
+
+
+def test_finetune_splits_subtask_data_like_pretraining():
+    spec = _organ_spec()
+    model, _, cfg = _build([spec], batch_size=8)
+    result = finetune(model, spec, cfg, mode="head_only", epochs=1)
+    final = [(r.task, r.metric_name, r.value) for r in result.records]
+    assert final == evaluate_dataset(model, prepare_bundles([spec], cfg)[spec.dataset_id])
 
 
 def test_finetune_rejects_unknown_mode_and_missing_head():

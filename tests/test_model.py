@@ -8,7 +8,6 @@ from cyclictrain.model import (
     SEG_DECODER,
     ArchConfig,
     DatasetModelSpec,
-    apply_freeze_mask,
     build_model,
     cls_head_component,
     component_dataset,
@@ -16,6 +15,7 @@ from cyclictrain.model import (
     count_params,
     loc_decoder_component,
     seg_head_component,
+    trainable_components,
 )
 from cyclictrain.optim import AdamW
 
@@ -145,17 +145,6 @@ def test_forward_seg_shape_and_zeroed_head():
     assert np.all(logits.data == 0.25)
 
 
-def test_forward_features_bundle_matches_branch():
-    model = _model([DatasetModelSpec("d", cls_classes=2, loc_classes=2, seg_classes=2)])
-    x = _images(2)
-    for task, loc_set, seg_set in (("cls", False, False), ("loc", True, False),
-                                   ("seg", False, True)):
-        bundle = model.forward_features(x, task)
-        assert bundle.backbone_emb is not None
-        assert (bundle.loc_enc_emb is not None) == loc_set
-        assert (bundle.seg_dec_emb is not None) == seg_set
-
-
 def test_forward_deterministic_given_seed():
     specs = [DatasetModelSpec("d", cls_classes=2, loc_classes=2, seg_classes=2)]
     m1 = _model(specs, seed=9)
@@ -258,8 +247,9 @@ def test_freeze_masks_match_lock_release_table():
         ("cls", "release", {BACKBONE, "cls_head/d0"}),
     ]
     for task, mode, expected in cases:
-        got = apply_freeze_mask(model, task, mode, "d0")
+        got = trainable_components(task, mode, "d0")
         assert got == frozenset(expected), (task, mode)
+        model.graph.set_trainable_components(got)
         for p in model.graph.parameters():
             assert p.trainable == (p.component in expected), (task, mode, p.name)
 
@@ -268,7 +258,7 @@ def test_other_datasets_components_always_frozen():
     model = _census_model()
     for task in ("cls", "loc", "seg"):
         for mode in ("lock", "release"):
-            apply_freeze_mask(model, task, mode, "d0")
+            model.graph.set_trainable_components(trainable_components(task, mode, "d0"))
             for comp in ("cls_head/d1", "loc_decoder/d1", "seg_head/d1"):
                 for p in model.graph.component_parameters(comp):
                     assert not p.trainable
@@ -279,11 +269,11 @@ def test_backward_returns_no_gradient_for_a_frozen_component():
     opt = AdamW(lr=1e-2, weight_decay=0.1)
     x = _images(2)
     # a release step first, so the backbone holds optimizer state
-    apply_freeze_mask(model, "cls", "release", "d0")
+    model.graph.set_trainable_components(trainable_components("cls", "release", "d0"))
     opt.step(model.graph.parameters(),
              model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2)))))
 
-    apply_freeze_mask(model, "cls", "lock", "d0")
+    model.graph.set_trainable_components(trainable_components("cls", "lock", "d0"))
     backbone = model.graph.component_parameters(BACKBONE)
     weights = {p.name: p.tensor.data.tobytes() for p in backbone}
     state = {p.name: (opt.state_for(p.name).step_count, opt.state_for(p.name).m.tobytes(),
@@ -298,11 +288,10 @@ def test_backward_returns_no_gradient_for_a_frozen_component():
 
 
 def test_freeze_mask_validates_inputs():
-    model = _census_model()
     with pytest.raises(ValueError, match="unknown task"):
-        apply_freeze_mask(model, "pose", "lock", "d0")
+        trainable_components("pose", "lock", "d0")
     with pytest.raises(ValueError, match="unknown mode"):
-        apply_freeze_mask(model, "cls", "half", "d0")
+        trainable_components("cls", "half", "d0")
 
 
 # ---------------------------------------------------------------------------
