@@ -2,9 +2,11 @@
 
 A checkpoint is a directory: ``manifest.json`` plus raw little-endian
 float64 blobs (``student.bin``, optionally ``teacher.bin`` and
-``optim.bin``).  The manifest records every parameter's name, component,
-shape and element offset into its blob, so loading is language-neutral and
-save -> load -> save reproduces the directory byte for byte.
+``optim.bin``).  Every blob is described by one list of ``{name, shape,
+offset}`` entries in the manifest (student entries also carry their
+component; the optimizer's moments are the arrays ``<param>/m`` and
+``<param>/v``), so loading is language-neutral and save -> load -> save
+reproduces the directory byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .optim import AdamW
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -41,9 +43,6 @@ class Checkpoint:
     teacher_arrays: dict[str, np.ndarray] | None = None
     optimizer_state: dict | None = None
 
-    def param_count(self) -> int:
-        return sum(a.size for a in self.arrays.values())
-
 
 def _blob_entries(arrays: dict[str, np.ndarray], components: dict[str, str] | None = None):
     entries = []
@@ -57,15 +56,18 @@ def _blob_entries(arrays: dict[str, np.ndarray], components: dict[str, str] | No
     return entries, offset
 
 
-def _write_blob(path: str, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
+def _write_blob(directory: str, label: str, arrays: dict[str, np.ndarray]) -> None:
+    with open(os.path.join(directory, label), "wb") as f:
         for arr in arrays.values():
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_blob(path: str, entries, label: str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        raw = f.read()
+def _read_blob(directory: str, label: str, entries) -> dict[str, np.ndarray]:
+    try:
+        with open(os.path.join(directory, label), "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        raise CheckpointError(f"{label}: blob file missing from {directory}")
     if len(raw) % 8:
         raise CheckpointError(f"{label}: blob length {len(raw)} is not a multiple of 8")
     flat = np.frombuffer(raw, dtype="<f8")
@@ -135,7 +137,7 @@ def save_checkpoint(
         "total_elements": total,
         "params": param_entries,
     }
-    _write_blob(os.path.join(directory, "student.bin"), arrays)
+    _write_blob(directory, "student.bin", arrays)
 
     if teacher is not None:
         teacher_entries, _ = _blob_entries(teacher.params)
@@ -143,34 +145,27 @@ def save_checkpoint(
             "momentum": teacher.momentum,
             "params": teacher_entries,
         }
-        _write_blob(os.path.join(directory, "teacher.bin"), teacher.params)
+        _write_blob(directory, "teacher.bin", teacher.params)
     if optimizer is not None:
         state = optimizer.export_state()
         moment_arrays: dict[str, np.ndarray] = {}
-        optim_entries = []
-        offset = 0
         for name, entry in state["entries"].items():
-            m, v = entry["m"], entry["v"]
-            moment_arrays[f"{name}/m"] = m
-            moment_arrays[f"{name}/v"] = v
-            optim_entries.append(
-                {
-                    "name": name,
-                    "shape": list(m.shape),
-                    "lr": entry["lr"],
-                    "step_count": entry["step_count"],
-                    "m_offset": offset,
-                    "v_offset": offset + m.size,
-                }
-            )
-            offset += 2 * m.size
+            moment_arrays[f"{name}/m"] = entry["m"]
+            moment_arrays[f"{name}/v"] = entry["v"]
+        moment_entries, _ = _blob_entries(moment_arrays)
+        # a list, not a dict: json.dump sorts dict keys, and the order read
+        # back here is the order of optim.bin on the next save
         manifest["optimizer"] = {
             "betas": state["betas"],
             "eps": state["eps"],
             "weight_decay": state["weight_decay"],
-            "entries": optim_entries,
+            "entries": [
+                {"name": name, "lr": e["lr"], "step_count": e["step_count"]}
+                for name, e in state["entries"].items()
+            ],
+            "params": moment_entries,
         }
-        _write_blob(os.path.join(directory, "optim.bin"), moment_arrays)
+        _write_blob(directory, "optim.bin", moment_arrays)
 
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -190,7 +185,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise CheckpointError(
             f"unsupported format version {manifest.get('format_version')!r}"
         )
-    arrays = _read_blob(os.path.join(directory, "student.bin"), manifest["params"], "student.bin")
+    arrays = _read_blob(directory, "student.bin", manifest["params"])
     components = {e["name"]: e.get("component", "") for e in manifest["params"]}
     declared = int(manifest.get("total_elements", -1))
     actual = sum(a.size for a in arrays.values())
@@ -208,30 +203,18 @@ def load_checkpoint(directory: str) -> Checkpoint:
     if "teacher" in manifest:
         t = manifest["teacher"]
         cp.teacher_momentum = float(t["momentum"])
-        cp.teacher_arrays = _read_blob(
-            os.path.join(directory, "teacher.bin"), t["params"], "teacher.bin"
-        )
+        cp.teacher_arrays = _read_blob(directory, "teacher.bin", t["params"])
     if "optimizer" in manifest:
         o = manifest["optimizer"]
-        with open(os.path.join(directory, "optim.bin"), "rb") as f:
-            flat = np.frombuffer(f.read(), dtype="<f8")
+        moments = _read_blob(directory, "optim.bin", o["params"])
         entries = {}
         for e in o["entries"]:
-            shape = tuple(e["shape"])
-            size = 1
-            for d in shape:
-                size *= d
-            for key, off in (("m", e["m_offset"]), ("v", e["v_offset"])):
-                if off + size > flat.size:
-                    raise CheckpointError(
-                        f"optim.bin: '{e['name']}/{key}' at offset {off} needs "
-                        f"{size} elements but blob holds {flat.size}"
-                    )
-            entries[e["name"]] = {
+            name = e["name"]
+            entries[name] = {
                 "lr": e["lr"],
                 "step_count": e["step_count"],
-                "m": flat[e["m_offset"] : e["m_offset"] + size].reshape(shape).astype(np.float64),
-                "v": flat[e["v_offset"] : e["v_offset"] + size].reshape(shape).astype(np.float64),
+                "m": moments[f"{name}/m"],
+                "v": moments[f"{name}/v"],
             }
         cp.optimizer_state = {
             "betas": o["betas"],

@@ -17,8 +17,8 @@ import types
 import typing
 from dataclasses import dataclass
 
-from .engine import TASK_ORDER, TrainConfig
-from .model import ArchConfig
+from .engine import TrainConfig
+from .model import TASKS, ArchConfig
 from .synthdata import SynthDatasetSpec
 
 __all__ = ["ConfigError", "FinetuneSpec", "RunConfig", "load_run_config",
@@ -93,7 +93,7 @@ def _lock_release(value, path: str) -> dict[str, bool]:
     """Per-task flags, merged over the defaults."""
     flags = _coerce(value, dict, path)
     for task, flag in flags.items():
-        if task not in TASK_ORDER:
+        if task not in TASKS:
             raise ConfigError(f"{path}.{task}: unknown task")
         _coerce(flag, bool, f"{path}.{task}")
     return {**TrainConfig().lock_release, **flags}

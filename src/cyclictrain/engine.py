@@ -24,6 +24,7 @@ from .model import (
     BACKBONE,
     LOC_ENCODER,
     SEG_DECODER,
+    TASKS,
     MultiTaskModel,
     component_kind,
     trainable_components,
@@ -58,9 +59,6 @@ __all__ = [
     "FinetuneResult",
     "finetune",
 ]
-
-TASK_ORDER = ("cls", "loc", "seg")
-
 
 def _default_lock_release() -> dict[str, bool]:
     return {"cls": False, "loc": True, "seg": True}
@@ -106,7 +104,7 @@ class TrainConfig:
             raise ValueError("epochs_per_task must be >= 1")
         if self.num_cycles < 0:
             raise ValueError("num_cycles must be >= 0")
-        unknown = set(self.lock_release) - set(TASK_ORDER)
+        unknown = set(self.lock_release) - set(TASKS)
         if unknown:
             raise ValueError(f"lock_release has unknown tasks {sorted(unknown)}")
 
@@ -135,13 +133,13 @@ class EpochPlanEntry:
     dataset_id: str
     task: str
     mode: str  # "lock" | "release"
-    data_fraction: str  # "half" | "full"
     trainable_components: frozenset[str]
     subtask: str | None = None
 
-    def __post_init__(self):
-        if (self.mode == "lock") != (self.data_fraction == "half"):
-            raise ValueError("lock mode pairs with half data, release with full")
+    @property
+    def data_fraction(self) -> str:
+        """``"half"`` for a lock epoch, ``"full"`` otherwise."""
+        return "half" if self.mode == "lock" else "full"
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def build_cycle_plan(dataset_specs, config: TrainConfig, cycle_index: int = 0) -
     entries: list[EpochPlanEntry] = []
     for spec in specs:
         subtasks: tuple[str | None, ...] = spec.subtasks or (None,)
-        for task in TASK_ORDER:
+        for task in TASKS:
             if task not in spec.tasks:
                 continue
             modes = ("lock", "release") if config.lock_release.get(task, False) else ("release",)
@@ -175,7 +173,6 @@ def build_cycle_plan(dataset_specs, config: TrainConfig, cycle_index: int = 0) -
                                 dataset_id=spec.dataset_id,
                                 task=task,
                                 mode=mode,
-                                data_fraction="half" if mode == "lock" else "full",
                                 trainable_components=trainable_components(
                                     task, mode, spec.dataset_id
                                 ),
@@ -327,6 +324,29 @@ def _batch_losses(model, teacher, task, dataset_id, batch, config):
     return total, task_term.item(), weighted
 
 
+def _train_pass(model, teacher, task, spec, samples, epoch_seed, optimizer, config, lr_scale=1.0):
+    """One shuffled pass over ``samples``, stepping the optimizer per batch.
+
+    Order and augmentation follow ``epoch_seed``.  Returns the per-batch task
+    loss values and the per-batch weighted consistency terms by name.
+    """
+    order = np.random.RandomState(derive_seed(epoch_seed, "order")).permutation(len(samples))
+    task_vals: list[float] = []
+    term_vals: dict[str, list[float]] = {}
+    for start in range(0, len(samples), config.batch_size):
+        batch = [
+            augment(samples[i], epoch_seed, noise_level=spec.noise_level)
+            for i in order[start : start + config.batch_size]
+        ]
+        total, task_val, terms = _batch_losses(model, teacher, task, spec.dataset_id, batch, config)
+        grads = model.graph.backward(total)
+        optimizer.step(model.graph.parameters(), grads, lr_scale=lr_scale)
+        task_vals.append(task_val)
+        for name, v in terms:
+            term_vals.setdefault(name, []).append(v)
+    return task_vals, term_vals
+
+
 def run_epoch(
     model: MultiTaskModel,
     teacher: TeacherState | None,
@@ -367,26 +387,10 @@ def run_epoch(
         samples = [samples[i] for i in subset]
 
     model.graph.set_trainable_components(set(entry.trainable_components))
-    lr_scale = config.lr_scale_at(global_epoch)
-
-    order = np.random.RandomState(derive_seed(epoch_seed, "order")).permutation(len(samples))
-    task_vals: list[float] = []
-    term_vals: dict[str, list[float]] = {}
-    for start in range(0, len(samples), config.batch_size):
-        batch_idx = order[start : start + config.batch_size]
-        batch = [
-            augment(samples[i], epoch_seed, noise_level=bundle.spec.noise_level)
-            for i in batch_idx
-        ]
-        total, task_val, terms = _batch_losses(
-            model, teacher, entry.task, entry.dataset_id, batch, config
-        )
-        grads = model.graph.backward(total)
-        optimizer.step(model.graph.parameters(), grads, lr_scale=lr_scale)
-        task_vals.append(task_val)
-        for name, v in terms:
-            term_vals.setdefault(name, []).append(v)
-
+    task_vals, term_vals = _train_pass(
+        model, teacher, entry.task, bundle.spec, samples, epoch_seed, optimizer, config,
+        lr_scale=config.lr_scale_at(global_epoch),
+    )
     breakdown = LossBreakdown.build(
         float(np.mean(task_vals)),
         [(name, float(np.mean(vals))) for name, vals in term_vals.items()],
@@ -478,12 +482,29 @@ def evaluate_task(model, spec, samples, task, weights=None):
 def evaluate_dataset(model, bundle: DatasetBundle, weights=None):
     """(task, metric_name, value) on the test split for every declared task."""
     out = []
-    for task in TASK_ORDER:
+    for task in TASKS:
         if task not in bundle.spec.tasks:
             continue
         value, name = evaluate_task(model, bundle.spec, bundle.test, task, weights)
         out.append((task, name, value))
     return out
+
+
+def _eval_records(model, bundle: DatasetBundle, cycle: int, epoch: int) -> list[MetricsRecord]:
+    """One ``mode="eval"`` record per task of ``bundle`` that has a metric value."""
+    return [
+        MetricsRecord(
+            cycle=cycle,
+            epoch=epoch,
+            dataset_id=bundle.spec.dataset_id,
+            task=task,
+            mode="eval",
+            metric_name=metric_name,
+            value=value,
+        )
+        for task, metric_name, value in evaluate_dataset(model, bundle)
+        if value is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +568,8 @@ def run_pretraining(
                 emit(record)
             if config.eval_every_epoch:
                 for spec in specs:
-                    for task, metric_name, value in evaluate_dataset(model, bundles[spec.dataset_id]):
-                        if value is None:
-                            continue
-                        emit(
-                            MetricsRecord(
-                                cycle=cycle,
-                                epoch=epoch_in_cycle,
-                                dataset_id=spec.dataset_id,
-                                task=task,
-                                mode="eval",
-                                metric_name=metric_name,
-                                value=value,
-                            )
-                        )
+                    for record in _eval_records(model, bundles[spec.dataset_id], cycle, epoch_in_cycle):
+                        emit(record)
         if on_cycle_end is not None:
             on_cycle_end(cycle, model, teacher, optimizer)
     return PretrainResult(
@@ -639,36 +648,14 @@ def finetune(
     records: list[MetricsRecord] = []
     for epoch in range(1, epochs + 1):
         epoch_seed = derive_seed(config.seed, "finetune_epoch", ds, epoch)
-        order = np.random.RandomState(derive_seed(epoch_seed, "order")).permutation(len(train))
-        for task in TASK_ORDER:
-            if task not in dataset_spec.tasks:
-                continue
-            for start in range(0, len(train), config.batch_size):
-                batch = [
-                    augment(train[i], epoch_seed, noise_level=dataset_spec.noise_level)
-                    for i in order[start : start + config.batch_size]
-                ]
-                total, _, _ = _batch_losses(model, None, task, ds, batch, config)
-                grads = model.graph.backward(total)
-                optimizer.step(model.graph.parameters(), grads)
+        for task in TASKS:
+            if task in dataset_spec.tasks:
+                _train_pass(model, None, task, dataset_spec, train, epoch_seed, optimizer, config)
         now = model.graph.component_checksums()
         for c, expected in frozen_checksums.items():
             if now[c] != expected:
                 raise RuntimeError(f"{mode} finetune modified frozen component '{c}'")
-        for task, metric_name, value in evaluate_dataset(model, bundle):
-            if value is None:
-                continue
-            records.append(
-                MetricsRecord(
-                    cycle=0,
-                    epoch=epoch,
-                    dataset_id=ds,
-                    task=task,
-                    mode="eval",
-                    metric_name=metric_name,
-                    value=value,
-                )
-            )
+        records.extend(_eval_records(model, bundle, 0, epoch))
     params = model.graph.parameters()
     return FinetuneResult(
         model=model,

@@ -68,21 +68,6 @@ class MetricsRecord:
             raise ValueError(f"metric value {self.value} outside [0, 1]")
 
 
-def _ranks_with_ties(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
-
-
 def auc(scores, labels) -> float | None:
     """Macro-averaged ranking AUC for (n,) or (n, classes) inputs.
 
@@ -102,7 +87,9 @@ def auc(scores, labels) -> float | None:
         n_neg = int(len(pos) - n_pos)
         if n_pos == 0 or n_neg == 0:
             continue
-        ranks = _ranks_with_ties(s[:, c])
+        # 1-based ranks; tied scores share the mean of their rank range
+        _, inverse, counts = np.unique(s[:, c], return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
         u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
         per_class.append(u / (n_pos * n_neg))
     if not per_class:

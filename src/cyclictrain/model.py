@@ -30,6 +30,7 @@ from .autodiff import (
 )
 
 __all__ = [
+    "TASKS",
     "BACKBONE",
     "LOC_ENCODER",
     "SEG_DECODER",

@@ -30,7 +30,7 @@ class AdamW:
     """Decoupled-weight-decay Adam over named parameters.
 
     Parameters are duck-typed: anything with ``name``, ``tensor`` (holding
-    ``data`` and ``grad``), ``component`` and ``trainable`` works.  ``lr_for``
+    ``data``), ``component`` and ``trainable`` works.  ``lr_for``
     lets the caller resolve a per-parameter learning rate (e.g. a smaller one
     for a shared backbone); it is sampled once, when the parameter's state is
     first created.
@@ -61,25 +61,22 @@ class AdamW:
     def step(
         self,
         params: Iterable,
-        grads: Mapping[str, np.ndarray] | None = None,
+        grads: Mapping[str, np.ndarray],
         lr_scale: float = 1.0,
     ) -> None:
         """Apply one update to every trainable parameter.
 
-        ``grads`` overrides ``param.tensor.grad`` when given; a missing or
-        ``None`` gradient is treated as zero (weight decay still applies).
-        Non-finite gradients are rejected by parameter name.
+        ``grads`` holds one gradient per trainable parameter, as
+        ``ModelGraph.backward`` returns them.  Missing and non-finite
+        gradients are rejected by parameter name.
         """
         b1, b2 = self.betas
         for p in params:
             if not p.trainable:
                 continue
-            if grads is not None and p.name in grads:
-                g = grads[p.name]
-            else:
-                g = p.tensor.grad
-            if g is None:
-                g = np.zeros_like(p.tensor.data)
+            if p.name not in grads:
+                raise ValueError(f"no gradient for trainable parameter '{p.name}'")
+            g = grads[p.name]
             if not np.all(np.isfinite(g)):
                 raise ValueError(f"non-finite gradient for parameter '{p.name}'")
             st = self._state.get(p.name)

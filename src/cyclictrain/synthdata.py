@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .losses import BoxTarget
+from .model import TASKS, DatasetModelSpec
 
 __all__ = [
     "SHAPE_GENERATORS",
@@ -76,7 +77,7 @@ class SynthDatasetSpec:
             raise ValueError("num_images must be >= 1")
         if not self.tasks:
             raise ValueError("tasks must be nonempty")
-        bad = set(self.tasks) - {"cls", "loc", "seg"}
+        bad = set(self.tasks) - set(TASKS)
         if bad:
             raise ValueError(f"unknown tasks {sorted(bad)}")
         if self.image_size < MIN_IMAGE_SIZE:
@@ -96,9 +97,7 @@ class SynthDatasetSpec:
     def num_classes(self) -> int:
         return len(self.shape_classes)
 
-    def model_spec(self):
-        from .model import DatasetModelSpec
-
+    def model_spec(self) -> DatasetModelSpec:
         n = self.num_classes
         return DatasetModelSpec(
             dataset_id=self.dataset_id,

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -82,20 +83,50 @@ def test_manifest_counts_match_parameter_accounting(tmp_path):
     save_checkpoint(str(tmp_path / "cp"), model)
     cp = load_checkpoint(str(tmp_path / "cp"))
     counts, total = count_params(model)
-    assert cp.param_count() == total
+    assert sum(a.size for a in cp.arrays.values()) == total
     by_comp = {}
     for name, arr in cp.arrays.items():
         by_comp[cp.components[name]] = by_comp.get(cp.components[name], 0) + arr.size
     assert by_comp == counts
 
 
-def test_truncated_blob_rejected_with_offsets(tmp_path):
-    model, _, _ = _trained_model()
-    save_checkpoint(str(tmp_path / "cp"), model)
-    blob = tmp_path / "cp" / "student.bin"
-    data = blob.read_bytes()
-    blob.write_bytes(data[: len(data) // 2 // 8 * 8])
-    with pytest.raises(CheckpointError, match="offset"):
+# damage -> what the error must say, after the blob's name
+DAMAGE = {
+    "halve": "offset",  # ends on an element boundary, mid-array
+    "cut3": "not a multiple of 8",
+    "append8": "manifest accounts for",
+    "delete": "missing",
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+@pytest.mark.parametrize("blob", ["student.bin", "teacher.bin", "optim.bin"])
+def test_damaged_blob_rejected(tmp_path, blob, damage):
+    model, teacher, opt = _trained_model()
+    save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
+    path = tmp_path / "cp" / blob
+    data = path.read_bytes()
+    if damage == "halve":
+        path.write_bytes(data[: len(data) // 2 // 8 * 8])
+    elif damage == "cut3":
+        path.write_bytes(data[:-3])
+    elif damage == "append8":
+        path.write_bytes(data + bytes(8))
+    else:
+        path.unlink()
+    with pytest.raises(CheckpointError, match=DAMAGE[damage]) as err:
+        load_checkpoint(str(tmp_path / "cp"))
+    assert str(err.value).startswith(f"{blob}: ")
+
+
+def test_format_version_1_rejected(tmp_path):
+    model, teacher, opt = _trained_model()
+    save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
+    mpath = tmp_path / "cp" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["format_version"] = 1
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="format version 1"):
         load_checkpoint(str(tmp_path / "cp"))
 
 

@@ -501,6 +501,14 @@ def test_cmd_inspect_corrupt_checkpoint_fails(tmp_path, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_cmd_inspect_checkpoint_without_student_blob_fails(tmp_path, capsys):
+    out, _ = _pretrained(tmp_path)
+    ckpt = out / "checkpoints" / "final"
+    (ckpt / "student.bin").unlink()
+    assert cli.main(["inspect", "--checkpoint", str(ckpt)]) == 2
+    assert "student.bin" in capsys.readouterr().err
+
+
 def test_cmd_gen_data_roundtrip(tmp_path):
     out = tmp_path / "out"
     cfg = _base_config(str(out), num_cycles=0)

@@ -121,15 +121,6 @@ def test_cycle_covers_each_dataset_task_pair_once():
     assert set(release_visits) == expected_pairs
 
 
-def test_lock_mode_pairs_with_half_data():
-    from cyclictrain.engine import EpochPlanEntry
-
-    with pytest.raises(ValueError, match="half"):
-        EpochPlanEntry("d", "loc", "lock", "full", frozenset())
-    with pytest.raises(ValueError, match="half"):
-        EpochPlanEntry("d", "loc", "release", "half", frozenset())
-
-
 def test_classification_lock_release_configurable():
     spec = SynthDatasetSpec("solo", num_images=10, tasks=("cls",), image_size=16)
     cfg = TrainConfig(lock_release={"cls": True, "loc": True, "seg": True})

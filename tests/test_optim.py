@@ -96,3 +96,15 @@ def test_per_parameter_learning_rates():
     moved_a = abs(1.0 - g["a"].tensor.data[0])
     moved_b = abs(1.0 - g["b"].tensor.data[0])
     assert moved_a < moved_b
+
+
+def test_missing_gradient_for_a_trainable_parameter_is_rejected():
+    g = ModelGraph()
+    g.add("a", np.asarray([1.0]), "backbone")
+    g.add("b", np.asarray([1.0]), "cls_head/x")
+    opt = AdamW()
+    with pytest.raises(ValueError, match="'b'"):
+        opt.step(g.parameters(), {"a": np.asarray([1.0])})
+    g["b"].trainable = False
+    opt.step(g.parameters(), {"a": np.asarray([1.0])})  # frozen: no gradient needed
+    assert opt.state_for("b") is None
