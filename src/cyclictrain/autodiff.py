@@ -301,15 +301,25 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
     """``relu(x) - slope * relu(-x)`` as one node, bit-equal to that composition.
 
     The gradient is ``g`` above zero, ``slope * g`` below it and zero at
-    exactly zero, the subgradient the composition picks.
+    exactly zero, the subgradient the composition picks.  ``slope`` must lie
+    in ``[0, 1]``: the forward is ``max(x, slope * x)``, which is that
+    composition only there.
     """
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope {slope} is outside [0, 1]")
     a = _as_tensor(a)
-    pos = a.data > 0.0
-    # + 0.0 turns -0.0 into 0.0, as the composition's subtraction does
-    data = np.where(pos, a.data, slope * a.data) + 0.0
+    data = a.data * slope
+    np.maximum(a.data, data, out=data)
+    # turns -0.0 into 0.0, as the composition's subtraction does
+    data += 0.0
 
     def bwd(g):
-        _accumulate(a, np.where(pos, g, slope * g * (a.data < 0.0)))
+        # 1 above zero, slope below, 0 at zero; m * g then rounds exactly as
+        # the composition's g, slope * g and slope * g * 0 do
+        m = np.multiply(a.data < 0.0, slope)
+        m += a.data > 0.0
+        m *= g
+        _accumulate(a, m)
 
     return _node(data, (a,), bwd)
 
@@ -535,7 +545,19 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
 
 
 def maxpool2d(x, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; ties route the gradient to the first max."""
+    """Non-overlapping max pooling; ties route the gradient to the first max.
+
+    "First" is row-major order within the window, as ``argmax`` over the
+    flattened window would pick.  Local windows are reduced over strided
+    views, without copying the input into window order: the forward is
+    ``2 * size - 2`` ``np.maximum`` calls, and the backward walks the
+    ``size * size`` window positions, giving ``g`` to the first position
+    that equals the window's maximum.  A window whose maximum is NaN passes
+    no gradient.  When the window covers the whole map (a global pool,
+    ``size == h == w``), that walk would take ``h * w`` steps, so one
+    ``argmax`` over the flattened map is used instead; it sends the gradient
+    of a NaN window to its first NaN.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: expected 4-D input, got {x.shape}")
@@ -544,23 +566,38 @@ def maxpool2d(x, size: int = 2) -> Tensor:
         raise ShapeError(
             f"maxpool2d: spatial dims {h}x{w} not divisible by window {size}"
         )
-    ho, wo = h // size, w // size
-    windows = (
-        x.data.reshape(n, c, ho, size, wo, size)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho, wo, size * size)
-    )
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    if h == w == size:
+        flat = x.data.reshape(n, c, h * w)
+        idx = flat.argmax(axis=-1)[..., None]
+        out = np.take_along_axis(flat, idx, axis=-1).reshape(n, c, 1, 1)
+
+        def bwd_global(g):
+            gx = np.zeros((n, c, h * w))
+            np.put_along_axis(gx, idx, g.reshape(n, c, 1), axis=-1)
+            _accumulate(x, gx.reshape(n, c, h, w))
+
+        return _node(out, (x,), bwd_global)
+
+    # columns, then rows: on equal operands (such as 0.0 and -0.0)
+    # np.maximum returns its second argument, the running maximum, so the
+    # value kept is the row-major first maximum, byte for byte
+    cols = x.data[..., 0::size]
+    for j in range(1, size):
+        cols = np.maximum(x.data[..., j::size], cols)
+    out = cols[:, :, 0::size, :]
+    for i in range(1, size):
+        out = np.maximum(cols[:, :, i::size, :], out)
 
     def bwd(g):
-        gwin = np.zeros((n, c, ho, wo, size * size))
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = (
-            gwin.reshape(n, c, ho, wo, size, size)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        gx = np.empty(x.data.shape)
+        free = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
+        for i in range(size):
+            for j in range(size):
+                np.equal(x.data[:, :, i::size, j::size], out, out=hit)
+                hit &= free
+                gx[:, :, i::size, j::size] = np.where(hit, g, 0.0)
+                free ^= hit
         _accumulate(x, gx)
 
     return _node(out, (x,), bwd)

@@ -62,6 +62,14 @@ def _write_blob(directory: str, label: str, arrays: dict[str, np.ndarray]) -> No
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _field(section, path: str):
+    """``section[key]`` for the last key of ``path``; CheckpointError if absent."""
+    key = path.rsplit(".", 1)[-1]
+    if not isinstance(section, dict) or key not in section:
+        raise CheckpointError(f"manifest lacks required key '{path}'")
+    return section[key]
+
+
 def _read_blob(directory: str, label: str, entries) -> dict[str, np.ndarray]:
     try:
         with open(os.path.join(directory, label), "rb") as f:
@@ -73,10 +81,10 @@ def _read_blob(directory: str, label: str, entries) -> dict[str, np.ndarray]:
     flat = np.frombuffer(raw, dtype="<f8")
     out: dict[str, np.ndarray] = {}
     expected_end = 0
-    for entry in entries:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        offset = int(entry["offset"])
+    for i, entry in enumerate(entries):
+        name = _field(entry, f"{label} entries[{i}].name")
+        shape = tuple(_field(entry, f"{label} entries[{i}].shape"))
+        offset = int(_field(entry, f"{label} entries[{i}].offset"))
         size = 1
         for d in shape:
             size *= d
@@ -185,8 +193,9 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise CheckpointError(
             f"unsupported format version {manifest.get('format_version')!r}"
         )
-    arrays = _read_blob(directory, "student.bin", manifest["params"])
-    components = {e["name"]: e.get("component", "") for e in manifest["params"]}
+    params = _field(manifest, "params")
+    arrays = _read_blob(directory, "student.bin", params)
+    components = {e["name"]: e.get("component", "") for e in params}
     declared = int(manifest.get("total_elements", -1))
     actual = sum(a.size for a in arrays.values())
     if declared >= 0 and declared != actual:
@@ -202,24 +211,33 @@ def load_checkpoint(directory: str) -> Checkpoint:
     )
     if "teacher" in manifest:
         t = manifest["teacher"]
-        cp.teacher_momentum = float(t["momentum"])
-        cp.teacher_arrays = _read_blob(directory, "teacher.bin", t["params"])
+        cp.teacher_momentum = float(_field(t, "teacher.momentum"))
+        cp.teacher_arrays = _read_blob(
+            directory, "teacher.bin", _field(t, "teacher.params")
+        )
     if "optimizer" in manifest:
         o = manifest["optimizer"]
-        moments = _read_blob(directory, "optim.bin", o["params"])
+        moments = _read_blob(directory, "optim.bin", _field(o, "optimizer.params"))
         entries = {}
-        for e in o["entries"]:
-            name = e["name"]
+        for i, e in enumerate(_field(o, "optimizer.entries")):
+            where = f"optimizer.entries[{i}]"
+            name = _field(e, f"{where}.name")
+            for moment in ("m", "v"):
+                if f"{name}/{moment}" not in moments:
+                    raise CheckpointError(
+                        f"optim.bin: optimizer entry '{name}' has no "
+                        f"'{name}/{moment}' array"
+                    )
             entries[name] = {
-                "lr": e["lr"],
-                "step_count": e["step_count"],
+                "lr": _field(e, f"{where}.lr"),
+                "step_count": _field(e, f"{where}.step_count"),
                 "m": moments[f"{name}/m"],
                 "v": moments[f"{name}/v"],
             }
         cp.optimizer_state = {
-            "betas": o["betas"],
-            "eps": o["eps"],
-            "weight_decay": o["weight_decay"],
+            "betas": _field(o, "optimizer.betas"),
+            "eps": _field(o, "optimizer.eps"),
+            "weight_decay": _field(o, "optimizer.weight_decay"),
             "entries": entries,
         }
     return cp

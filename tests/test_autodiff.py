@@ -88,19 +88,89 @@ def test_conv2d_matches_nested_loop_oracle(channels, kernel, padding):
 
 def test_leaky_relu_is_bit_equal_to_relu_composition():
     rs = np.random.RandomState(5)
-    x = np.concatenate([rs.randn(40), [0.0, -0.0, -5e-324, 5e-324, -1e-310]])
-    g = np.concatenate([rs.randn(40), [1.5, -2.0, 0.7, -0.3, 0.0]])
+    special = [0.0, -0.0, -5e-324, 5e-324, -1e-310]
+    flat = np.concatenate([rs.randn(40), special])
+    # conv-shaped: a (batch, channel, h, w) map with zeros of both signs
+    conv = rs.randn(2, 3, 4, 5)
+    conv.flat[: len(special)] = special
 
-    def run(act):
+    def run(act, x, g):
         t = Tensor(x.copy(), requires_grad=True)
         out = act(t)
         tsum(mul(out, Tensor(g))).backward()
         return out.data.tobytes(), t.grad.tobytes()
 
-    fused = run(leaky_relu)
-    composed = run(lambda t: sub(relu(t), mul(Tensor(0.1), relu(neg(t)))))
-    assert fused[0] == composed[0]
-    assert fused[1] == composed[1]
+    def composition(t):
+        return sub(relu(t), mul(Tensor(0.1), relu(neg(t))))
+
+    for x in (flat, conv):
+        g = rs.randn(*x.shape)
+        g.flat[: len(special)] = [1.5, -2.0, 0.7, -0.3, 0.0]
+        assert run(leaky_relu, x, g) == run(composition, x, g)
+
+        # with infinite g the composition's gradient is NaN wherever one of
+        # its two branches multiplies inf by a zero mask, so the gradient is
+        # compared with the closed form the composition gives for finite g
+        g.flat[::7] = np.inf
+        g.flat[3::7] = -np.inf
+        g.flat[5::7] = -0.0
+        with np.errstate(invalid="ignore"):  # inf * 0
+            value, grad = run(leaky_relu, x, g)
+            assert value == run(composition, x, g)[0]
+            assert grad == np.where(x > 0.0, g, 0.1 * g * (x < 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="slope"):
+        leaky_relu(Tensor(np.ones(3)), slope)
+
+
+def _maxpool_oracle(x, size, g):
+    """Nested loops; ties go to the first maximum in row-major window order."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // size, w // size))
+    gx = np.zeros_like(x)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h // size):
+                for j in range(w // size):
+                    best = None
+                    for di in range(size):
+                        for dj in range(size):
+                            at = (b, ch, i * size + di, j * size + dj)
+                            if best is None or x[at] > x[best]:
+                                best = at
+                    out[b, ch, i, j] = x[best]
+                    gx[best] = g[b, ch, i, j]
+    return out, gx
+
+
+@pytest.mark.parametrize("data", ["rounded", "plateau", "signed_zeros"])
+@pytest.mark.parametrize("size", [2, 3, "global"])
+def test_maxpool2d_matches_nested_loop_oracle(size, data):
+    rs = np.random.RandomState(11)
+    shape = (2, 3, 6, 6) if size == "global" else (2, 3, 6, 12)
+    size = 6 if size == "global" else size
+    if data == "rounded":
+        # many ties, and -0.0 from rounding small negatives
+        x = np.round(0.3 * rs.randn(*shape), 1)
+    elif data == "plateau":
+        # flat regions as in clipped images: zeros of both signs and ones
+        x = np.clip(np.round(2.0 * rs.randn(*shape)), -0.0, 1.0)
+        x[rs.rand(*shape) < 0.3] = -0.0
+    else:
+        # windows whose maximum is a zero held by both signs, so the bytes
+        # of the output show which tied element was taken
+        x = np.array([-1.0, -0.0, 0.0])[rs.randint(3, size=shape)]
+    g = rs.randn(shape[0], shape[1], shape[2] // size, shape[3] // size)
+    g[rs.rand(*g.shape) < 0.3] = -0.0
+    expected, expected_gx = _maxpool_oracle(x, size, g)
+    t = Tensor(x, requires_grad=True)
+    out = maxpool2d(t, size)
+    tsum(mul(out, Tensor(g))).backward()
+    assert out.data.tobytes() == expected.tobytes()
+    assert t.grad.tobytes() == expected_gx.tobytes()
 
 
 def test_no_grad_records_no_tape():

@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from cyclictrain import cli
 from cyclictrain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from cyclictrain.engine import (
     TeacherState,
@@ -140,6 +142,64 @@ def test_corrupt_manifest_rejected(tmp_path):
     mpath.write_text("{not json")
     with pytest.raises(CheckpointError, match="JSON"):
         load_checkpoint(str(tmp_path / "cp"))
+
+
+@pytest.fixture(scope="module")
+def full_checkpoint(tmp_path_factory):
+    """A checkpoint with student, teacher and optimizer sections."""
+    model, teacher, opt = _trained_model()
+    path = tmp_path_factory.mktemp("full") / "cp"
+    save_checkpoint(str(path), model, teacher=teacher, optimizer=opt)
+    return path
+
+
+def _drop(path):
+    def edit(manifest):
+        *parents, key = path.split(".")
+        for parent in parents:
+            manifest = manifest[parent]
+        del manifest[key]
+
+    return edit
+
+
+def _orphan(moment):
+    """Rename the first optimizer entry's ``<name>/<moment>`` array."""
+
+    def edit(manifest):
+        name = manifest["optimizer"]["entries"][0]["name"]
+        for e in manifest["optimizer"]["params"]:
+            if e["name"] == f"{name}/{moment}":
+                e["name"] += "~"
+
+    return edit
+
+
+# manifest edit -> what the error must name
+MISSING_KEYS = {
+    "params": (_drop("params"), "'params'"),
+    "teacher.momentum": (_drop("teacher.momentum"), "'teacher.momentum'"),
+    "teacher.params": (_drop("teacher.params"), "'teacher.params'"),
+    "optimizer.params": (_drop("optimizer.params"), "'optimizer.params'"),
+    "optimizer.betas": (_drop("optimizer.betas"), "'optimizer.betas'"),
+    "entry-without-m": (_orphan("m"), "has no '.+/m' array"),
+    "entry-without-v": (_orphan("v"), "has no '.+/v' array"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_KEYS))
+def test_manifest_missing_key_rejected(tmp_path, capsys, full_checkpoint, case):
+    edit, message = MISSING_KEYS[case]
+    path = tmp_path / "cp"
+    shutil.copytree(full_checkpoint, path)
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(str(path))
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+    assert "checkpoint error" in capsys.readouterr().err
 
 
 def test_optimizer_state_roundtrip_resumes_identically(tmp_path):
