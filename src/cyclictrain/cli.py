@@ -16,12 +16,11 @@ import sys
 import numpy as np
 
 from . import engine, synthdata
-from .autodiff import no_grad
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_hash, load_run_config
 from .engine import finetune, run_pretraining
 from .metrics import MetricsRecord
-from .model import build_model, component_dataset
+from .model import TASKS, build_model, component_dataset
 
 CSV_HEADER = "cycle,epoch,dataset,task,mode,metric,value"
 
@@ -260,37 +259,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-@no_grad()
+# per task, the predictions.npz name of each synthdata.annotation_arrays key
+_GROUND_TRUTH_KEYS = {
+    "cls": {"labels": "cls_labels"},
+    "loc": {"box_counts": "gt_box_counts", "boxes": "gt_boxes", "box_classes": "gt_box_classes"},
+    "seg": {"masks": "seg_masks"},
+}
+
+
 def _dump_predictions(model, bundle, weights, directory) -> None:
-    """Raw per-task predictions on the test split, for offline rescoring."""
+    """Raw per-task predictions and ground truth on the test split, for offline rescoring."""
     os.makedirs(directory, exist_ok=True)
-    spec = bundle.spec
-    samples = bundle.test
-    x = np.stack([s.image for s in samples])[:, None, :, :]
-    payload: dict[str, np.ndarray] = {
-        "sample_ids": np.asarray([s.sample_id for s in samples], dtype="<i8")
-    }
-    if "cls" in spec.tasks:
-        logits = model.forward_cls(x, spec.dataset_id, weights)
-        payload["cls_scores"] = 1.0 / (1.0 + np.exp(-logits.data))
-        payload["cls_labels"] = np.stack([s.labels for s in samples]).astype("<i8")
-    if "loc" in spec.tasks:
-        boxes, logits = model.forward_loc(x, spec.dataset_id, weights)
-        payload["loc_boxes"] = boxes.data
-        payload["loc_logits"] = logits.data
-        payload["gt_box_counts"] = np.asarray([len(s.boxes) for s in samples], dtype="<i8")
-        payload["gt_boxes"] = (
-            np.concatenate([s.boxes.boxes for s in samples])
-            if any(len(s.boxes) for s in samples)
-            else np.zeros((0, 4))
-        )
-        payload["gt_box_classes"] = np.concatenate(
-            [s.boxes.class_ids for s in samples]
-        ).astype("<i8") if any(len(s.boxes) for s in samples) else np.zeros(0, dtype="<i8")
-    if "seg" in spec.tasks:
-        logits = model.forward_seg(x, spec.dataset_id, weights)
-        payload["seg_logits"] = logits.data
-        payload["seg_masks"] = np.stack([s.mask for s in samples]).astype("<i8")
+    spec, samples = bundle.spec, bundle.test
+    truth = synthdata.annotation_arrays(spec, samples)
+    payload = {"sample_ids": np.asarray([s.sample_id for s in samples], dtype="<i8")}
+    for task in TASKS:
+        if task in spec.tasks:
+            for key, a in engine.predict(model, spec, samples, task, weights).items():
+                payload[f"{task}_{key}"] = a
+            for key, name in _GROUND_TRUTH_KEYS[task].items():
+                payload[name] = truth[key]
     np.savez(os.path.join(directory, "predictions.npz"), **payload)
 
 

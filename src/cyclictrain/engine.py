@@ -53,6 +53,7 @@ __all__ = [
     "prepare_bundles",
     "run_epoch",
     "run_pretraining",
+    "predict",
     "evaluate_task",
     "evaluate_dataset",
     "export_teacher",
@@ -133,8 +134,12 @@ class EpochPlanEntry:
     dataset_id: str
     task: str
     mode: str  # "lock" | "release"
-    trainable_components: frozenset[str]
     subtask: str | None = None
+
+    @property
+    def trainable_components(self) -> frozenset[str]:
+        """What this epoch trains, from the lock/release table."""
+        return trainable_components(self.task, self.mode, self.dataset_id)
 
     @property
     def data_fraction(self) -> str:
@@ -145,10 +150,9 @@ class EpochPlanEntry:
 @dataclass(frozen=True)
 class CyclePlan:
     entries: tuple[EpochPlanEntry, ...]
-    cycle_index: int
 
 
-def build_cycle_plan(dataset_specs, config: TrainConfig, cycle_index: int = 0) -> CyclePlan:
+def build_cycle_plan(dataset_specs, config: TrainConfig) -> CyclePlan:
     """Expand datasets into the ordered epoch list for one cycle.
 
     Per dataset (in order), per available task (cls -> loc -> seg), per
@@ -168,18 +172,8 @@ def build_cycle_plan(dataset_specs, config: TrainConfig, cycle_index: int = 0) -
             for subtask in subtasks:
                 for _ in range(config.epochs_per_task):
                     for mode in modes:
-                        entries.append(
-                            EpochPlanEntry(
-                                dataset_id=spec.dataset_id,
-                                task=task,
-                                mode=mode,
-                                trainable_components=trainable_components(
-                                    task, mode, spec.dataset_id
-                                ),
-                                subtask=subtask,
-                            )
-                        )
-    return CyclePlan(entries=tuple(entries), cycle_index=cycle_index)
+                        entries.append(EpochPlanEntry(spec.dataset_id, task, mode, subtask))
+    return CyclePlan(entries=tuple(entries))
 
 
 def sample_lock_subset(n: int, epoch_seed: int) -> np.ndarray:
@@ -398,23 +392,10 @@ def run_epoch(
 
     records: list[MetricsRecord] = []
     if entry.mode == "release" and config.eval_after_release:
-        value, metric_name = evaluate_task(
-            model, bundle.spec,
-            subtask_samples(bundle.test, bundle.spec, entry.subtask),
-            entry.task,
+        records = _metric_records(
+            model, bundle.spec, subtask_samples(bundle.test, bundle.spec, entry.subtask),
+            (entry.task,), entry.mode, cycle, epoch_in_cycle,
         )
-        if value is not None:
-            records.append(
-                MetricsRecord(
-                    cycle=cycle,
-                    epoch=epoch_in_cycle,
-                    dataset_id=entry.dataset_id,
-                    task=entry.task,
-                    mode=entry.mode,
-                    metric_name=metric_name,
-                    value=value,
-                )
-            )
     return EpochSummary(breakdown=breakdown, records=records, samples_used=len(samples))
 
 
@@ -424,59 +405,64 @@ def run_epoch(
 _METRIC_FOR_TASK = {"cls": "AUC", "loc": "mAP40", "seg": "Dice"}
 
 
-def _forward_batches(model, samples, batch_size=64):
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        yield chunk, np.stack([s.image for s in chunk])[:, None, :, :]
-
-
 @no_grad()
-def evaluate_task(model, spec, samples, task, weights=None):
-    """Metric value for one task on a sample list: AUC, mAP40 or Dice.
+def predict(model, spec, samples, task, weights=None) -> dict[str, np.ndarray]:
+    """Decoded outputs of one task on a sample list, one row per sample.
 
-    Runs without recording a tape, whatever the weights' trainability.
+    ``cls`` gives ``scores`` (sigmoid of the logits), ``loc`` gives
+    ``boxes`` and the class ``logits`` per query, ``seg`` gives mask
+    ``logits``.  The forward runs in 64-image chunks without recording a
+    tape; an empty list gives zero-row arrays.
     """
+    if task not in TASKS:
+        raise ValueError(f"unknown task '{task}'")
+    forward = getattr(model, f"forward_{task}")
+    size = spec.image_size
+    x = np.array([s.image for s in samples], dtype=np.float64).reshape(len(samples), 1, size, size)
+    outs = []
+    # an empty list still runs one zero-row forward, so every array keeps its shape
+    for start in range(0, max(len(x), 1), 64):
+        out = forward(x[start : start + 64], spec.dataset_id, weights)
+        outs.append(out if isinstance(out, tuple) else (out,))
+    arrays = [np.concatenate([o[k].data for o in outs]) for k in range(len(outs[0]))]
+    if task == "cls":
+        return {"scores": 1.0 / (1.0 + np.exp(-arrays[0]))}
+    if task == "loc":
+        return {"boxes": arrays[0], "logits": arrays[1]}
+    return {"logits": arrays[0]}
+
+
+def evaluate_task(model, spec, samples, task, weights=None):
+    """Metric value for one task on a sample list: AUC, mAP40 or Dice."""
     if not samples:
         return None, _METRIC_FOR_TASK[task]
+    out = predict(model, spec, samples, task, weights)
     if task == "cls":
-        scores, labels = [], []
-        for chunk, x in _forward_batches(model, samples):
-            logits = model.forward_cls(x, spec.dataset_id, weights)
-            scores.append(1.0 / (1.0 + np.exp(-logits.data)))
-            labels.append(np.stack([s.labels for s in chunk]))
-        return auc(np.concatenate(scores), np.concatenate(labels)), "AUC"
+        return auc(out["scores"], np.stack([s.labels for s in samples])), "AUC"
     if task == "loc":
+        boxes, logits = out["boxes"], out["logits"]
+        probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
         detections, gts = [], []
-        for chunk, x in _forward_batches(model, samples):
-            boxes, logits = model.forward_loc(x, spec.dataset_id, weights)
-            shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            for i, s in enumerate(chunk):
-                for q in range(boxes.shape[1]):
-                    class_probs = probs[i, q, :-1]
-                    c = int(np.argmax(class_probs))
-                    detections.append(
-                        Detection(
-                            image_id=s.sample_id,
-                            box=tuple(boxes.data[i, q]),
-                            class_id=c,
-                            confidence=float(class_probs[c]),
-                        )
+        for i, s in enumerate(samples):
+            for q in range(boxes.shape[1]):
+                class_probs = probs[i, q, :-1]
+                c = int(np.argmax(class_probs))
+                detections.append(
+                    Detection(
+                        image_id=s.sample_id,
+                        box=tuple(boxes[i, q]),
+                        class_id=c,
+                        confidence=float(class_probs[c]),
                     )
-                for b, c in zip(s.boxes.boxes, s.boxes.class_ids):
-                    gts.append(GroundTruth(image_id=s.sample_id, box=tuple(b), class_id=int(c)))
+                )
+            for b, c in zip(s.boxes.boxes, s.boxes.class_ids):
+                gts.append(GroundTruth(image_id=s.sample_id, box=tuple(b), class_id=int(c)))
         return map_at_iou(detections, gts, iou_threshold=0.40), "mAP40"
-    if task == "seg":
-        values = []
-        for chunk, x in _forward_batches(model, samples):
-            logits = model.forward_seg(x, spec.dataset_id, weights)
-            pred = logits.data > 0.0  # sigmoid(z) >= 0.5 iff z >= 0
-            for i, s in enumerate(chunk):
-                for c in range(pred.shape[1]):
-                    values.append(dice(pred[i, c], s.mask[c]))
-        return float(np.mean(values)), "Dice"
-    raise ValueError(f"unknown task '{task}'")
+    pred = out["logits"] > 0.0  # sigmoid(z) >= 0.5 iff z >= 0
+    values = [dice(pred[i, c], s.mask[c])
+              for i, s in enumerate(samples) for c in range(pred.shape[1])]
+    return float(np.mean(values)), "Dice"
 
 
 def evaluate_dataset(model, bundle: DatasetBundle, weights=None):
@@ -490,21 +476,26 @@ def evaluate_dataset(model, bundle: DatasetBundle, weights=None):
     return out
 
 
-def _eval_records(model, bundle: DatasetBundle, cycle: int, epoch: int) -> list[MetricsRecord]:
-    """One ``mode="eval"`` record per task of ``bundle`` that has a metric value."""
-    return [
-        MetricsRecord(
-            cycle=cycle,
-            epoch=epoch,
-            dataset_id=bundle.spec.dataset_id,
-            task=task,
-            mode="eval",
-            metric_name=metric_name,
-            value=value,
-        )
-        for task, metric_name, value in evaluate_dataset(model, bundle)
-        if value is not None
-    ]
+def _metric_records(model, spec, samples, tasks, mode, cycle, epoch) -> list[MetricsRecord]:
+    """One record per task in ``tasks`` that has a metric value on ``samples``."""
+    records = []
+    for task in TASKS:
+        if task not in tasks:
+            continue
+        value, metric_name = evaluate_task(model, spec, samples, task)
+        if value is not None:
+            records.append(
+                MetricsRecord(
+                    cycle=cycle,
+                    epoch=epoch,
+                    dataset_id=spec.dataset_id,
+                    task=task,
+                    mode=mode,
+                    metric_name=metric_name,
+                    value=value,
+                )
+            )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +539,8 @@ def run_pretraining(
         if on_record is not None:
             on_record(record)
 
+    plan = build_cycle_plan(specs, config)
     for cycle in range(config.num_cycles):
-        plan = build_cycle_plan(specs, config, cycle_index=cycle)
         for epoch_in_cycle, entry in enumerate(plan.entries, start=1):
             summary = run_epoch(
                 model,
@@ -568,7 +559,10 @@ def run_pretraining(
                 emit(record)
             if config.eval_every_epoch:
                 for spec in specs:
-                    for record in _eval_records(model, bundles[spec.dataset_id], cycle, epoch_in_cycle):
+                    b = bundles[spec.dataset_id]
+                    for record in _metric_records(
+                        model, b.spec, b.test, b.spec.tasks, "eval", cycle, epoch_in_cycle
+                    ):
                         emit(record)
         if on_cycle_end is not None:
             on_cycle_end(cycle, model, teacher, optimizer)
@@ -655,7 +649,9 @@ def finetune(
         for c, expected in frozen_checksums.items():
             if now[c] != expected:
                 raise RuntimeError(f"{mode} finetune modified frozen component '{c}'")
-        records.extend(_eval_records(model, bundle, 0, epoch))
+        records.extend(
+            _metric_records(model, dataset_spec, bundle.test, dataset_spec.tasks, "eval", 0, epoch)
+        )
     params = model.graph.parameters()
     return FinetuneResult(
         model=model,

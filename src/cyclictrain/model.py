@@ -142,9 +142,6 @@ class ModelGraph:
             seen.setdefault(p.component, None)
         return list(seen)
 
-    def component_parameters(self, component: str) -> list[Parameter]:
-        return [p for p in self._params.values() if p.component == component]
-
     def set_trainable_components(self, components: set[str]) -> None:
         for p in self._params.values():
             p.trainable = p.component in components

@@ -55,9 +55,6 @@ class AdamW:
         self.lr_for = lr_for
         self._state: dict[str, AdamWState] = {}
 
-    def state_for(self, name: str) -> AdamWState | None:
-        return self._state.get(name)
-
     def step(
         self,
         params: Iterable,

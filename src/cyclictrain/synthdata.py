@@ -34,6 +34,7 @@ __all__ = [
     "few_shot_subset",
     "sample_classes",
     "subtask_samples",
+    "annotation_arrays",
     "save_dataset",
     "load_dataset",
     "preset_cls_only",
@@ -335,31 +336,37 @@ def stratified_split(samples, spec: SynthDatasetSpec, fractions=(0.70, 0.10, 0.2
 # on-disk form: raw little-endian arrays plus a manifest
 
 
+def annotation_arrays(spec: SynthDatasetSpec, samples) -> dict[str, np.ndarray]:
+    """Ground truth of the declared tasks as flat little-endian arrays.
+
+    ``labels`` is ``(n, C)`` and ``masks`` ``(n, C, H, W)``, both ``<i8``.
+    Boxes are concatenated in sample order: ``boxes`` ``(total, 4)`` ``<f8``,
+    ``box_classes`` ``(total,)`` ``<i8``, and ``box_counts`` ``(n,)`` ``<i8``
+    says how many rows belong to each sample.  No samples give zero rows.
+    """
+    n, c, size = len(samples), spec.num_classes, spec.image_size
+    arrays: dict[str, np.ndarray] = {}
+    if "cls" in spec.tasks:
+        arrays["labels"] = np.array([s.labels for s in samples], dtype="<i8").reshape(n, c)
+    if "seg" in spec.tasks:
+        arrays["masks"] = np.array([s.mask for s in samples], dtype="<i8").reshape(n, c, size, size)
+    if "loc" in spec.tasks:
+        arrays["box_counts"] = np.array([len(s.boxes) for s in samples], dtype="<i8")
+        arrays["boxes"] = np.concatenate(
+            [np.zeros((0, 4), "<f8")] + [s.boxes.boxes for s in samples]
+        ).astype("<f8")
+        arrays["box_classes"] = np.concatenate(
+            [np.zeros(0, "<i8")] + [s.boxes.class_ids for s in samples]
+        ).astype("<i8")
+    return arrays
+
+
 def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
     os.makedirs(directory, exist_ok=True)
-    n = len(samples)
-    size = spec.image_size
-    arrays: dict[str, np.ndarray] = {
+    arrays = {
         "images": np.stack([s.image for s in samples]).astype("<f8"),
+        **annotation_arrays(spec, samples),
     }
-    if "cls" in spec.tasks:
-        arrays["labels"] = np.stack([s.labels for s in samples]).astype("<i8")
-    if "seg" in spec.tasks:
-        arrays["masks"] = np.stack([s.mask for s in samples]).astype("<i8")
-    if "loc" in spec.tasks:
-        counts = np.asarray([len(s.boxes) for s in samples], dtype="<i8")
-        arrays["box_counts"] = counts
-        total = int(counts.sum())
-        flat_boxes = np.zeros((total, 4), dtype="<f8")
-        flat_classes = np.zeros(total, dtype="<i8")
-        at = 0
-        for s in samples:
-            t = len(s.boxes)
-            flat_boxes[at : at + t] = s.boxes.boxes
-            flat_classes[at : at + t] = s.boxes.class_ids
-            at += t
-        arrays["boxes"] = flat_boxes
-        arrays["box_classes"] = flat_classes
     manifest = {
         "format_version": 1,
         "spec": asdict(spec),

@@ -134,7 +134,7 @@ def test_criterion_02_lock_invariance():
     failures = []
     epochs = 0
     for cycle in range(2):
-        plan = build_cycle_plan([spec], cfg, cycle_index=cycle)
+        plan = build_cycle_plan([spec], cfg)
         if len(plan.entries) != 12:
             failures.append(f"cycle {cycle}: {len(plan.entries)} entries != 12")
         got_pattern = [(e.mode, e.data_fraction, e.trainable_components)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclictrain import cli
+from cyclictrain import cli, synthdata
 from cyclictrain.config import (
     ConfigError,
     RunConfig,
@@ -416,19 +416,62 @@ def test_cmd_eval_matches_direct_metric_invocation(tmp_path):
 
 def test_dumped_predictions_equal_a_plain_forward(tmp_path):
     cfg = load_run_config(_write(tmp_path, _base_config(str(tmp_path / "out"))))
-    model = build_model(cfg.arch, [s.model_spec() for s in cfg.datasets])
-    bundle = prepare_bundles(cfg.datasets, cfg.train)["boxesmasks"]
-    cli._dump_predictions(model, bundle, None, str(tmp_path / "dump"))
-    data = np.load(tmp_path / "dump" / "predictions.npz")
+    # 600 images split 70/10/20 give a 120-image test split: two 64-image chunks
+    large = synthdata.preset_cls_loc_seg(num_images=600)
+    for arch, specs, test_size in ((cfg.arch, cfg.datasets, None), (ArchConfig(), (large,), 120)):
+        spec = specs[0]
+        model = build_model(arch, [s.model_spec() for s in specs])
+        bundle = prepare_bundles(specs, cfg.train)[spec.dataset_id]
+        if test_size is not None:
+            assert len(bundle.test) == test_size
+        cli._dump_predictions(model, bundle, None, str(tmp_path / spec.dataset_id))
+        data = np.load(tmp_path / spec.dataset_id / "predictions.npz")
 
-    x = np.stack([s.image for s in bundle.test])[:, None, :, :]
-    logits = model.forward_cls(x, "boxesmasks")
-    assert logits.requires_grad  # the plain forward records a tape
-    assert np.array_equal(data["cls_scores"], 1.0 / (1.0 + np.exp(-logits.data)))
-    boxes, loc_logits = model.forward_loc(x, "boxesmasks")
-    assert np.array_equal(data["loc_boxes"], boxes.data)
-    assert np.array_equal(data["loc_logits"], loc_logits.data)
-    assert np.array_equal(data["seg_logits"], model.forward_seg(x, "boxesmasks").data)
+        x = np.stack([s.image for s in bundle.test])[:, None, :, :]
+        logits = model.forward_cls(x, spec.dataset_id)
+        assert logits.requires_grad  # the plain forward records a tape
+        assert np.array_equal(data["cls_scores"], 1.0 / (1.0 + np.exp(-logits.data)))
+        boxes, loc_logits = model.forward_loc(x, spec.dataset_id)
+        assert np.array_equal(data["loc_boxes"], boxes.data)
+        assert np.array_equal(data["loc_logits"], loc_logits.data)
+        assert np.array_equal(data["seg_logits"], model.forward_seg(x, spec.dataset_id).data)
+
+
+def test_cmd_eval_dumps_zero_rows_for_an_empty_test_split(tmp_path, capsys):
+    cfg = _base_config(str(tmp_path / "out"))
+    cfg["datasets"] = [{
+        "dataset_id": "tiny",
+        "num_images": 6,
+        "tasks": ["loc", "seg"],
+        "image_size": 16,
+        "subtasks": ["ellipse", "rectangle", "ring"],
+        "round_robin_classes": True,
+        "min_instances": 1,
+        "max_instances": 1,
+        "seed": 11,
+    }]
+    path = _write(tmp_path, cfg)
+    run = load_run_config(path)
+    bundle = prepare_bundles(run.datasets, run.train)["tiny"]
+    assert (len(bundle.train), len(bundle.val), len(bundle.test)) == (6, 0, 0)
+    assert cli.main(["pretrain", "--config", path]) == 0
+    dump_dir = tmp_path / "dump"
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "out" / "checkpoints" / "final"),
+                     "--config", path, "--dataset", "tiny",
+                     "--dump-predictions", str(dump_dir)]) == 0
+    assert "tiny loc mAP40: undefined" in capsys.readouterr().out
+    data = np.load(dump_dir / "predictions.npz")
+    shapes = {k: (data[k].dtype.str, data[k].shape) for k in data.keys()}
+    assert shapes == {
+        "sample_ids": ("<i8", (0,)),
+        "loc_boxes": ("<f8", (0, 16, 4)),
+        "loc_logits": ("<f8", (0, 16, 4)),
+        "gt_box_counts": ("<i8", (0,)),
+        "gt_boxes": ("<f8", (0, 4)),
+        "gt_box_classes": ("<i8", (0,)),
+        "seg_logits": ("<f8", (0, 3, 16, 16)),
+        "seg_masks": ("<i8", (0, 3, 16, 16)),
+    }
 
 
 def test_cmd_eval_warns_on_config_hash_mismatch(tmp_path, capsys):

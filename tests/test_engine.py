@@ -417,7 +417,8 @@ def test_head_only_finetune_freezes_everything_else():
     assert result.trainable_fraction < 0.2
     assert result.trainable_params == sum(
         p.tensor.data.size
-        for p in model.graph.component_parameters("loc_decoder/newds")
+        for p in model.graph.parameters()
+        if p.component == "loc_decoder/newds"
     )
 
 

@@ -260,8 +260,9 @@ def test_other_datasets_components_always_frozen():
         for mode in ("lock", "release"):
             model.graph.set_trainable_components(trainable_components(task, mode, "d0"))
             for comp in ("cls_head/d1", "loc_decoder/d1", "seg_head/d1"):
-                for p in model.graph.component_parameters(comp):
-                    assert not p.trainable
+                for p in model.graph.parameters():
+                    if p.component == comp:
+                        assert not p.trainable
 
 
 def test_backward_returns_no_gradient_for_a_frozen_component():
@@ -274,17 +275,20 @@ def test_backward_returns_no_gradient_for_a_frozen_component():
              model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2)))))
 
     model.graph.set_trainable_components(trainable_components("cls", "lock", "d0"))
-    backbone = model.graph.component_parameters(BACKBONE)
+    backbone = [p for p in model.graph.parameters() if p.component == BACKBONE]
     weights = {p.name: p.tensor.data.tobytes() for p in backbone}
-    state = {p.name: (opt.state_for(p.name).step_count, opt.state_for(p.name).m.tobytes(),
-                      opt.state_for(p.name).v.tobytes()) for p in backbone}
+
+    def adam_state(name):
+        st = opt.export_state()["entries"][name]
+        return st["step_count"], st["m"].tobytes(), st["v"].tobytes()
+
+    state = {p.name: adam_state(p.name) for p in backbone}
     grads = model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2))))
-    assert set(grads) == {p.name for p in model.graph.component_parameters("cls_head/d0")}
+    assert set(grads) == {p.name for p in model.graph.parameters() if p.component == "cls_head/d0"}
     opt.step(model.graph.parameters(), grads)
     for p in backbone:
-        st = opt.state_for(p.name)
         assert p.tensor.data.tobytes() == weights[p.name], p.name
-        assert (st.step_count, st.m.tobytes(), st.v.tobytes()) == state[p.name], p.name
+        assert adam_state(p.name) == state[p.name], p.name
 
 
 def test_freeze_mask_validates_inputs():

@@ -67,7 +67,7 @@ def test_frozen_parameter_bit_identical_under_any_gradient():
     opt = AdamW(lr=10.0, weight_decay=0.5)
     opt.step(g.parameters(), {"p": np.asarray([1e9])})
     assert g["p"].tensor.data.tobytes() == before
-    assert opt.state_for("p") is None  # no state created either
+    assert "p" not in opt.export_state()["entries"]  # no state created either
 
 
 def test_non_finite_gradient_rejected_with_name():
@@ -82,7 +82,7 @@ def test_step_count_increments_per_applied_step():
     opt = AdamW()
     for expected in (1, 2, 3):
         opt.step(g.parameters(), {"p": np.asarray([0.1])})
-        assert opt.state_for("p").step_count == expected
+        assert opt.export_state()["entries"]["p"]["step_count"] == expected
 
 
 def test_per_parameter_learning_rates():
@@ -91,8 +91,9 @@ def test_per_parameter_learning_rates():
     g.add("b", np.asarray([1.0]), "cls_head/x")
     opt = AdamW(lr=1.0, lr_for=lambda p: 1e-5 if p.component == "backbone" else 1e-1)
     opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
-    assert opt.state_for("a").lr == 1e-5
-    assert opt.state_for("b").lr == 1e-1
+    entries = opt.export_state()["entries"]
+    assert entries["a"]["lr"] == 1e-5
+    assert entries["b"]["lr"] == 1e-1
     moved_a = abs(1.0 - g["a"].tensor.data[0])
     moved_b = abs(1.0 - g["b"].tensor.data[0])
     assert moved_a < moved_b
@@ -107,4 +108,4 @@ def test_missing_gradient_for_a_trainable_parameter_is_rejected():
         opt.step(g.parameters(), {"a": np.asarray([1.0])})
     g["b"].trainable = False
     opt.step(g.parameters(), {"a": np.asarray([1.0])})  # frozen: no gradient needed
-    assert opt.state_for("b") is None
+    assert "b" not in opt.export_state()["entries"]
