@@ -5,8 +5,9 @@ decoders and segmentation heads is trained cyclically over heterogeneous
 datasets.  Localization and segmentation tasks alternate a *lock* epoch
 (shared components frozen, half the data) with a *release* epoch (full
 training, full data), and an EMA teacher supplies feature-consistency
-targets throughout.  Everything runs on a small hand-rolled float64
-autodiff core so gradients, freezes and schedules can be verified exactly.
+targets in every epoch that trains a compared feature (not in lock epochs).
+Everything runs on a small hand-rolled float64 autodiff core so gradients,
+freezes and schedules can be verified exactly.
 """
 
 from .autodiff import GradCheckReport, ShapeError, Tensor, grad_check

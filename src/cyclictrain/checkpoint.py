@@ -6,11 +6,15 @@ float64 blobs (``student.bin``, optionally ``teacher.bin`` and
 offset}`` entries in the manifest (student entries also carry their
 component; the optimizer's moments are the arrays ``<param>/m`` and
 ``<param>/v``), so loading is language-neutral and save -> load -> save
-reproduces the directory byte for byte.
+reproduces the directory byte for byte.  Next to each list sits the
+SHA-256 of the blob's bytes (``sha256``, ``teacher.sha256``,
+``optimizer.sha256``); loading verifies it, so a damaged blob of the right
+length is rejected rather than loaded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from .optim import AdamW
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -56,10 +60,15 @@ def _blob_entries(arrays: dict[str, np.ndarray], components: dict[str, str] | No
     return entries, offset
 
 
-def _write_blob(directory: str, label: str, arrays: dict[str, np.ndarray]) -> None:
+def _write_blob(directory: str, label: str, arrays: dict[str, np.ndarray]) -> str:
+    """Write the arrays back to back; returns the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
     with open(os.path.join(directory, label), "wb") as f:
         for arr in arrays.values():
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+            digest.update(raw)
+            f.write(raw)
+    return digest.hexdigest()
 
 
 def _field(section, path: str):
@@ -70,7 +79,7 @@ def _field(section, path: str):
     return section[key]
 
 
-def _read_blob(directory: str, label: str, entries) -> dict[str, np.ndarray]:
+def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np.ndarray]:
     try:
         with open(os.path.join(directory, label), "rb") as f:
             raw = f.read()
@@ -105,6 +114,11 @@ def _read_blob(directory: str, label: str, entries) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"{label}: blob holds {flat.size} elements, manifest accounts for "
             f"{expected_end}"
+        )
+    actual = hashlib.sha256(raw).hexdigest()
+    if actual != sha256:
+        raise CheckpointError(
+            f"{label}: SHA-256 {actual} does not match the manifest's {sha256}"
         )
     return out
 
@@ -145,15 +159,15 @@ def save_checkpoint(
         "total_elements": total,
         "params": param_entries,
     }
-    _write_blob(directory, "student.bin", arrays)
+    manifest["sha256"] = _write_blob(directory, "student.bin", arrays)
 
     if teacher is not None:
         teacher_entries, _ = _blob_entries(teacher.params)
         manifest["teacher"] = {
             "momentum": teacher.momentum,
             "params": teacher_entries,
+            "sha256": _write_blob(directory, "teacher.bin", teacher.params),
         }
-        _write_blob(directory, "teacher.bin", teacher.params)
     if optimizer is not None:
         state = optimizer.export_state()
         moment_arrays: dict[str, np.ndarray] = {}
@@ -172,8 +186,8 @@ def save_checkpoint(
                 for name, e in state["entries"].items()
             ],
             "params": moment_entries,
+            "sha256": _write_blob(directory, "optim.bin", moment_arrays),
         }
-        _write_blob(directory, "optim.bin", moment_arrays)
 
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -194,7 +208,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
             f"unsupported format version {manifest.get('format_version')!r}"
         )
     params = _field(manifest, "params")
-    arrays = _read_blob(directory, "student.bin", params)
+    arrays = _read_blob(directory, "student.bin", params, _field(manifest, "sha256"))
     components = {e["name"]: e.get("component", "") for e in params}
     declared = int(manifest.get("total_elements", -1))
     actual = sum(a.size for a in arrays.values())
@@ -213,11 +227,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
         t = manifest["teacher"]
         cp.teacher_momentum = float(_field(t, "teacher.momentum"))
         cp.teacher_arrays = _read_blob(
-            directory, "teacher.bin", _field(t, "teacher.params")
+            directory, "teacher.bin", _field(t, "teacher.params"), _field(t, "teacher.sha256")
         )
     if "optimizer" in manifest:
         o = manifest["optimizer"]
-        moments = _read_blob(directory, "optim.bin", _field(o, "optimizer.params"))
+        moments = _read_blob(
+            directory, "optim.bin", _field(o, "optimizer.params"), _field(o, "optimizer.sha256")
+        )
         entries = {}
         for i, e in enumerate(_field(o, "optimizer.entries")):
             where = f"optimizer.entries[{i}]"

@@ -7,7 +7,9 @@ followed by a release epoch (everything the task touches trainable, full
 data).  After every epoch the teacher tracks the student by exponential
 moving average; during training the student additionally pays a consistency
 penalty against teacher features (backbone always, plus the branch feature
-of the current task).
+of the current task).  A lock epoch freezes every component those features
+come from, so a penalty there could carry no gradient: lock epochs run no
+teacher forward and report no consistency terms.
 """
 
 from __future__ import annotations
@@ -270,13 +272,24 @@ def make_optimizer(config: TrainConfig) -> AdamW:
 
 @dataclass
 class EpochSummary:
+    """One trained epoch: mean losses, release-epoch metrics, samples seen.
+
+    ``breakdown`` holds the task loss plus one weighted consistency term per
+    compared feature; a lock epoch's holds the task loss alone.
+    """
+
     breakdown: LossBreakdown
     records: list[MetricsRecord]
     samples_used: int
 
 
 def _batch_losses(model, teacher, task, dataset_id, batch, config):
-    """Build the tape loss for one batch; returns (total, task_val, terms)."""
+    """Build the tape loss for one batch; returns (total, task_val, terms).
+
+    ``terms`` lists the weighted consistency terms.  It is empty without a
+    teacher, and also when no compared student feature requires a gradient
+    (a lock epoch): the teacher forward is then skipped.
+    """
     x = np.stack([s.image for s in batch])[:, None, :, :]
     emb_s = model.backbone_features(x)
     branch_s = None
@@ -297,7 +310,11 @@ def _batch_losses(model, teacher, task, dataset_id, batch, config):
         raise ValueError(f"unknown task '{task}'")
 
     terms: list[tuple[str, Tensor]] = []
-    if teacher is not None and config.student_teacher:
+    # A consistency term whose student feature is a constant (its shared
+    # components frozen, as in a lock epoch) carries no gradient, so the
+    # teacher forward runs only when a compared student feature can learn.
+    learning = emb_s.requires_grad or (branch_s is not None and branch_s.requires_grad)
+    if teacher is not None and config.student_teacher and learning:
         # The teacher pass touches shared components only, all of which the
         # teacher mirrors, so its arrays can resolve parameter names directly.
         emb_t = model.backbone_features(x, weights=teacher.params)

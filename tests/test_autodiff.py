@@ -86,6 +86,47 @@ def test_conv2d_matches_nested_loop_oracle(channels, kernel, padding):
     assert _rel(wt.grad, gw) <= 1e-12
 
 
+# (C_in, H, W, C_out, k): every conv of ArchConfig() and of the 16-px
+# architectures the tests and the benchmark use
+MODEL_CONV_SHAPES = [
+    # 32 px, stage_channels (8, 16, 32), loc 32, query_dim 24, seg (16, 8)
+    (1, 32, 32, 8, 3), (8, 16, 16, 16, 3), (16, 16, 16, 32, 3), (32, 16, 16, 32, 3),
+    (32, 16, 16, 16, 3), (16, 32, 32, 8, 3), (8, 32, 32, 3, 1), (32, 16, 16, 24, 1),
+    (24, 16, 16, 24, 3), (24, 8, 8, 4, 1),
+    # 16 px, stage_channels (6, 10, 16), loc 12, query_dim 8, seg (6, 4)
+    (1, 16, 16, 6, 3), (6, 8, 8, 10, 3), (10, 8, 8, 16, 3), (16, 8, 8, 12, 3),
+    (16, 8, 8, 6, 3), (6, 16, 16, 4, 3), (4, 16, 16, 3, 1), (12, 8, 8, 8, 1),
+    (8, 8, 8, 8, 3), (8, 4, 4, 4, 1),
+    # 16 px, stage_channels (4, 6, 8), loc 8, query_dim 8, seg (6, 4)
+    (1, 16, 16, 4, 3), (4, 8, 8, 6, 3), (6, 8, 8, 8, 3), (8, 8, 8, 6, 3), (8, 8, 8, 8, 1),
+]
+
+
+@pytest.mark.parametrize("n", [2, 0])  # 0: predict's forward on an empty split
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_padding_is_byte_equal_to_np_pad(n, padding):
+    rs = np.random.RandomState(20 + padding)
+    for c, h, wid, o, k in MODEL_CONV_SHAPES:
+        x = rs.randn(n, c, h, wid)
+        w = rs.randn(o, c, k, k)
+        ho, wo = h + 2 * padding - k + 1, wid + 2 * padding - k + 1
+        g = Tensor(rs.randn(n, o, ho, wo))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, padding=padding)
+        tsum(mul(out, g)).backward()
+        # reference: the input padded by np.pad, convolved without padding
+        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        xpt, wt_ref = Tensor(np.pad(x, pad), requires_grad=True), Tensor(w, requires_grad=True)
+        ref = conv2d(xpt, wt_ref, padding=0)
+        tsum(mul(ref, g)).backward()
+        gx_ref = xpt.grad[:, :, padding : padding + h, padding : padding + wid]
+        shape = (x.shape, w.shape, padding)
+        assert out.data.tobytes() == ref.data.tobytes(), shape
+        assert xt.grad.shape == x.shape, shape
+        assert xt.grad.tobytes() == gx_ref.tobytes(), shape
+        assert wt.grad.tobytes() == wt_ref.grad.tobytes(), shape
+
+
 def test_leaky_relu_is_bit_equal_to_relu_composition():
     rs = np.random.RandomState(5)
     special = [0.0, -0.0, -5e-324, 5e-324, -1e-310]

@@ -98,12 +98,13 @@ DAMAGE = {
     "cut3": "not a multiple of 8",
     "append8": "manifest accounts for",
     "delete": "missing",
+    "flip": "SHA-256",  # the right length, one byte changed
 }
 
 
 @pytest.mark.parametrize("damage", list(DAMAGE))
 @pytest.mark.parametrize("blob", ["student.bin", "teacher.bin", "optim.bin"])
-def test_damaged_blob_rejected(tmp_path, blob, damage):
+def test_damaged_blob_rejected(tmp_path, capsys, blob, damage):
     model, teacher, opt = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
     path = tmp_path / "cp" / blob
@@ -114,21 +115,27 @@ def test_damaged_blob_rejected(tmp_path, blob, damage):
         path.write_bytes(data[:-3])
     elif damage == "append8":
         path.write_bytes(data + bytes(8))
+    elif damage == "flip":
+        i = len(data) // 2
+        path.write_bytes(data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1 :])
     else:
         path.unlink()
     with pytest.raises(CheckpointError, match=DAMAGE[damage]) as err:
         load_checkpoint(str(tmp_path / "cp"))
     assert str(err.value).startswith(f"{blob}: ")
+    assert cli.main(["inspect", "--checkpoint", str(tmp_path / "cp")]) == 2
+    assert blob in capsys.readouterr().err
 
 
-def test_format_version_1_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_format_version_rejected(tmp_path, version):
     model, teacher, opt = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
     mpath = tmp_path / "cp" / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    manifest["format_version"] = 1
+    manifest["format_version"] = version
     mpath.write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="format version 1"):
+    with pytest.raises(CheckpointError, match=f"format version {version}"):
         load_checkpoint(str(tmp_path / "cp"))
 
 
@@ -178,6 +185,9 @@ def _orphan(moment):
 # manifest edit -> what the error must name
 MISSING_KEYS = {
     "params": (_drop("params"), "'params'"),
+    "sha256": (_drop("sha256"), "'sha256'"),
+    "teacher.sha256": (_drop("teacher.sha256"), "'teacher.sha256'"),
+    "optimizer.sha256": (_drop("optimizer.sha256"), "'optimizer.sha256'"),
     "teacher.momentum": (_drop("teacher.momentum"), "'teacher.momentum'"),
     "teacher.params": (_drop("teacher.params"), "'teacher.params'"),
     "optimizer.params": (_drop("optimizer.params"), "'optimizer.params'"),

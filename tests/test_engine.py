@@ -16,7 +16,7 @@ from cyclictrain.engine import (
     run_pretraining,
     sample_lock_subset,
 )
-from cyclictrain.model import ArchConfig, build_model, trainable_components
+from cyclictrain.model import ArchConfig, MultiTaskModel, build_model, trainable_components
 from cyclictrain.synthdata import SynthDatasetSpec, preset_organ_pairs
 
 SMALL_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
@@ -275,6 +275,51 @@ def test_consistency_term_count_per_task():
     assert by_task["cls"] == ["backbone"]
     assert by_task["loc"] == ["backbone", "loc_encoder"]
     assert by_task["seg"] == ["backbone", "seg_decoder"]
+
+
+def _count_teacher_forwards(monkeypatch) -> list:
+    """Patch ``backbone_features`` to record each call made with ``weights``."""
+    calls = []
+    original = MultiTaskModel.backbone_features
+
+    def backbone_features(self, images, weights=None):
+        if weights is not None:
+            calls.append(weights)
+        return original(self, images, weights)
+
+    monkeypatch.setattr(MultiTaskModel, "backbone_features", backbone_features)
+    return calls
+
+
+def _state_bytes(model, opt) -> tuple[dict, dict]:
+    params = {name: a.tobytes() for name, a in model.graph.arrays().items()}
+    moments = {name: (e["lr"], e["step_count"], e["m"].tobytes(), e["v"].tobytes())
+               for name, e in opt.export_state()["entries"].items()}
+    return params, moments
+
+
+@pytest.mark.parametrize("mirror_heads", [False, True])
+def test_lock_epoch_runs_no_teacher_forward_and_matches_a_teacherless_epoch(
+    monkeypatch, mirror_heads
+):
+    specs = [_tiny_specs()[2]]
+    cfg = TrainConfig(mirror_heads=mirror_heads)
+    with_teacher = build_model(SMALL_ARCH, [specs[0].model_spec()])
+    without = build_model(SMALL_ARCH, [specs[0].model_spec()])
+    bundle = prepare_bundles(specs, cfg)["c"]
+    teacher = TeacherState.init_from(with_teacher, cfg.momentum, mirror_heads)
+    opt_with, opt_without = make_optimizer(cfg), make_optimizer(cfg)
+    calls = _count_teacher_forwards(monkeypatch)
+    lock_entries = [e for e in build_cycle_plan(specs, cfg).entries if e.mode == "lock"]
+    assert {e.task for e in lock_entries} == {"loc", "seg"}
+    for i, entry in enumerate(lock_entries):
+        summary = run_epoch(with_teacher, teacher, entry, bundle, opt_with, cfg,
+                            epoch_in_cycle=i + 1)
+        run_epoch(without, None, entry, bundle, opt_without, cfg, epoch_in_cycle=i + 1)
+        assert calls == [], entry.task
+        assert summary.breakdown.consistency_terms == ()
+        assert summary.breakdown.total == summary.breakdown.task_loss
+    assert _state_bytes(with_teacher, opt_with) == _state_bytes(without, opt_without)
 
 
 def test_run_epoch_rejects_empty_data_and_wrong_bundle():
