@@ -33,7 +33,7 @@ from .losses import (
     loc_loss,
     seg_loss,
 )
-from .metrics import Detection, GroundTruth, MetricsRecord, auc, dice, map_at_iou
+from .metrics import Detection, Detections, GroundTruth, MetricsRecord, auc, dice, map_at_iou
 from .model import (
     ArchConfig,
     DatasetModelSpec,

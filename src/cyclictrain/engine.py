@@ -21,7 +21,7 @@ import numpy as np
 from . import synthdata
 from .autodiff import Tensor, no_grad
 from .losses import LossBreakdown, cls_loss, consistency_loss, loc_loss, seg_loss
-from .metrics import Detection, GroundTruth, MetricsRecord, auc, dice, map_at_iou
+from .metrics import Detections, GroundTruth, MetricsRecord, auc, dice, map_at_iou
 from .model import (
     BACKBONE,
     LOC_ENCODER,
@@ -460,23 +460,19 @@ def evaluate_task(model, spec, samples, task, weights=None):
         boxes, logits = out["boxes"], out["logits"]
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
-        detections, gts = [], []
-        for i, s in enumerate(samples):
-            for q in range(boxes.shape[1]):
-                class_probs = probs[i, q, :-1]
-                c = int(np.argmax(class_probs))
-                detections.append(
-                    Detection(
-                        image_id=s.sample_id,
-                        box=tuple(boxes[i, q]),
-                        class_id=c,
-                        confidence=float(class_probs[c]),
-                    )
-                )
-            for b, c in zip(s.boxes.boxes, s.boxes.class_ids):
-                gts.append(GroundTruth(image_id=s.sample_id, box=tuple(b), class_id=int(c)))
+        # one detection per query: its most likely class other than "no object"
+        class_probs = probs[..., :-1]
+        class_ids = np.argmax(class_probs, axis=-1)
+        detections = Detections(
+            image_ids=np.repeat([s.sample_id for s in samples], boxes.shape[1]),
+            boxes=boxes.reshape(-1, 4),
+            class_ids=class_ids.reshape(-1),
+            confidences=np.take_along_axis(class_probs, class_ids[..., None], axis=-1).reshape(-1),
+        )
+        gts = [GroundTruth(image_id=s.sample_id, box=tuple(b), class_id=int(c))
+               for s in samples for b, c in zip(s.boxes.boxes, s.boxes.class_ids)]
         return map_at_iou(detections, gts, iou_threshold=0.40), "mAP40"
-    pred = out["logits"] > 0.0  # sigmoid(z) >= 0.5 iff z >= 0
+    pred = out["logits"] > 0.0  # sigmoid(z) > 0.5 iff z > 0
     values = [dice(pred[i, c], s.mask[c])
               for i, s in enumerate(samples) for c in range(pred.shape[1])]
     return float(np.mean(values)), "Dice"

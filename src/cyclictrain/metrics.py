@@ -3,9 +3,11 @@
 AUC is the normalized Mann-Whitney U statistic (ties count half), macro
 averaged over classes that contain both a positive and a negative; classes
 that do not are skipped, and if nothing is evaluable the result is ``None``
-rather than zero.  mAP uses greedy highest-confidence-first matching against
-unmatched ground truths at the IoU threshold and all-point interpolation of
-the precision-recall curve.
+rather than zero.  mAP scores a columnar ``Detections`` set (a list of
+``Detection`` records is converted on entry): per class and image,
+detections in descending confidence greedily take the unmatched ground
+truth of highest IoU at the threshold, and each class's precision-recall
+curve is integrated with all-point interpolation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .losses import iou_matrix
 
 __all__ = [
     "Detection",
+    "Detections",
     "GroundTruth",
     "MetricsRecord",
     "auc",
@@ -36,10 +39,68 @@ class Detection:
     confidence: float
 
     def __post_init__(self):
-        if not np.isfinite(self.confidence):
-            raise ValueError("detection confidence must be finite")
-        if self.box[2] <= 0 or self.box[3] <= 0:
-            raise ValueError("detection width/height must be positive")
+        _check_detections(np.asarray(self.box, dtype=np.float64).reshape(1, -1),
+                          np.asarray([self.confidence], dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class Detections:
+    """Predicted boxes as columns, one row per detection.
+
+    ``image_ids`` and ``class_ids`` are (n,) integers, ``boxes`` is (n, 4)
+    center-format float64 and ``confidences`` is (n,) float64.  Every row
+    obeys ``Detection``'s rules.
+    """
+
+    image_ids: np.ndarray
+    boxes: np.ndarray
+    class_ids: np.ndarray
+    confidences: np.ndarray
+
+    def __post_init__(self):
+        image_ids = np.asarray(self.image_ids)
+        class_ids = np.asarray(self.class_ids)
+        boxes = np.asarray(self.boxes, dtype=np.float64)
+        confidences = np.asarray(self.confidences, dtype=np.float64)
+        n = len(image_ids)
+        if (image_ids.shape, boxes.shape, class_ids.shape, confidences.shape) != (
+            (n,), (n, 4), (n,), (n,)
+        ):
+            raise ValueError(
+                "detection columns must be shaped (n,), (n, 4), (n,), (n,); got "
+                f"{image_ids.shape}, {boxes.shape}, {class_ids.shape}, {confidences.shape}"
+            )
+        if n and (image_ids.dtype.kind not in "iu" or class_ids.dtype.kind not in "iu"):
+            raise ValueError("detection image and class ids must be integers")
+        _check_detections(boxes, confidences)
+        object.__setattr__(self, "image_ids", image_ids.astype(np.int64))
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "class_ids", class_ids.astype(np.int64))
+        object.__setattr__(self, "confidences", confidences)
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    @classmethod
+    def of(cls, records) -> "Detections":
+        """Columns of a sequence of ``Detection`` records, in their order."""
+        records = list(records)
+        return cls(
+            image_ids=np.array([d.image_id for d in records], dtype=np.int64),
+            boxes=np.array([d.box for d in records], dtype=np.float64).reshape(len(records), 4),
+            class_ids=np.array([d.class_id for d in records], dtype=np.int64),
+            confidences=np.array([d.confidence for d in records], dtype=np.float64),
+        )
+
+
+def _check_detections(boxes: np.ndarray, confidences: np.ndarray) -> None:
+    """``Detection``'s rules on (n, 4) boxes and (n,) confidences."""
+    if not np.isfinite(confidences).all():
+        raise ValueError("detection confidence must be finite")
+    if not np.isfinite(boxes).all():
+        raise ValueError("detection box center and width/height must be finite")
+    if not (boxes[:, 2:4] > 0).all():
+        raise ValueError("detection width/height must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,7 +172,11 @@ def dice(pred_mask, gt_mask) -> float:
 
 
 def _average_precision(tp: np.ndarray, n_gt: int) -> float:
-    """All-point interpolated AP from a confidence-ordered TP/FP sequence."""
+    """All-point interpolated AP from a confidence-ordered TP/FP sequence.
+
+    Each rise in recall adds its width times the precision envelope there;
+    ``np.add.accumulate`` sums those areas strictly left to right.
+    """
     if len(tp) == 0:
         return 0.0
     cum_tp = np.cumsum(tp)
@@ -119,53 +184,69 @@ def _average_precision(tp: np.ndarray, n_gt: int) -> float:
     recall = cum_tp / n_gt
     precision = cum_tp / (cum_tp + cum_fp)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, envelope):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return float(ap)
+    rise = np.diff(recall, prepend=0.0)
+    rising = rise > 0
+    if not rising.any():
+        return 0.0
+    return float(np.add.accumulate(rise[rising] * envelope[rising])[-1])
+
+
+def _greedy_matches(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Rows of a rank-ordered (detections, ground truths) IoU matrix that match.
+
+    Detections in row order take the unused ground truth of highest IoU (the
+    first one on ties) when that IoU reaches the threshold.  Only a match
+    changes which ground truths are unused, so each step jumps straight to
+    the next row that matches: at most one step per ground truth, plus one.
+    """
+    matched = []
+    unused = np.arange(ious.shape[1])
+    start = 0
+    while len(unused) and start < len(ious):
+        rest = ious[start:, unused]
+        hits = np.flatnonzero(rest.max(axis=1) >= iou_threshold)
+        if not len(hits):
+            break
+        row = int(hits[0])
+        matched.append(start + row)
+        unused = np.delete(unused, np.argmax(rest[row]))
+        start += row + 1
+    return np.array(matched, dtype=np.intp)
 
 
 def map_at_iou(detections, ground_truths, iou_threshold: float = 0.40) -> float | None:
     """Mean AP across classes at one IoU threshold.
 
-    Within each class, detections are processed in descending confidence
-    (stable within ties) and greedily matched to the unmatched same-image
-    ground truth of highest IoU, counting a true positive only when that IoU
-    reaches the threshold.  Classes without any ground truth are skipped; if
-    no class has ground truth the result is ``None``.
+    ``detections`` is a ``Detections`` set or a sequence of ``Detection``
+    records, which is converted on entry.  Within each class, detections are
+    ranked by descending confidence (stable within ties).  In each image with
+    ground truth of that class, they are greedily matched in rank order to
+    the unmatched ground truth of highest IoU, counting a true positive only
+    when that IoU reaches the threshold; a detection in an image without
+    such ground truth is a false positive.  Classes without any ground truth
+    are skipped; if no class has ground truth the result is ``None``.
     """
-    dets = list(detections)
+    if not isinstance(detections, Detections):
+        detections = Detections.of(detections)
     gts = list(ground_truths)
     classes = sorted({g.class_id for g in gts})
     if not classes:
         return None
     aps = []
     for c in classes:
+        in_class = np.flatnonzero(detections.class_ids == c)
+        ranked = in_class[np.argsort(-detections.confidences[in_class], kind="stable")]
+        image_ids = detections.image_ids[ranked]
+        boxes = detections.boxes[ranked]
         class_gts = [g for g in gts if g.class_id == c]
-        class_dets = [d for d in dets if d.class_id == c]
-        order = sorted(range(len(class_dets)), key=lambda i: -class_dets[i].confidence)
-        gt_by_image: dict[int, list] = {}
+        gt_boxes_by_image: dict[int, list] = {}
         for g in class_gts:
-            gt_by_image.setdefault(g.image_id, []).append(g)
-        used: set[int] = set()
-        tp = np.zeros(len(order))
-        for rank, i in enumerate(order):
-            d = class_dets[i]
-            candidates = [
-                g for g in gt_by_image.get(d.image_id, ()) if id(g) not in used
-            ]
-            if not candidates:
-                continue
-            ious = iou_matrix(
-                np.asarray(d.box).reshape(1, 4),
-                np.asarray([g.box for g in candidates]),
-            )[0]
-            best = int(np.argmax(ious))
-            if ious[best] >= iou_threshold:
-                used.add(id(candidates[best]))
-                tp[rank] = 1.0
+            gt_boxes_by_image.setdefault(g.image_id, []).append(g.box)
+        tp = np.zeros(len(ranked))
+        for image_id, gt_boxes in gt_boxes_by_image.items():
+            rows = np.flatnonzero(image_ids == image_id)
+            if len(rows):
+                ious = iou_matrix(boxes[rows], np.asarray(gt_boxes))
+                tp[rows[_greedy_matches(ious, iou_threshold)]] = 1.0
         aps.append(_average_precision(tp, len(class_gts)))
     return float(np.mean(aps))

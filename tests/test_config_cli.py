@@ -411,7 +411,7 @@ def test_cmd_eval_matches_direct_metric_invocation(tmp_path):
             gts.append(GroundTruth(int(sid), tuple(data["gt_boxes"][at]),
                                    int(data["gt_box_classes"][at])))
             at += 1
-    assert abs(map_at_iou(dets, gts, 0.40) - reported["loc"]["value"]) < 1e-12
+    assert map_at_iou(dets, gts, 0.40) == reported["loc"]["value"]
 
 
 def test_dumped_predictions_equal_a_plain_forward(tmp_path):

@@ -414,6 +414,27 @@ def test_eval_every_epoch_adds_cross_dataset_rows():
     assert len(release_rows) == 3  # one per release epoch
 
 
+def test_loc_eval_scores_every_query_slot_in_one_map_call(monkeypatch):
+    # perfbench's tracer rebinds engine.map_at_iou: it times that call and
+    # counts len(detections) as metrics.detections_scored
+    from cyclictrain import engine
+
+    calls = []
+
+    def recording_map_at_iou(detections, *args, **kwargs):
+        calls.append(len(detections))
+        return original(detections, *args, **kwargs)
+
+    original = engine.map_at_iou
+    monkeypatch.setattr(engine, "map_at_iou", recording_map_at_iou)
+    spec = _tiny_specs()[1]
+    model = build_model(SMALL_ARCH, [spec.model_spec()])
+    samples = prepare_bundles([spec], TrainConfig())[spec.dataset_id].test
+    value, name = engine.evaluate_task(model, spec, samples, "loc")
+    assert name == "mAP40" and value is not None
+    assert calls == [len(samples) * SMALL_ARCH.num_queries]
+
+
 # ---------------------------------------------------------------------------
 # teacher export
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from cyclictrain.losses import iou
-from cyclictrain.metrics import Detection, GroundTruth, MetricsRecord, auc, dice, map_at_iou
+from cyclictrain.losses import iou, iou_matrix
+from cyclictrain.metrics import (
+    Detection,
+    Detections,
+    GroundTruth,
+    MetricsRecord,
+    auc,
+    dice,
+    map_at_iou,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +301,175 @@ def test_metrics_record_bounds():
         MetricsRecord(0, 1, "d", "cls", "release", "AUC", 1.5)
 
 
+NON_FINITE_BOXES = [(0.5, 0.5, float("nan"), 0.2), (0.5, 0.5, 0.2, float("inf")),
+                    (float("nan"), 0.5, 0.2, 0.2)]
+
+
 def test_detection_validation():
     with pytest.raises(ValueError, match="finite"):
         Detection(0, (0.5, 0.5, 0.1, 0.1), 0, float("nan"))
     with pytest.raises(ValueError, match="positive"):
         Detection(0, (0.5, 0.5, 0.0, 0.1), 0, 0.5)
+    for box in NON_FINITE_BOXES:
+        with pytest.raises(ValueError, match="finite"):
+            Detection(0, box, 0, 0.9)
+
+
+def test_detections_validation():
+    ok = dict(image_ids=np.array([0, 1]), boxes=np.full((2, 4), 0.2),
+              class_ids=np.array([0, 0]), confidences=np.array([0.5, 0.4]))
+    assert len(Detections(**ok)) == 2
+    for name, bad, match in [
+        ("boxes", np.full((2, 3), 0.2), "shaped"),
+        ("confidences", np.array([0.5]), "shaped"),
+        ("image_ids", np.array([0.0, 1.0]), "integers"),
+        ("confidences", np.array([0.5, np.nan]), "finite"),
+        ("boxes", np.array([[0.5, 0.5, 0.2, 0.2], [0.5, 0.5, 0.2, 0.0]]), "positive"),
+    ] + [("boxes", np.array([(0.5, 0.5, 0.2, 0.2), box]), "finite") for box in NON_FINITE_BOXES]:
+        with pytest.raises(ValueError, match=match):
+            Detections(**{**ok, name: bad})
+
+
+def test_detections_of_keeps_record_order_and_handles_empty():
+    records = [Detection(3, (0.5, 0.4, 0.2, 0.1), 1, 0.25),
+               Detection(1, (0.2, 0.3, 0.1, 0.3), 0, 0.75)]
+    cols = Detections.of(records)
+    assert len(cols) == 2
+    assert cols.image_ids.tolist() == [3, 1]
+    assert cols.class_ids.tolist() == [1, 0]
+    assert cols.confidences.tolist() == [0.25, 0.75]
+    assert cols.boxes.tolist() == [list(r.box) for r in records]
+    empty = Detections.of([])
+    assert len(empty) == 0 and empty.boxes.shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# the columnar mAP against the per-detection greedy loop it replaced
+
+
+def map_per_detection_reference(detections, ground_truths, iou_threshold):
+    """Greedy matching one detection at a time, against a fresh candidate list.
+
+    A per-detection loop with a Python AP sum: the same arithmetic as the
+    columnar core in a plainer order, so the two must give equal floats.
+    """
+    dets, gts = list(detections), list(ground_truths)
+    classes = sorted({g.class_id for g in gts})
+    if not classes:
+        return None
+    aps = []
+    for c in classes:
+        class_gts = [g for g in gts if g.class_id == c]
+        class_dets = [d for d in dets if d.class_id == c]
+        order = sorted(range(len(class_dets)), key=lambda i: -class_dets[i].confidence)
+        gt_by_image = {}
+        for g in class_gts:
+            gt_by_image.setdefault(g.image_id, []).append(g)
+        used = set()
+        tp = np.zeros(len(order))
+        for rank, i in enumerate(order):
+            d = class_dets[i]
+            candidates = [g for g in gt_by_image.get(d.image_id, ()) if id(g) not in used]
+            if not candidates:
+                continue
+            ious = iou_matrix(np.asarray(d.box).reshape(1, 4),
+                              np.asarray([g.box for g in candidates]))[0]
+            best = int(np.argmax(ious))
+            if ious[best] >= iou_threshold:
+                used.add(id(candidates[best]))
+                tp[rank] = 1.0
+        if len(tp) == 0:
+            aps.append(0.0)
+            continue
+        cum_tp = np.cumsum(tp)
+        cum_fp = np.cumsum(1.0 - tp)
+        recall = cum_tp / len(class_gts)
+        envelope = np.maximum.accumulate((cum_tp / (cum_tp + cum_fp))[::-1])[::-1]
+        ap, prev_r = 0.0, 0.0
+        for r, p in zip(recall, envelope):
+            if r > prev_r:
+                ap += (r - prev_r) * p
+                prev_r = r
+        aps.append(float(ap))
+    return float(np.mean(aps))
+
+
+def _crowded_scenario(rs):
+    """Few images and classes, many boxes near each other, tied confidences."""
+    n_images, n_classes = int(rs.randint(1, 5)), int(rs.randint(1, 4))
+    gts, dets = [], []
+    for img in range(n_images + 1):  # the last image has detections only
+        anchors = [(rs.uniform(0.3, 0.7), rs.uniform(0.3, 0.7),
+                    rs.uniform(0.1, 0.3), rs.uniform(0.1, 0.3)) for _ in range(3)]
+        if img < n_images:
+            for _ in range(rs.randint(0, 5)):
+                a = anchors[rs.randint(3)]
+                jitter = rs.uniform(-0.03, 0.03, 4) * (rs.rand() < 0.7)
+                gts.append(GroundTruth(img, tuple(np.add(a, jitter)), int(rs.randint(n_classes))))
+        for _ in range(rs.randint(0, 9)):
+            a = anchors[rs.randint(3)]
+            box = a if rs.rand() < 0.3 else tuple(np.add(a, rs.uniform(-0.08, 0.08, 4)))
+            conf = float(rs.choice([0.0, -0.0, 0.25, 0.5, 0.9])) if rs.rand() < 0.5 else rs.rand()
+            dets.append(Detection(img, box, int(rs.randint(n_classes + 1)), conf))
+        if dets and rs.rand() < 0.2:
+            dets.append(dets[rs.randint(len(dets))])  # an exact duplicate
+    return dets, gts
+
+
+def test_columnar_map_equals_the_per_detection_greedy_loop():
+    rs = np.random.RandomState(2024)
+    seen = dict.fromkeys(["none", "no_detections", "ties", "shared_gt_slot",
+                          "class_without_detections"], 0)
+    for scenario in range(600):
+        dets, gts = _crowded_scenario(rs)
+        if scenario % 50 == 0:
+            dets = []
+        threshold = float(rs.choice([0.0, 0.25, 0.40, 0.5, 0.75]))
+        expected = map_per_detection_reference(dets, gts, threshold)
+        assert map_at_iou(dets, gts, threshold) == expected, f"scenario {scenario}"
+        assert map_at_iou(Detections.of(dets), gts, threshold) == expected, f"scenario {scenario}"
+        slots = [(g.image_id, g.class_id) for g in gts]
+        seen["none"] += expected is None
+        seen["no_detections"] += not dets
+        seen["ties"] += len({d.confidence for d in dets}) < len(dets)
+        seen["shared_gt_slot"] += len(set(slots)) < len(slots)
+        seen["class_without_detections"] += bool({c for _, c in slots} - {d.class_id for d in dets})
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_map_iou_tie_takes_the_first_unused_ground_truth():
+    # the first detection sits exactly between two ground truths (dyadic
+    # boxes, so both IoUs are the same float); taking the first leaves the
+    # second for the later detection, which overlaps only that one
+    gts = [GroundTruth(0, (0.375, 0.5, 0.25, 0.25), 0),
+           GroundTruth(0, (0.625, 0.5, 0.25, 0.25), 0)]
+    dets = [Detection(0, (0.5, 0.5, 0.25, 0.25), 0, 0.9),
+            Detection(0, (0.625, 0.5, 0.25, 0.25), 0, 0.8)]
+    tied = iou_matrix(np.asarray(dets[0].box), np.asarray([g.box for g in gts]))[0]
+    assert tied[0] == tied[1] >= 1 / 3
+    assert map_at_iou(dets, gts, 1 / 3) == map_per_detection_reference(dets, gts, 1 / 3) == 1.0
+    assert map_at_iou(dets, gts[::-1], 1 / 3) == 0.5
+
+def test_engine_loc_eval_equals_the_per_query_detection_records():
+    from cyclictrain.engine import evaluate_task, predict
+    from cyclictrain.model import ArchConfig, build_model
+    from cyclictrain.synthdata import generate_dataset, preset_cls_loc
+
+    spec = preset_cls_loc(num_images=40)
+    samples = generate_dataset(spec)
+    model = build_model(ArchConfig(), [spec.model_spec()], seed=5)
+    out = predict(model, spec, samples, "loc")
+    probs = np.exp(out["logits"] - out["logits"].max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    dets, gts = [], []
+    for i, s in enumerate(samples):
+        for q in range(out["boxes"].shape[1]):
+            class_probs = probs[i, q, :-1]
+            c = int(np.argmax(class_probs))
+            dets.append(Detection(s.sample_id, tuple(out["boxes"][i, q]), c,
+                                  float(class_probs[c])))
+        for b, c in zip(s.boxes.boxes, s.boxes.class_ids):
+            gts.append(GroundTruth(s.sample_id, tuple(b), int(c)))
+    expected = map_per_detection_reference(dets, gts, 0.40)
+    assert 0.0 < expected < 1.0
+    assert evaluate_task(model, spec, samples, "loc") == (expected, "mAP40")
