@@ -493,6 +493,24 @@ def _patches(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
+# Largest patch matrix, in bytes, that the conv2d forward builds at once:
+# larger batches run in image blocks whose GEMM operands fit a core's L2.
+PATCH_BLOCK_BYTES = 2 * 2**20
+
+
+def _block_images(n: int, image_bytes: int) -> int:
+    """Images per conv2d forward block: ``n`` when one block holds the batch.
+
+    The batch splits into the fewest near-equal blocks whose patch matrices
+    each fit :data:`PATCH_BLOCK_BYTES` (one image per block at least); only
+    the last block may be smaller.  The count follows from the shape alone.
+    An empty batch gives 1, so the result is always a valid loop step.
+    """
+    per_block = max(1, PATCH_BLOCK_BYTES // image_bytes)
+    blocks = max(1, -(-n // per_block))
+    return max(1, -(-n // blocks))
+
+
 def conv2d(x, w, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) of NCHW input with OCHW kernels.
 
@@ -501,6 +519,13 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     gradient is one matmul per kernel tap.  A padded input is one slice
     assignment into a fresh zero buffer: the same bytes ``np.pad`` gives,
     without its per-call Python overhead, which dominates on small maps.
+
+    The forward runs in image blocks (see :func:`_block_images`) written
+    into one C-order output.  Each output element is one dot product over
+    ``(c, di, dj)``, computed the same way whichever columns share its GEMM,
+    so a block gives the bytes the whole-batch product gives.  The kernel
+    gradient still builds the whole batch's patch matrix: blocking it would
+    change its summation over the batch.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -523,10 +548,14 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
         xp[:, :, padding : padding + h, padding : padding + wid] = x.data
     else:
         xp = x.data
-    out = w.data.reshape(o, -1) @ _patches(xp, kh, kw, ho, wo)
+    w2 = w.data.reshape(o, -1)
+    step = _block_images(n, c * kh * kw * ho * wo * xp.itemsize)
     # C order, as every other op's output: reductions further down the tape
     # sum in memory order, so a transposed view would change their results
-    out = np.ascontiguousarray(out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+    out = np.empty((n, o, ho, wo))
+    for start in range(0, n, step):
+        block = w2 @ _patches(xp[start : start + step], kh, kw, ho, wo)
+        out[start : start + step] = block.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
 
     def bwd(g):
         if x.requires_grad:

@@ -245,14 +245,16 @@ def cmd_eval(args) -> int:
             return 2
         weights = model.merged_weights(cp.teacher_arrays)
     dump = {"dataset": spec.dataset_id, "weights": args.weights, "tasks": {}}
-    for task, metric_name, value in engine.evaluate_dataset(model, bundle, weights):
+    features: dict = {}  # one backbone pass per chunk, for the metrics and the dump
+    for task, metric_name, value in engine.evaluate_dataset(model, bundle, weights, features):
         print(f"{spec.dataset_id} {task} {metric_name}: "
               f"{'undefined' if value is None else f'{value:.6f}'}")
         dump["tasks"][task] = {"metric": metric_name, "value": value}
     if args.dump_predictions:
-        _dump_predictions(model, bundle, weights, args.dump_predictions)
+        _dump_predictions(model, bundle, weights, args.dump_predictions, features)
         print(f"predictions dumped to {args.dump_predictions}")
     if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(dump, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -267,15 +269,20 @@ _GROUND_TRUTH_KEYS = {
 }
 
 
-def _dump_predictions(model, bundle, weights, directory) -> None:
-    """Raw per-task predictions and ground truth on the test split, for offline rescoring."""
+def _dump_predictions(model, bundle, weights, directory, features=None) -> None:
+    """Raw per-task predictions and ground truth on the test split, for offline rescoring.
+
+    ``features`` is :func:`engine.predict`'s backbone memo for the test split
+    under ``weights``; without one, the tasks share a fresh memo.
+    """
     os.makedirs(directory, exist_ok=True)
     spec, samples = bundle.spec, bundle.test
     truth = synthdata.annotation_arrays(spec, samples)
     payload = {"sample_ids": np.asarray([s.sample_id for s in samples], dtype="<i8")}
+    features = {} if features is None else features
     for task in TASKS:
         if task in spec.tasks:
-            for key, a in engine.predict(model, spec, samples, task, weights).items():
+            for key, a in engine.predict(model, spec, samples, task, weights, features).items():
                 payload[f"{task}_{key}"] = a
             for key, name in _GROUND_TRUTH_KEYS[task].items():
                 payload[name] = truth[key]

@@ -292,22 +292,13 @@ def _batch_losses(model, teacher, task, dataset_id, batch, config):
     """
     x = np.stack([s.image for s in batch])[:, None, :, :]
     emb_s = model.backbone_features(x)
-    branch_s = None
+    out, branch_s = model.task_branch(emb_s, task, dataset_id)
     if task == "cls":
-        logits = model.cls_logits(emb_s, dataset_id)
-        y = np.stack([s.labels for s in batch])
-        task_term = cls_loss(logits, y)
+        task_term = cls_loss(out, np.stack([s.labels for s in batch]))
     elif task == "loc":
-        branch_s = model.loc_encoder_features(emb_s)
-        boxes, logits = model.loc_predictions(branch_s, dataset_id)
-        task_term = loc_loss(boxes, logits, [s.boxes for s in batch])
-    elif task == "seg":
-        branch_s = model.seg_decoder_features(emb_s)
-        logits = model.seg_logits(branch_s, dataset_id)
-        mask = np.stack([s.mask for s in batch]).astype(np.float64)
-        task_term = seg_loss(logits, mask)
+        task_term = loc_loss(*out, [s.boxes for s in batch])
     else:
-        raise ValueError(f"unknown task '{task}'")
+        task_term = seg_loss(out, np.stack([s.mask for s in batch]).astype(np.float64))
 
     terms: list[tuple[str, Tensor]] = []
     # A consistency term whose student feature is a constant (its shared
@@ -423,23 +414,32 @@ _METRIC_FOR_TASK = {"cls": "AUC", "loc": "mAP40", "seg": "Dice"}
 
 
 @no_grad()
-def predict(model, spec, samples, task, weights=None) -> dict[str, np.ndarray]:
+def predict(model, spec, samples, task, weights=None, features=None) -> dict[str, np.ndarray]:
     """Decoded outputs of one task on a sample list, one row per sample.
 
     ``cls`` gives ``scores`` (sigmoid of the logits), ``loc`` gives
     ``boxes`` and the class ``logits`` per query, ``seg`` gives mask
     ``logits``.  The forward runs in 64-image chunks without recording a
     tape; an empty list gives zero-row arrays.
+
+    ``features``, when given, is a memo of backbone features keyed by the
+    chunk's first index: chunks it lacks run the backbone and are stored,
+    the others run only the task's branch.  One memo serves the tasks of one
+    sample list under one weight set, and no longer.  (The chunk size stays
+    64: the cls head's matmul gives other bits on a ragged 1-3 row tail.)
     """
     if task not in TASKS:
         raise ValueError(f"unknown task '{task}'")
-    forward = getattr(model, f"forward_{task}")
+    features = {} if features is None else features
     size = spec.image_size
     x = np.array([s.image for s in samples], dtype=np.float64).reshape(len(samples), 1, size, size)
     outs = []
     # an empty list still runs one zero-row forward, so every array keeps its shape
     for start in range(0, max(len(x), 1), 64):
-        out = forward(x[start : start + 64], spec.dataset_id, weights)
+        emb = features.get(start)
+        if emb is None:
+            emb = features[start] = model.backbone_features(x[start : start + 64], weights)
+        out, _ = model.task_branch(emb, task, spec.dataset_id, weights)
         outs.append(out if isinstance(out, tuple) else (out,))
     arrays = [np.concatenate([o[k].data for o in outs]) for k in range(len(outs[0]))]
     if task == "cls":
@@ -449,11 +449,15 @@ def predict(model, spec, samples, task, weights=None) -> dict[str, np.ndarray]:
     return {"logits": arrays[0]}
 
 
-def evaluate_task(model, spec, samples, task, weights=None):
-    """Metric value for one task on a sample list: AUC, mAP40 or Dice."""
+def evaluate_task(model, spec, samples, task, weights=None, features=None):
+    """Metric value for one task on a sample list: AUC, mAP40 or Dice.
+
+    ``features`` is :func:`predict`'s backbone memo for ``samples`` under
+    ``weights``, shared by the tasks evaluated on them.
+    """
     if not samples:
         return None, _METRIC_FOR_TASK[task]
-    out = predict(model, spec, samples, task, weights)
+    out = predict(model, spec, samples, task, weights, features)
     if task == "cls":
         return auc(out["scores"], np.stack([s.labels for s in samples])), "AUC"
     if task == "loc":
@@ -478,24 +482,35 @@ def evaluate_task(model, spec, samples, task, weights=None):
     return float(np.mean(values)), "Dice"
 
 
-def evaluate_dataset(model, bundle: DatasetBundle, weights=None):
-    """(task, metric_name, value) on the test split for every declared task."""
+def evaluate_dataset(model, bundle: DatasetBundle, weights=None, features=None):
+    """(task, metric_name, value) on the test split for every declared task.
+
+    The tasks share one backbone pass per chunk (see :func:`predict`).  A
+    caller that goes on to predict on the same test split under the same
+    ``weights`` may pass its own ``features`` memo to reuse those passes.
+    """
     out = []
+    features = {} if features is None else features
     for task in TASKS:
         if task not in bundle.spec.tasks:
             continue
-        value, name = evaluate_task(model, bundle.spec, bundle.test, task, weights)
+        value, name = evaluate_task(model, bundle.spec, bundle.test, task, weights,
+                                    features=features)
         out.append((task, name, value))
     return out
 
 
 def _metric_records(model, spec, samples, tasks, mode, cycle, epoch) -> list[MetricsRecord]:
-    """One record per task in ``tasks`` that has a metric value on ``samples``."""
+    """One record per task in ``tasks`` that has a metric value on ``samples``.
+
+    The tasks share one backbone pass per chunk (see :func:`predict`).
+    """
     records = []
+    features: dict = {}
     for task in TASKS:
         if task not in tasks:
             continue
-        value, metric_name = evaluate_task(model, spec, samples, task)
+        value, metric_name = evaluate_task(model, spec, samples, task, features=features)
         if value is not None:
             records.append(
                 MetricsRecord(

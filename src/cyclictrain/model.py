@@ -469,18 +469,36 @@ class MultiTaskModel:
         comp = seg_head_component(dataset_id)
         return self._conv_block(dec, p, f"{comp}/conv", padding=0)
 
+    def task_branch(self, emb: Tensor, task: str, dataset_id: str, weights=None):
+        """One task's branch over backbone features: ``(output, feature)``.
+
+        ``output`` is the cls logits, the loc ``(boxes, logits)`` pair or the
+        seg logits.  ``feature`` is the shared branch feature the output was
+        read from (loc encoder or seg decoder map; None for cls), which the
+        consistency loss compares.  ``emb`` is only read, so one backbone
+        pass can feed every task of a dataset.
+        """
+        if task == "cls":
+            return self.cls_logits(emb, dataset_id, weights), None
+        if task == "loc":
+            enc = self.loc_encoder_features(emb, weights)
+            return self.loc_predictions(enc, dataset_id, weights), enc
+        if task == "seg":
+            dec = self.seg_decoder_features(emb, weights)
+            return self.seg_logits(dec, dataset_id, weights), dec
+        raise ValueError(f"unknown task '{task}'")
+
     def forward_cls(self, images, dataset_id: str, weights=None) -> Tensor:
-        return self.cls_logits(self.backbone_features(images, weights), dataset_id, weights)
+        emb = self.backbone_features(images, weights)
+        return self.task_branch(emb, "cls", dataset_id, weights)[0]
 
     def forward_loc(self, images, dataset_id: str, weights=None):
         emb = self.backbone_features(images, weights)
-        enc = self.loc_encoder_features(emb, weights)
-        return self.loc_predictions(enc, dataset_id, weights)
+        return self.task_branch(emb, "loc", dataset_id, weights)[0]
 
     def forward_seg(self, images, dataset_id: str, weights=None) -> Tensor:
         emb = self.backbone_features(images, weights)
-        dec = self.seg_decoder_features(emb, weights)
-        return self.seg_logits(dec, dataset_id, weights)
+        return self.task_branch(emb, "seg", dataset_id, weights)[0]
 
     def _require(self, dataset_id: str, task: str) -> DatasetModelSpec:
         spec = self.datasets.get(dataset_id)

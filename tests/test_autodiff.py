@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyclictrain import autodiff
 from cyclictrain.autodiff import (
     GradCheckReport,
     ShapeError,
@@ -125,6 +126,33 @@ def test_conv2d_padding_is_byte_equal_to_np_pad(n, padding):
         assert xt.grad.shape == x.shape, shape
         assert xt.grad.tobytes() == gx_ref.tobytes(), shape
         assert wt.grad.tobytes() == wt_ref.grad.tobytes(), shape
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_blocked_forward_is_byte_equal_to_one_gemm(padding):
+    rs = np.random.RandomState(40 + padding)
+    ragged = 0
+    for c, h, wid, o, k in MODEL_CONV_SHAPES:
+        w = rs.randn(o, c, k, k)
+        ho, wo = h + 2 * padding - k + 1, wid + 2 * padding - k + 1
+        for n in (0, 1, 3, 8, 64):
+            x = rs.randn(n, c, h, wid)
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            # reference: the whole batch's (c, di, dj) x (n, i, j) patch matrix in one GEMM
+            cols = np.stack([xp[:, :, di : di + ho, dj : dj + wo].transpose(1, 0, 2, 3)
+                             for di in range(k) for dj in range(k)], axis=1)
+            ref = w.reshape(o, -1) @ cols.reshape(c * k * k, n * ho * wo)
+            ref = np.ascontiguousarray(ref.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+            out = conv2d(x, w, padding=padding).data
+            shape = (x.shape, w.shape, padding)
+            assert out.flags.c_contiguous, shape
+            assert out.tobytes() == ref.tobytes(), shape
+            image_bytes = c * k * k * ho * wo * 8
+            step = autodiff._block_images(n, image_bytes)
+            assert step * image_bytes <= autodiff.PATCH_BLOCK_BYTES or step == 1, shape
+            ragged += 0 < step < n and n % step != 0
+    # the budget splits some batches into blocks whose last one is smaller
+    assert ragged > 0
 
 
 def test_leaky_relu_is_bit_equal_to_relu_composition():

@@ -15,7 +15,7 @@ from cyclictrain.config import (
 )
 from cyclictrain.engine import TrainConfig, prepare_bundles
 from cyclictrain.metrics import auc, dice, map_at_iou, Detection, GroundTruth
-from cyclictrain.model import ArchConfig, build_model
+from cyclictrain.model import ArchConfig, MultiTaskModel, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -365,6 +365,41 @@ def test_cmd_eval_teacher_equals_student_at_init(tmp_path, capsys):
     # teacher mirrors only shared components, but at init those equal the
     # student, so every metric coincides
     assert student["tasks"] == teacher["tasks"]
+
+
+def test_cmd_eval_out_creates_its_parent_directory(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    path = _write(tmp_path, _base_config(str(out), num_cycles=0))
+    assert cli.main(["pretrain", "--config", path]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert not (tmp_path / "evals").exists()
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoints" / "final"),
+                     "--config", path, "--dataset", "boxesmasks",
+                     "--out", "evals/x.json", "--dump-predictions", "dumps/x"]) == 0
+    assert json.loads((tmp_path / "evals" / "x.json").read_text())["dataset"] == "boxesmasks"
+    assert (tmp_path / "dumps" / "x" / "predictions.npz").is_file()
+
+
+def test_cmd_eval_dump_reuses_the_metrics_backbone_passes(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    path = _write(tmp_path, _base_config(str(out), num_cycles=0))
+    assert cli.main(["pretrain", "--config", path]) == 0
+    calls = []
+    original = MultiTaskModel.backbone_features
+
+    def backbone_features(self, images, weights=None):
+        calls.append(len(images))
+        return original(self, images, weights)
+
+    monkeypatch.setattr(MultiTaskModel, "backbone_features", backbone_features)
+    args = ["eval", "--checkpoint", str(out / "checkpoints" / "final"), "--config", path,
+            "--dataset", "boxesmasks", "--weights", "teacher"]
+    assert cli.main(args) == 0
+    metrics_only = list(calls)
+    calls.clear()
+    assert cli.main(args + ["--dump-predictions", str(tmp_path / "dump")]) == 0
+    # the dump runs only the task branches on the features the metrics computed
+    assert metrics_only and calls == metrics_only
 
 
 def test_cmd_eval_deterministic(tmp_path):

@@ -8,16 +8,18 @@ from cyclictrain.engine import (
     build_cycle_plan,
     ema_update,
     evaluate_dataset,
+    evaluate_task,
     export_teacher,
     finetune,
     make_optimizer,
+    predict,
     prepare_bundles,
     run_epoch,
     run_pretraining,
     sample_lock_subset,
 )
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model, trainable_components
-from cyclictrain.synthdata import SynthDatasetSpec, preset_organ_pairs
+from cyclictrain.synthdata import SynthDatasetSpec, preset_cls_loc_seg, preset_organ_pairs
 
 SMALL_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
                         query_dim=8, loc_grid=4, seg_channels=(6, 4))
@@ -277,14 +279,13 @@ def test_consistency_term_count_per_task():
     assert by_task["seg"] == ["backbone", "seg_decoder"]
 
 
-def _count_teacher_forwards(monkeypatch) -> list:
-    """Patch ``backbone_features`` to record each call made with ``weights``."""
+def _record_backbone_calls(monkeypatch) -> list:
+    """Patch ``backbone_features`` to record the ``weights`` of every call."""
     calls = []
     original = MultiTaskModel.backbone_features
 
     def backbone_features(self, images, weights=None):
-        if weights is not None:
-            calls.append(weights)
+        calls.append(weights)
         return original(self, images, weights)
 
     monkeypatch.setattr(MultiTaskModel, "backbone_features", backbone_features)
@@ -309,14 +310,14 @@ def test_lock_epoch_runs_no_teacher_forward_and_matches_a_teacherless_epoch(
     bundle = prepare_bundles(specs, cfg)["c"]
     teacher = TeacherState.init_from(with_teacher, cfg.momentum, mirror_heads)
     opt_with, opt_without = make_optimizer(cfg), make_optimizer(cfg)
-    calls = _count_teacher_forwards(monkeypatch)
+    calls = _record_backbone_calls(monkeypatch)
     lock_entries = [e for e in build_cycle_plan(specs, cfg).entries if e.mode == "lock"]
     assert {e.task for e in lock_entries} == {"loc", "seg"}
     for i, entry in enumerate(lock_entries):
         summary = run_epoch(with_teacher, teacher, entry, bundle, opt_with, cfg,
                             epoch_in_cycle=i + 1)
         run_epoch(without, None, entry, bundle, opt_without, cfg, epoch_in_cycle=i + 1)
-        assert calls == [], entry.task
+        assert [w for w in calls if w is not None] == [], entry.task
         assert summary.breakdown.consistency_terms == ()
         assert summary.breakdown.total == summary.breakdown.task_loss
     assert _state_bytes(with_teacher, opt_with) == _state_bytes(without, opt_without)
@@ -433,6 +434,92 @@ def test_loc_eval_scores_every_query_slot_in_one_map_call(monkeypatch):
     value, name = engine.evaluate_task(model, spec, samples, "loc")
     assert name == "mAP40" and value is not None
     assert calls == [len(samples) * SMALL_ARCH.num_queries]
+
+
+@pytest.fixture(scope="module")
+def three_task_eval():
+    """A default-architecture model and a 120-image test split: two predict chunks."""
+    spec = preset_cls_loc_seg(num_images=600)
+    model = build_model(ArchConfig(), [spec.model_spec()])
+    bundle = prepare_bundles([spec], TrainConfig())[spec.dataset_id]
+    assert len(bundle.test) == 120
+    # a teacher weight set, merged as `cyclictrain eval --weights teacher`
+    # merges one, whose backbone differs from the student's
+    teacher = model.merged_weights({name: 0.5 * a for name, a in model.graph.arrays().items()
+                                    if name.startswith("backbone/")})
+    return model, bundle, teacher
+
+
+def _per_task(model, bundle, weights):
+    out = []
+    for task in bundle.spec.tasks:
+        value, name = evaluate_task(model, bundle.spec, bundle.test, task, weights)
+        out.append((task, name, value))
+    return out
+
+
+def test_evaluate_dataset_runs_the_backbone_once_per_chunk_and_weight_set(
+    monkeypatch, three_task_eval
+):
+    model, bundle, teacher = three_task_eval
+    calls = _record_backbone_calls(monkeypatch)
+    evaluate_dataset(model, bundle)
+    assert calls == [None, None]  # 2 chunks, not 2 per task
+    evaluate_dataset(model, bundle, teacher)
+    assert len(calls) == 4 and all(w is teacher for w in calls[2:])
+
+
+def test_shared_backbone_eval_equals_per_task_evaluation(three_task_eval):
+    model, bundle, teacher = three_task_eval
+    student = evaluate_dataset(model, bundle)
+    as_teacher = evaluate_dataset(model, bundle, teacher)
+    assert student == _per_task(model, bundle, None)
+    assert as_teacher == _per_task(model, bundle, teacher)
+    # each weight set scores with its own backbone features
+    assert student != as_teacher
+
+
+def test_task_branches_leave_the_shared_features_unchanged(three_task_eval):
+    model, bundle, _ = three_task_eval
+    features = {}
+    predict(model, bundle.spec, bundle.test, "cls", None, features)
+    assert sorted(features) == [0, 64]
+    before = {start: emb.data.tobytes() for start, emb in features.items()}
+    for task in ("loc", "seg", "cls"):
+        predict(model, bundle.spec, bundle.test, task, None, features)
+    assert {start: emb.data.tobytes() for start, emb in features.items()} == before
+
+
+def _backbone_passes_per_evaluation(monkeypatch) -> list:
+    """Backbone passes made inside each ``evaluate_task`` call, in call order."""
+    from cyclictrain import engine
+
+    calls = _record_backbone_calls(monkeypatch)
+    per_call = []
+    original = engine.evaluate_task
+
+    def evaluate_task(*args, **kwargs):
+        before = len(calls)
+        out = original(*args, **kwargs)
+        per_call.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(engine, "evaluate_task", evaluate_task)
+    return per_call
+
+
+def test_metric_records_share_the_backbone_across_tasks(monkeypatch):
+    spec = _tiny_specs()[2]
+    assert 0 < len(prepare_bundles([spec], TrainConfig())["c"].test) <= 64
+    per_call = _backbone_passes_per_evaluation(monkeypatch)
+    cfg = TrainConfig(num_cycles=1, eval_after_release=False, eval_every_epoch=True)
+    result = run_pretraining(build_model(SMALL_ARCH, [spec.model_spec()]), [spec], cfg)
+    # every epoch scores cls, loc and seg; the first task fills the memo
+    assert result.epochs_run == 5
+    assert per_call == [1, 0, 0] * 5
+    per_call.clear()
+    finetune(result.model, spec, cfg, mode="head_only", epochs=2)
+    assert per_call == [1, 0, 0] * 2
 
 
 # ---------------------------------------------------------------------------
