@@ -203,6 +203,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise CheckpointError(f"no manifest at {manifest_path}")
     except json.JSONDecodeError as e:
         raise CheckpointError(f"manifest is not valid JSON: {e}")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported format version {manifest.get('format_version')!r}"
@@ -216,10 +218,14 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise CheckpointError(
             f"manifest declares {declared} elements, blob holds {actual}"
         )
+    counters = manifest.get("counters", {})
+    if not isinstance(counters, dict):
+        raise CheckpointError(f"manifest counters is a JSON {type(counters).__name__}, "
+                              "not an object")
     cp = Checkpoint(
         arrays=arrays,
         components=components,
-        counters={k: int(v) for k, v in manifest.get("counters", {}).items()},
+        counters={k: int(v) for k, v in counters.items()},
         config_hash=manifest.get("config_hash", ""),
         weights_kind=manifest.get("weights_kind", "student"),
     )

@@ -28,10 +28,10 @@ CSV_HEADER = "cycle,epoch,dataset,task,mode,metric,value"
 class MetricsWriter:
     """Append-only CSV + JSONL logs, flushed per row."""
 
-    def __init__(self, directory: str, basename: str = "metrics"):
+    def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
-        self.csv_path = os.path.join(directory, f"{basename}.csv")
-        self.jsonl_path = os.path.join(directory, f"{basename}.jsonl")
+        self.csv_path = os.path.join(directory, "metrics.csv")
+        self.jsonl_path = os.path.join(directory, "metrics.jsonl")
         self._csv = open(self.csv_path, "w", encoding="utf-8")
         self._jsonl = open(self.jsonl_path, "w", encoding="utf-8")
         self._csv.write(CSV_HEADER + "\n")
@@ -125,13 +125,13 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str, init_new_head: bool = False):
+def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str):
     """The config's model with the checkpoint's weights, and the checkpoint.
 
-    The finetune dataset's heads join the model when the checkpoint holds
-    their parameters (a finetuned checkpoint) or when ``init_new_head``
-    asks for fresh ones; every other parameter must come from the
-    checkpoint.
+    The finetune dataset's heads join the model only when the checkpoint
+    holds their parameters (a finetuned checkpoint); fresh heads are
+    :func:`engine.finetune`'s to make.  Every parameter must come from the
+    checkpoint, in the model's shape.
     """
     cp = load_checkpoint(checkpoint_path)
     chash = config_hash(cfg)
@@ -142,26 +142,14 @@ def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str, init_new_h
             file=sys.stderr,
         )
     model = _build_from_config(cfg)
-    fresh: set[str] = set()
     target = cfg.finetune.dataset if cfg.finetune is not None else None
-    if target is not None and target.dataset_id not in model.datasets:
-        held = target.dataset_id in {component_dataset(c) for c in cp.components.values()}
-        if held or init_new_head:
-            known = set(model.graph.names())
-            model.add_dataset(
-                target.model_spec(),
-                seed=synthdata.derive_seed(cfg.train.seed, "new_head", target.dataset_id),
-            )
-            if not held:
-                fresh = set(model.graph.names()) - known
-    missing = sorted(set(model.graph.names()) - set(cp.arrays) - fresh)
-    if missing:
-        raise CheckpointError(
-            f"checkpoint lacks parameters for {missing[:4]}..."
-            if len(missing) > 4
-            else f"checkpoint lacks parameters for {missing}"
-        )
-    model.graph.load_arrays(cp.arrays, allow_missing=fresh)
+    if target is not None and target.dataset_id not in model.datasets \
+            and target.dataset_id in {component_dataset(c) for c in cp.components.values()}:
+        model.add_dataset(target.model_spec())  # every value comes from the checkpoint
+    try:
+        model.graph.load_arrays(cp.arrays)
+    except (KeyError, ValueError) as e:  # a missing parameter, or one of another shape
+        raise CheckpointError(e.args[0]) from None
     return model, cp
 
 
@@ -175,8 +163,8 @@ def cmd_finetune(args) -> int:
     few_shot = args.few_shot if args.few_shot is not None else cfg.finetune.few_shot
     target = cfg.finetune.dataset
 
-    model, _ = _load_model_from_checkpoint(cfg, args.checkpoint, args.init_new_head)
-    if target.dataset_id not in model.datasets:
+    model, _ = _load_model_from_checkpoint(cfg, args.checkpoint)
+    if target.dataset_id not in model.datasets and not args.init_new_head:
         print(
             f"error: dataset '{target.dataset_id}' has no head in the "
             "checkpointed model; pass --init-new-head to create one",
@@ -184,7 +172,6 @@ def cmd_finetune(args) -> int:
         )
         return 2
 
-    writer = MetricsWriter(out_dir)
     try:
         result = finetune(
             model,
@@ -194,6 +181,11 @@ def cmd_finetune(args) -> int:
             few_shot_k=few_shot,
             epochs=cfg.finetune.epochs,
         )
+    except synthdata.FewShotError as e:
+        print(f"error: few-shot: {e}", file=sys.stderr)
+        return 2
+    writer = MetricsWriter(out_dir)
+    try:
         for r in result.records:
             writer.write(r)
     finally:

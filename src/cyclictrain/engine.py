@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import synthdata
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, no_grad, softmax
 from .losses import LossBreakdown, cls_loss, consistency_loss, loc_loss, seg_loss
 from .metrics import Detections, GroundTruth, MetricsRecord, auc, dice, map_at_iou
 from .model import (
@@ -214,9 +214,9 @@ class TeacherState:
         return TeacherState(params=params, momentum=float(momentum))
 
 
-def ema_update(teacher: TeacherState, model: MultiTaskModel, momentum: float | None = None) -> None:
+def ema_update(teacher: TeacherState, model: MultiTaskModel) -> None:
     """teacher <- momentum * teacher + (1 - momentum) * student, elementwise."""
-    lam = teacher.momentum if momentum is None else float(momentum)
+    lam = teacher.momentum
     for name in teacher.params:
         if name not in model.graph:
             raise ValueError(f"teacher parameter '{name}' missing from student")
@@ -260,7 +260,6 @@ def prepare_bundles(dataset_specs, config: TrainConfig) -> dict[str, DatasetBund
 
 def make_optimizer(config: TrainConfig) -> AdamW:
     return AdamW(
-        lr=config.lr_cls_head,
         weight_decay=config.weight_decay,
         lr_for=lambda p: config.lr_for_component(p.component),
     )
@@ -272,14 +271,13 @@ def make_optimizer(config: TrainConfig) -> AdamW:
 
 @dataclass
 class EpochSummary:
-    """One trained epoch: mean losses, release-epoch metrics, samples seen.
+    """One trained epoch: mean losses and samples seen, but no metrics.
 
     ``breakdown`` holds the task loss plus one weighted consistency term per
     compared feature; a lock epoch's holds the task loss alone.
     """
 
     breakdown: LossBreakdown
-    records: list[MetricsRecord]
     samples_used: int
 
 
@@ -360,7 +358,7 @@ def run_epoch(
     epoch_in_cycle: int = 1,
     global_epoch: int = 0,
 ) -> EpochSummary:
-    """Train one scheduled epoch and (after release epochs) evaluate.
+    """Train one scheduled epoch; what is scored after it is :func:`run_pretraining`'s call.
 
     Applies the entry's freeze mask, draws the lock half-subset when asked,
     augments every sample with the epoch seed, steps the optimizer after
@@ -397,14 +395,7 @@ def run_epoch(
         float(np.mean(task_vals)),
         [(name, float(np.mean(vals))) for name, vals in term_vals.items()],
     )
-
-    records: list[MetricsRecord] = []
-    if entry.mode == "release" and config.eval_after_release:
-        records = _metric_records(
-            model, bundle.spec, subtask_samples(bundle.test, bundle.spec, entry.subtask),
-            (entry.task,), entry.mode, cycle, epoch_in_cycle,
-        )
-    return EpochSummary(breakdown=breakdown, records=records, samples_used=len(samples))
+    return EpochSummary(breakdown=breakdown, samples_used=len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +452,9 @@ def evaluate_task(model, spec, samples, task, weights=None, features=None):
     if task == "cls":
         return auc(out["scores"], np.stack([s.labels for s in samples])), "AUC"
     if task == "loc":
-        boxes, logits = out["boxes"], out["logits"]
-        probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        probs /= probs.sum(axis=-1, keepdims=True)
+        boxes = out["boxes"]
         # one detection per query: its most likely class other than "no object"
-        class_probs = probs[..., :-1]
+        class_probs = softmax(out["logits"]).data[..., :-1]
         class_ids = np.argmax(class_probs, axis=-1)
         detections = Detections(
             image_ids=np.repeat([s.sample_id for s in samples], boxes.shape[1]),
@@ -549,10 +538,11 @@ def run_pretraining(
 ) -> PretrainResult:
     """Run the full cyclic schedule for ``config.num_cycles`` cycles.
 
-    The teacher is EMA-updated after every epoch.  Evaluation happens after
-    each release epoch (and, with ``eval_every_epoch``, on every dataset and
-    task after every epoch, logged with mode ``"eval"``).  Two runs with the
-    same config produce identical records and identical final parameters.
+    The teacher is EMA-updated after every epoch.  Only this loop scores:
+    the trained task after each release epoch (``eval_after_release``) and,
+    with ``eval_every_epoch``, every dataset and task after every epoch, logged
+    with mode ``"eval"``.  Two runs with the same config produce identical
+    records and identical final parameters.
     """
     specs = list(dataset_specs)
     if bundles is None:
@@ -570,11 +560,12 @@ def run_pretraining(
     plan = build_cycle_plan(specs, config)
     for cycle in range(config.num_cycles):
         for epoch_in_cycle, entry in enumerate(plan.entries, start=1):
-            summary = run_epoch(
+            bundle = bundles[entry.dataset_id]
+            run_epoch(
                 model,
                 teacher if config.student_teacher else None,
                 entry,
-                bundles[entry.dataset_id],
+                bundle,
                 optimizer,
                 config,
                 cycle=cycle,
@@ -583,8 +574,12 @@ def run_pretraining(
             )
             global_epoch += 1
             ema_update(teacher, model)
-            for record in summary.records:
-                emit(record)
+            if entry.mode == "release" and config.eval_after_release:
+                for record in _metric_records(
+                    model, bundle.spec, subtask_samples(bundle.test, bundle.spec, entry.subtask),
+                    (entry.task,), entry.mode, cycle, epoch_in_cycle,
+                ):
+                    emit(record)
             if config.eval_every_epoch:
                 for spec in specs:
                     b = bundles[spec.dataset_id]
@@ -627,27 +622,23 @@ def finetune(
     mode: str = "full",
     few_shot_k: int | None = None,
     epochs: int = 5,
-    init_new_head: bool = True,
 ) -> FinetuneResult:
     """Adapt the model to one dataset, fully or through its heads only.
 
+    New heads are made here and nowhere else: a dataset the model lacks gets
+    fresh ones, seeded from ``config.seed`` and the dataset id, appended last.
     Per declared task, ``head_only`` trains what a lock epoch trains (the
     dataset's own head/decoder) and ``full`` what a release epoch trains
     (those plus the shared components the task routes through).  Every
     other component stays frozen, which is verified after every epoch.
     The data is split as in pretraining; ``few_shot_k`` restricts the
-    training split to k samples.  No teacher is involved: finetuning pays
-    task losses only.
+    training split to k samples, 1 <= k <= its size (``FewShotError``
+    otherwise).  No teacher is involved: finetuning pays task losses only.
     """
     if mode not in ("full", "head_only"):
         raise ValueError(f"unknown finetune mode '{mode}'")
     ds = dataset_spec.dataset_id
     if ds not in model.datasets:
-        if not init_new_head:
-            raise ValueError(
-                f"dataset '{ds}' has no heads in this model; "
-                "pass init_new_head=True to create them"
-            )
         model.add_dataset(
             dataset_spec.model_spec(), seed=derive_seed(config.seed, "new_head", ds)
         )

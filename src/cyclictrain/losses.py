@@ -50,7 +50,7 @@ __all__ = [
     "consistency_loss",
 ]
 
-DEFAULT_LOC_WEIGHTS = (1.0, 5.0, 2.0)  # (class, L1, IoU)
+LOC_WEIGHTS = (1.0, 5.0, 2.0)  # (class, L1, IoU)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,13 @@ class LossBreakdown:
 # classification
 
 
+def _bce_with_logits(logits: Tensor, y: np.ndarray) -> Tensor:
+    """Mean binary cross entropy of ``logits`` against 0/1 targets ``y``."""
+    pos = mul(softplus(neg(logits)), Tensor(y))
+    negt = mul(softplus(logits), Tensor(1.0 - y))
+    return mean(add(pos, negt))
+
+
 def cls_loss(logits: Tensor, targets) -> Tensor:
     """Mean binary cross entropy with logits over every (sample, class)."""
     y = np.asarray(targets, dtype=np.float64)
@@ -110,9 +117,7 @@ def cls_loss(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"targets shape {y.shape} != logits shape {logits.shape}")
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("cls_loss: non-finite logits")
-    pos = mul(softplus(neg(logits)), Tensor(y))
-    negt = mul(softplus(logits), Tensor(1.0 - y))
-    return mean(add(pos, negt))
+    return _bce_with_logits(logits, y)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +184,8 @@ def _tabs(a: Tensor) -> Tensor:
     return add(relu(a), relu(neg(a)))
 
 
-def _column(x: Tensor, index: int, width: int = 4) -> Tensor:
-    basis = np.zeros((width, 1))
+def _column(x: Tensor, index: int) -> Tensor:
+    basis = np.zeros((4, 1))
     basis[index, 0] = 1.0
     return matmul(x, Tensor(basis))
 
@@ -206,24 +211,19 @@ def _tape_iou(pred: Tensor, target: np.ndarray) -> Tensor:
     return div(inter, union)
 
 
-def loc_loss(
-    pred_boxes: Tensor,
-    pred_logits: Tensor,
-    targets,
-    weights: tuple[float, float, float] = DEFAULT_LOC_WEIGHTS,
-) -> Tensor:
+def loc_loss(pred_boxes: Tensor, pred_logits: Tensor, targets) -> Tensor:
     """Set-prediction loss over a batch.
 
     ``pred_boxes`` is (N, Q, 4) in [0,1], ``pred_logits`` is (N, Q, C+1)
     with the last column the no-object class, and ``targets`` one
     :class:`BoxTarget` per image.  Matching minimizes
-    ``w_cls*(1-p_class) + w_l1*L1 + w_iou*(1-IoU)`` per pair.  The loss is
-    cross entropy over all query slots (matched slots use the target class,
-    the rest no-object) plus, averaged over matched pairs,
-    ``w_l1*L1 + w_iou*(1-IoU)``.  Empty targets are valid: the loss then
-    reduces to pure no-object cross entropy.
+    ``w_cls*(1-p_class) + w_l1*L1 + w_iou*(1-IoU)`` per pair, weights from
+    ``LOC_WEIGHTS``.  The loss is cross entropy over all query slots (matched
+    slots use the target class, the rest no-object) plus, averaged over
+    matched pairs, ``w_l1*L1 + w_iou*(1-IoU)``.  Empty targets are valid: the
+    loss then reduces to pure no-object cross entropy.
     """
-    w_cls, w_l1, w_iou = (float(v) for v in weights)
+    w_cls, w_l1, w_iou = LOC_WEIGHTS
     n, q, _ = pred_boxes.shape
     n2, q2, cp1 = pred_logits.shape
     if (n, q) != (n2, q2):
@@ -236,10 +236,9 @@ def loc_loss(
     no_object = num_classes
 
     boxes_detached = pred_boxes.data
-    logits_detached = pred_logits.data
-    shifted = logits_detached - logits_detached.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    # matching reads the class probabilities the cross entropy below is built on
+    slot_probs = softmax(reshape(pred_logits, (n * q, cp1)), axis=-1)
+    probs = slot_probs.data.reshape(n, q, cp1)
 
     slot_classes = np.full(n * q, no_object, dtype=np.int64)
     matched_rows: list[int] = []
@@ -265,8 +264,7 @@ def loc_loss(
             matched_rows.append(i * q + q_idx)
             matched_boxes.append(tgt.boxes[t_idx])
 
-    flat_logits = reshape(pred_logits, (n * q, cp1))
-    log_probs = log(softmax(flat_logits, axis=-1))
+    log_probs = log(slot_probs)
     onehot = np.zeros((n * q, cp1))
     onehot[np.arange(n * q), slot_classes] = 1.0
     ce = neg(mean(tsum(mul(log_probs, Tensor(onehot)), axis=1)))
@@ -292,9 +290,7 @@ def seg_loss_terms(logits: Tensor, mask) -> tuple[Tensor, Tensor]:
     m = np.asarray(mask, dtype=np.float64)
     if m.shape != logits.shape:
         raise ValueError(f"mask shape {m.shape} != logits shape {logits.shape}")
-    pos = mul(softplus(neg(logits)), Tensor(m))
-    negt = mul(softplus(logits), Tensor(1.0 - m))
-    bce = mean(add(pos, negt))
+    bce = _bce_with_logits(logits, m)
     p = sigmoid(logits)
     inter = tsum(mul(p, Tensor(m)), axis=(2, 3))
     denom = add(tsum(p, axis=(2, 3)), Tensor(m.sum(axis=(2, 3))))

@@ -81,14 +81,14 @@ class Parameter:
     """Named leaf tensor tagged with its owning component.
 
     ``trainable`` is stored on the tensor itself (as ``requires_grad``) so a
-    frozen parameter builds no gradient path at all.
+    frozen parameter builds no gradient path at all; a new one is trainable.
     """
 
     __slots__ = ("name", "tensor", "component")
 
-    def __init__(self, name: str, data: np.ndarray, component: str, trainable: bool = True):
+    def __init__(self, name: str, data: np.ndarray, component: str):
         self.name = name
-        self.tensor = Tensor(data, requires_grad=trainable)
+        self.tensor = Tensor(data, requires_grad=True)
         self.component = component
 
     @property
@@ -170,14 +170,12 @@ class ModelGraph:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: p.tensor.data.copy() for name, p in self._params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray], allow_missing: set[str] | None = None) -> None:
-        missing = []
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy in every parameter's values; nothing is loaded if one is missing."""
+        missing = sorted(set(self._params) - set(arrays))
+        if missing:
+            raise KeyError(f"missing parameters in checkpoint: {missing}")
         for name, p in self._params.items():
-            if name not in arrays:
-                if allow_missing is not None and name in allow_missing:
-                    continue
-                missing.append(name)
-                continue
             a = np.asarray(arrays[name], dtype=np.float64)
             if a.shape != p.tensor.data.shape:
                 raise ValueError(
@@ -185,8 +183,6 @@ class ModelGraph:
                     f"{p.tensor.data.shape}"
                 )
             p.tensor.data = a.copy()
-        if missing:
-            raise KeyError(f"missing parameters in checkpoint: {sorted(missing)}")
 
     def count_by_component(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -322,7 +318,8 @@ class MultiTaskModel:
         """Register a dataset and initialize its heads/decoders.
 
         Heads are appended to the registry, so extending a trained model with
-        a fresh dataset leaves all existing parameters untouched.
+        a fresh dataset leaves all existing parameters untouched.  Without a
+        ``seed``, the i-th dataset added (from 0) is seeded ``init_seed + 1 + i``.
         """
         if spec.dataset_id in self.datasets:
             raise ValueError(f"dataset '{spec.dataset_id}' already registered")
@@ -521,18 +518,17 @@ class MultiTaskModel:
         return out
 
 
-def build_model(arch: ArchConfig, dataset_specs, seed: int | None = None) -> MultiTaskModel:
+def build_model(arch: ArchConfig, dataset_specs) -> MultiTaskModel:
     """Construct the model with one head/decoder per annotated task.
 
     ``dataset_specs`` is an ordered iterable of :class:`DatasetModelSpec`;
-    the registry order (and therefore checkpoint layout) follows it.
+    the registry order (and therefore checkpoint layout) follows it.  Shared
+    components are seeded ``arch.init_seed``, heads as ``add_dataset`` does.
     """
     model = MultiTaskModel(arch)
-    base_seed = arch.init_seed if seed is None else seed
-    rs = model._init_rs(base_seed)
-    model._build_shared(rs)
-    for i, spec in enumerate(dataset_specs):
-        model.add_dataset(spec, seed=base_seed + 1 + i)
+    model._build_shared(model._init_rs(arch.init_seed))
+    for spec in dataset_specs:
+        model.add_dataset(spec)
     return model
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "flip_sample",
     "augment",
     "split",
+    "FewShotError",
     "few_shot_subset",
     "sample_classes",
     "subtask_samples",
@@ -46,6 +47,8 @@ __all__ = [
 
 SHAPE_GENERATORS = ("ellipse", "rectangle", "ring")
 MIN_IMAGE_SIZE = 12
+SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # train, val, test
+DATASET_FORMAT_VERSION = 1
 
 
 def derive_seed(*parts) -> int:
@@ -274,39 +277,42 @@ def augment(sample: SynthSample, epoch_seed: int, noise_level: float = 0.05) -> 
 # splits
 
 
-def split(samples, fractions=(0.70, 0.10, 0.20), seed: int = 0):
-    """Disjoint, exhaustive (train, val, test) partition."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+def split(samples, seed: int = 0):
+    """Disjoint, exhaustive (train, val, test) partition in ``SPLIT_FRACTIONS``."""
     n = len(samples)
     if n < 3:
         raise ValueError(f"dataset of {n} samples is too small to split")
     perm = np.random.RandomState(seed & 0xFFFFFFFF).permutation(n)
-    n_train = int(math.floor(fractions[0] * n))
-    n_val = int(math.floor(fractions[1] * n))
+    n_train = int(math.floor(SPLIT_FRACTIONS[0] * n))
+    n_val = int(math.floor(SPLIT_FRACTIONS[1] * n))
     train = [samples[i] for i in perm[:n_train]]
     val = [samples[i] for i in perm[n_train : n_train + n_val]]
     test = [samples[i] for i in perm[n_train + n_val :]]
     return train, val, test
 
 
+class FewShotError(ValueError):
+    """A few-shot k outside 1..the size of the training split."""
+
+
 def few_shot_subset(train_split, k: int, seed: int = 0):
-    """k distinct training samples, deterministic per seed."""
+    """k distinct training samples, deterministic per seed; 1 <= k <= the split size."""
     n = len(train_split)
-    if k > n:
-        raise ValueError(f"requested {k} samples from a split of {n}")
+    if not 1 <= k <= n:
+        raise FewShotError(f"requested {k} samples from a training split of {n}; "
+                           f"k must lie in 1..{n}")
     perm = np.random.RandomState(seed & 0xFFFFFFFF).permutation(n)
     return [train_split[i] for i in perm[:k]]
 
 
-def stratified_split(samples, spec: SynthDatasetSpec, fractions=(0.70, 0.10, 0.20), seed: int = 0):
+def stratified_split(samples, spec: SynthDatasetSpec, seed: int = 0):
     """Split each subtask's samples separately so none vanishes from a split.
 
     Samples matching zero or several subtasks form their own remainder
     stratum.  Without declared subtasks this is a plain :func:`split`.
     """
     if not spec.subtasks:
-        return split(samples, fractions, seed)
+        return split(samples, seed)
     strata: dict[str, list] = {st: [] for st in spec.subtasks}
     remainder: list = []
     for s in samples:
@@ -325,7 +331,7 @@ def stratified_split(samples, spec: SynthDatasetSpec, fractions=(0.70, 0.10, 0.2
         if len(group) < 3:
             train += group  # too small to carve a val/test share from
             continue
-        tr, va, te = split(group, fractions, seed=derive_seed(seed, "stratum", name, i))
+        tr, va, te = split(group, seed=derive_seed(seed, "stratum", name, i))
         train += tr
         val += va
         test += te
@@ -368,7 +374,7 @@ def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
         **annotation_arrays(spec, samples),
     }
     manifest = {
-        "format_version": 1,
+        "format_version": DATASET_FORMAT_VERSION,
         "spec": asdict(spec),
         "arrays": {
             name: {"file": f"{name}.bin", "dtype": str(a.dtype), "shape": list(a.shape)}
@@ -384,15 +390,25 @@ def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
 
 
 def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as f:
+    """Read a :func:`save_dataset` directory; ValueError on an unknown version or a bad length."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
+    version = manifest.get("format_version")
+    if version != DATASET_FORMAT_VERSION:
+        raise ValueError(f"{manifest_path}: unsupported format version {version!r}")
     spec = SynthDatasetSpec(**manifest["spec"])
     arrays: dict[str, np.ndarray] = {}
     for name, meta in manifest["arrays"].items():
-        with open(os.path.join(directory, meta["file"]), "rb") as f:
+        path = os.path.join(directory, meta["file"])
+        with open(path, "rb") as f:
             raw = f.read()
-        a = np.frombuffer(raw, dtype=meta["dtype"]).reshape(meta["shape"])
-        arrays[name] = a
+        dtype = np.dtype(meta["dtype"])
+        expected = math.prod(meta["shape"]) * dtype.itemsize
+        if len(raw) != expected:
+            raise ValueError(f"{path}: {len(raw)} bytes, but shape {meta['shape']} "
+                             f"of {dtype} needs {expected}")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(meta["shape"])
     samples = []
     at = 0
     for i in range(spec.num_images):

@@ -343,6 +343,32 @@ def test_cmd_finetune_few_shot_records_train_size(tmp_path):
     assert summary["mode"] == "full"
 
 
+def test_cmd_finetune_rejects_few_shot_outside_the_training_split(tmp_path, capsys):
+    out, cfg = _pretrained(tmp_path)
+    cfg["finetune"] = {
+        "dataset": {
+            "dataset_id": "boxesmasks",
+            "num_images": 20,
+            "tasks": ["cls", "loc", "seg"],
+            "image_size": 16,
+            "min_instances": 1,
+            "max_instances": 1,
+            "seed": 11,
+        },
+        "mode": "full",
+        "epochs": 1,
+    }
+    path = _write(tmp_path, cfg, "ft.json")
+    ckpt = str(out / "checkpoints" / "final")
+    capsys.readouterr()
+    for k in (0, -3, 15):  # the training split holds floor(0.7 * 20) = 14
+        assert cli.main(["finetune", "--checkpoint", ckpt, "--config", path,
+                         "--few-shot", str(k)]) == 2
+        err = capsys.readouterr().err
+        assert f"requested {k} samples from a training split of 14" in err
+    assert not (out / "finetune").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval command
 
@@ -517,6 +543,24 @@ def test_cmd_eval_warns_on_config_hash_mismatch(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", ckpt, "--config", path,
                      "--dataset", "boxesmasks"]) == 0
     assert "config hash" in capsys.readouterr().err
+
+
+def test_cmd_eval_rejects_a_checkpoint_of_another_shape(tmp_path, capsys):
+    out, cfg = _pretrained(tmp_path)
+    ckpt = str(out / "checkpoints" / "final")
+    cfg["arch"]["loc_channels"] = 14
+    path = _write(tmp_path, cfg, "wider.json")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", ckpt, "--config", path,
+                     "--dataset", "boxesmasks"]) == 2
+    assert "parameter 'loc_encoder/conv/w': stored shape" in capsys.readouterr().err
+    cfg["arch"]["loc_channels"] = 12
+    cfg["datasets"].append({"dataset_id": "extra", "num_images": 20, "tasks": ["cls"],
+                            "image_size": 16, "seed": 13})
+    path = _write(tmp_path, cfg, "more.json")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--config", path,
+                     "--dataset", "boxesmasks"]) == 2
+    assert "missing parameters in checkpoint: ['cls_head/extra/fc/b'" in capsys.readouterr().err
 
 
 def test_cmd_eval_scores_a_finetuned_checkpoint_on_its_dataset(tmp_path, capsys):

@@ -606,11 +606,9 @@ def test_finetune_splits_subtask_data_like_pretraining():
     assert final == evaluate_dataset(model, prepare_bundles([spec], cfg)[spec.dataset_id])
 
 
-def test_finetune_rejects_unknown_mode_and_missing_head():
+def test_finetune_rejects_unknown_mode():
     specs = [_tiny_specs()[0]]
     model, _, cfg = _build(specs)
     spec = SynthDatasetSpec("nope", num_images=12, tasks=("cls",), image_size=16)
     with pytest.raises(ValueError, match="mode"):
         finetune(model, spec, cfg, mode="partial")
-    with pytest.raises(ValueError, match="init_new_head"):
-        finetune(model, spec, cfg, mode="full", init_new_head=False)

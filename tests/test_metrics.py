@@ -457,7 +457,7 @@ def test_engine_loc_eval_equals_the_per_query_detection_records():
 
     spec = preset_cls_loc(num_images=40)
     samples = generate_dataset(spec)
-    model = build_model(ArchConfig(), [spec.model_spec()], seed=5)
+    model = build_model(ArchConfig(init_seed=5), [spec.model_spec()])
     out = predict(model, spec, samples, "loc")
     probs = np.exp(out["logits"] - out["logits"].max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)

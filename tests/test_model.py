@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
 
 
 def _model(specs, arch=ARCH, seed=0):
-    return build_model(arch, specs, seed=seed)
+    return build_model(replace(arch, init_seed=seed), specs)
 
 
 def _specs_like_pretraining_table():

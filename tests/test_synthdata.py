@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -201,12 +202,10 @@ def test_split_deterministic():
         assert [s.sample_id for s in part_a] == [s.sample_id for s in part_b]
 
 
-def test_split_rejects_tiny_datasets_and_bad_fractions():
+def test_split_rejects_tiny_datasets():
     samples = generate_dataset(_spec(num_images=2, min_instances=1))
     with pytest.raises(ValueError, match="too small"):
         split(samples)
-    with pytest.raises(ValueError, match="sum to 1"):
-        split(generate_dataset(_spec(num_images=10)), fractions=(0.5, 0.2, 0.2))
 
 
 def test_few_shot_subset():
@@ -217,8 +216,9 @@ def test_few_shot_subset():
     assert len({s.sample_id for s in three}) == 3
     again = few_shot_subset(train, k=3, seed=1)
     assert [s.sample_id for s in again] == [s.sample_id for s in three]
-    with pytest.raises(ValueError, match="requested"):
-        few_shot_subset(train, k=len(train) + 1, seed=1)
+    for k in (len(train) + 1, 0, -3):
+        with pytest.raises(ValueError, match=f"requested {k} samples .* k must lie in 1..{len(train)}"):
+            few_shot_subset(train, k=k, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +263,28 @@ def test_save_load_round_trip(tmp_path):
     assert loaded_spec == spec
     assert len(loaded) == len(samples)
     assert all(_images_equal(a, b) for a, b in zip(samples, loaded))
+
+
+def _saved(tmp_path):
+    spec = preset_cls_loc_seg(num_images=4)
+    directory = tmp_path / "ds"
+    save_dataset(str(directory), spec, generate_dataset(spec))
+    return directory
+
+
+def test_load_rejects_an_unknown_format_version(tmp_path):
+    directory = _saved(tmp_path)
+    mpath = directory / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["format_version"] = 99
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: unsupported format version 99"):
+        load_dataset(str(directory))
+
+
+def test_load_rejects_a_truncated_array_file(tmp_path):
+    directory = _saved(tmp_path)
+    path = directory / "images.bin"
+    path.write_bytes(path.read_bytes()[:-8])  # one float64 short
+    with pytest.raises(ValueError, match=r"images\.bin: 32760 bytes, but shape \[4, 32, 32\]"):
+        load_dataset(str(directory))
