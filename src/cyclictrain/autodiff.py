@@ -16,6 +16,13 @@ The op set splits in two groups:
   ``tsum``, ``reshape``, ``take_rows`` -- needed to express differentiable
   losses (cross entropy, L1, IoU ratios) on the same tape.
 
+``conv2d`` takes keyword-only ``bias`` and ``slope`` so that a whole conv
+layer (conv, bias, leaky ReLU) is one node: it adds the bias and applies the
+activation per image block of its blocked forward, in place, and keeps two
+bool masks of the pre-activation's sign for the backward instead of the
+pre-activation itself.  The result is byte-equal to the chain of separate
+ops, forward and gradients.
+
 Inside a ``no_grad()`` block no op records anything; evaluation runs there.
 
 All arrays are float64; there is no implicit down-casting anywhere.
@@ -297,6 +304,34 @@ def relu(a) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), bwd)
 
 
+def _check_slope(op: str, slope: float) -> None:
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"{op}: slope {slope} is outside [0, 1]")
+
+
+def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, slope * x)`` into ``out`` (a fresh array when None; may be ``x``)."""
+    scaled = x * slope
+    if out is None:
+        out = scaled
+    np.maximum(x, scaled, out=out)
+    # turns -0.0 into 0.0, as the composition's subtraction does
+    out += 0.0
+    return out
+
+
+def _leaky_grad(below: np.ndarray, above: np.ndarray, slope: float, g: np.ndarray) -> np.ndarray:
+    """The leaky ReLU input gradient from the masks ``x < 0`` and ``x > 0``.
+
+    The multiplier is 1 above zero, slope below, 0 at zero; ``m * g`` then
+    rounds exactly as the composition's g, slope * g and slope * g * 0 do.
+    """
+    m = np.multiply(below, slope)
+    m += above
+    m *= g
+    return m
+
+
 def leaky_relu(a, slope: float = 0.1) -> Tensor:
     """``relu(x) - slope * relu(-x)`` as one node, bit-equal to that composition.
 
@@ -305,21 +340,12 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
     in ``[0, 1]``: the forward is ``max(x, slope * x)``, which is that
     composition only there.
     """
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu: slope {slope} is outside [0, 1]")
+    _check_slope("leaky_relu", slope)
     a = _as_tensor(a)
-    data = a.data * slope
-    np.maximum(a.data, data, out=data)
-    # turns -0.0 into 0.0, as the composition's subtraction does
-    data += 0.0
+    data = _leaky(a.data, slope)
 
     def bwd(g):
-        # 1 above zero, slope below, 0 at zero; m * g then rounds exactly as
-        # the composition's g, slope * g and slope * g * 0 do
-        m = np.multiply(a.data < 0.0, slope)
-        m += a.data > 0.0
-        m *= g
-        _accumulate(a, m)
+        _accumulate(a, _leaky_grad(a.data < 0.0, a.data > 0.0, slope, g))
 
     return _node(data, (a,), bwd)
 
@@ -483,14 +509,15 @@ def _patches(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
     """im2col: the ``(C*kh*kw, N*ho*wo)`` patch matrix of a padded NCHW array.
 
     Row ``(c, di, dj)`` holds input channel ``c`` shifted by tap ``(di, dj)``
-    at every output position, so a convolution is one matrix product.
+    at every output position, so a convolution is one matrix product.  The
+    matrix is one copy of a strided view of ``xp`` whose axes are ``(c, di,
+    dj, n, i, j)``: the same bytes as a copy per tap, in one numpy call.
     """
+    xp = np.ascontiguousarray(xp)
     n, c = xp.shape[:2]
-    cols = np.empty((c, kh, kw, n, ho, wo))
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, di, dj] = xp[:, :, di : di + ho, dj : dj + wo].transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * ho * wo)
+    sn, sc, sh, sw = xp.strides
+    taps = np.ndarray((c, kh, kw, n, ho, wo), xp.dtype, xp, 0, (sc, sh, sw, sn, sh, sw))
+    return taps.copy().reshape(c * kh * kw, n * ho * wo)
 
 
 # Largest patch matrix, in bytes, that the conv2d forward builds at once:
@@ -511,7 +538,7 @@ def _block_images(n: int, image_bytes: int) -> int:
     return max(1, -(-n // blocks))
 
 
-def conv2d(x, w, padding: int = 0) -> Tensor:
+def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
     """2-D convolution (cross-correlation) of NCHW input with OCHW kernels.
 
     Forward and the kernel gradient are one GEMM each over the patch matrix
@@ -526,8 +553,23 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     so a block gives the bytes the whole-batch product gives.  The kernel
     gradient still builds the whole batch's patch matrix: blocking it would
     change its summation over the batch.
+
+    ``bias`` (shape ``(O,)``) and ``slope`` fuse a conv layer into one node:
+    the result is ``leaky_relu(add(conv2d(x, w), reshape(bias, (1, O, 1,
+    1))), slope)`` byte for byte, forward and gradients, with either part
+    left out when its argument is None.  The epilogue runs on each image
+    block while it is hot in cache, in place on the block's slice of the
+    output: add the bias, then apply the leaky ReLU.  When the node is
+    recorded, two bool masks (pre-activation ``< 0`` and ``> 0``) are filled
+    per block before the activation, so the pre-activation map is never
+    kept; the backward builds the leaky multiplier from them, as
+    ``leaky_relu`` does, and takes the bias gradient with the sums ``add``
+    uses.  ``slope`` must lie in ``[0, 1]``.
     """
     x, w = _as_tensor(x), _as_tensor(w)
+    b = None if bias is None else _as_tensor(bias)
+    if slope is not None:
+        _check_slope("conv2d", slope)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D operands ({x.shape} vs {w.shape})")
     n, c, h, wid = x.data.shape
@@ -536,6 +578,8 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d: channel mismatch (input {x.shape}, kernel {w.shape})"
         )
+    if b is not None and b.data.shape != (o,):
+        raise ShapeError(f"conv2d: bias {b.shape} does not match kernel {w.shape}")
     ho = h + 2 * padding - kh + 1
     wo = wid + 2 * padding - kw + 1
     if ho < 1 or wo < 1:
@@ -543,6 +587,7 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
             f"conv2d: kernel {w.shape} does not fit input {x.shape} "
             f"with padding={padding}"
         )
+    parents = (x, w) if b is None else (x, w, b)
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding))
         xp[:, :, padding : padding + h, padding : padding + wid] = x.data
@@ -553,11 +598,29 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
     # C order, as every other op's output: reductions further down the tape
     # sum in memory order, so a transposed view would change their results
     out = np.empty((n, o, ho, wo))
+    keep_masks = slope is not None and _grad_enabled and any(p.requires_grad for p in parents)
+    if keep_masks:
+        below = np.empty(out.shape, dtype=bool)
+        above = np.empty(out.shape, dtype=bool)
     for start in range(0, n, step):
-        block = w2 @ _patches(xp[start : start + step], kh, kw, ho, wo)
-        out[start : start + step] = block.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
+        stop = start + step
+        block = w2 @ _patches(xp[start:stop], kh, kw, ho, wo)
+        blk = out[start:stop]
+        blk[...] = block.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
+        if b is not None:
+            blk += b.data.reshape(1, o, 1, 1)
+        if slope is not None:
+            if keep_masks:
+                np.less(blk, 0.0, out=below[start:stop])
+                np.greater(blk, 0.0, out=above[start:stop])
+            _leaky(blk, slope, out=blk)
 
     def bwd(g):
+        if slope is not None:
+            g = _leaky_grad(below, above, slope, g)
+        if b is not None and b.requires_grad:
+            # the sums add's backward makes: axes of length 1 are not summed
+            _accumulate(b, _unbroadcast(g, (1, o, 1, 1)).reshape(o))
         if x.requires_grad:
             g3 = g.reshape(n, o, ho * wo)
             gxp = np.zeros_like(xp)
@@ -573,7 +636,7 @@ def conv2d(x, w, padding: int = 0) -> Tensor:
             gw = g2 @ _patches(xp, kh, kw, ho, wo).T
             _accumulate(w, gw.reshape(w.data.shape))
 
-    return _node(out, (x, w), bwd)
+    return _node(out, parents, bwd)
 
 
 def maxpool2d(x, size: int = 2) -> Tensor:

@@ -79,6 +79,13 @@ def _field(section, path: str):
     return section[key]
 
 
+def _integer(value, path: str) -> int:
+    """``value`` if it is a JSON integer; CheckpointError otherwise (1.5 and true too)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CheckpointError(f"manifest {path} is {value!r}, not an integer")
+    return value
+
+
 def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np.ndarray]:
     try:
         with open(os.path.join(directory, label), "rb") as f:
@@ -91,9 +98,10 @@ def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np
     out: dict[str, np.ndarray] = {}
     expected_end = 0
     for i, entry in enumerate(entries):
-        name = _field(entry, f"{label} entries[{i}].name")
-        shape = tuple(_field(entry, f"{label} entries[{i}].shape"))
-        offset = int(_field(entry, f"{label} entries[{i}].offset"))
+        at = f"{label} entries[{i}]"
+        name = _field(entry, f"{at}.name")
+        shape = tuple(_integer(d, f"{at}.shape") for d in _field(entry, f"{at}.shape"))
+        offset = _integer(_field(entry, f"{at}.offset"), f"{at}.offset")
         size = 1
         for d in shape:
             size *= d
@@ -212,7 +220,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
     params = _field(manifest, "params")
     arrays = _read_blob(directory, "student.bin", params, _field(manifest, "sha256"))
     components = {e["name"]: e.get("component", "") for e in params}
-    declared = int(manifest.get("total_elements", -1))
+    declared = _integer(manifest.get("total_elements", -1), "total_elements")
     actual = sum(a.size for a in arrays.values())
     if declared >= 0 and declared != actual:
         raise CheckpointError(
@@ -225,7 +233,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
     cp = Checkpoint(
         arrays=arrays,
         components=components,
-        counters={k: int(v) for k, v in counters.items()},
+        counters={k: _integer(v, f"counters.{k}") for k, v in counters.items()},
         config_hash=manifest.get("config_hash", ""),
         weights_kind=manifest.get("weights_kind", "student"),
     )

@@ -20,7 +20,6 @@ from .autodiff import (
     Tensor,
     add,
     conv2d,
-    leaky_relu,
     matmul,
     maxpool2d,
     permute,
@@ -368,28 +367,23 @@ class MultiTaskModel:
             )
         return Tensor(x)
 
-    def _conv_block(self, x, p, name, padding=1):
-        w = p(f"{name}/w")
-        b = p(f"{name}/b")
-        h = conv2d(x, w, padding=padding)
-        return add(h, reshape(b, (1, b.shape[0], 1, 1)))
+    def _conv_block(self, x, p, name, padding=1, act=False):
+        # one tape node: conv, bias and, with ``act``, the leaky ReLU whose
+        # small negative slope keeps gradients alive when imbalanced losses
+        # push a whole feature map negative early in training
+        return conv2d(x, p(f"{name}/w"), padding=padding, bias=p(f"{name}/b"),
+                      slope=0.1 if act else None)
 
     def _linear(self, x, p, name):
         return add(matmul(x, p(f"{name}/w")), p(f"{name}/b"))
-
-    @staticmethod
-    def _act(x):
-        # the small negative slope keeps gradients alive when imbalanced
-        # losses push a whole feature map negative early in training
-        return leaky_relu(x, 0.1)
 
     def backbone_features(self, images, weights=None) -> Tensor:
         """Three conv stages with one pooling step: (N, C, H/2, W/2)."""
         p = self._resolver(weights)
         x = images if isinstance(images, Tensor) else self._images_tensor(images)
-        h = maxpool2d(self._act(self._conv_block(x, p, "backbone/conv1")))
-        h = self._act(self._conv_block(h, p, "backbone/conv2"))
-        return self._act(self._conv_block(h, p, "backbone/conv3"))
+        h = maxpool2d(self._conv_block(x, p, "backbone/conv1", act=True))
+        h = self._conv_block(h, p, "backbone/conv2", act=True)
+        return self._conv_block(h, p, "backbone/conv3", act=True)
 
     def cls_logits(self, emb: Tensor, dataset_id: str, weights=None) -> Tensor:
         """Linear head over spatially max-pooled backbone features.
@@ -406,7 +400,7 @@ class MultiTaskModel:
     def loc_encoder_features(self, emb: Tensor, weights=None) -> Tensor:
         """Shared spatial projection feeding every localization decoder."""
         p = self._resolver(weights)
-        return self._act(self._conv_block(emb, p, "loc_encoder/conv"))
+        return self._conv_block(emb, p, "loc_encoder/conv", act=True)
 
     def _box_reference_logits(self) -> np.ndarray:
         """Pre-sigmoid anchors: each cell's center plus a size prior.
@@ -440,8 +434,8 @@ class MultiTaskModel:
         # shape-sensitive mixing runs at full encoder resolution; pooling to
         # the query grid afterwards keeps fine structure available to the
         # class head (ring-vs-disc distinctions die if pooled first)
-        h = self._act(self._conv_block(enc, p, f"{comp}/in", padding=0))
-        h = self._act(self._conv_block(h, p, f"{comp}/mix", padding=1))
+        h = self._conv_block(enc, p, f"{comp}/in", padding=0, act=True)
+        h = self._conv_block(h, p, f"{comp}/mix", padding=1, act=True)
         factor = a.fmap_size // a.loc_grid
         if factor > 1:
             h = maxpool2d(h, factor)
@@ -457,8 +451,8 @@ class MultiTaskModel:
 
     def seg_decoder_features(self, emb: Tensor, weights=None) -> Tensor:
         p = self._resolver(weights)
-        h = self._act(self._conv_block(emb, p, "seg_decoder/conv1"))
-        return self._act(self._conv_block(upsample_nearest(h, 2), p, "seg_decoder/conv2"))
+        h = self._conv_block(emb, p, "seg_decoder/conv1", act=True)
+        return self._conv_block(upsample_nearest(h, 2), p, "seg_decoder/conv2", act=True)
 
     def seg_logits(self, dec: Tensor, dataset_id: str, weights=None) -> Tensor:
         self._require(dataset_id, "seg")

@@ -92,6 +92,9 @@ class SynthDatasetSpec:
         unknown = set(self.shape_classes) - set(SHAPE_GENERATORS)
         if unknown:
             raise ValueError(f"unknown shape generators {sorted(unknown)}")
+        repeated = sorted({s for s in self.shape_classes if self.shape_classes.count(s) > 1})
+        if repeated:
+            raise ValueError(f"shape_classes repeats {repeated}: each class needs its own shape")
         if not (0 <= self.min_instances <= self.max_instances <= 3):
             raise ValueError("instance counts must satisfy 0 <= min <= max <= 3")
         if set(self.subtasks) - set(self.shape_classes):

@@ -155,6 +155,24 @@ def test_conv2d_blocked_forward_is_byte_equal_to_one_gemm(padding):
     assert ragged > 0
 
 
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_of_a_strided_view_is_byte_equal_to_its_copy(padding):
+    # the patch matrix is a strided view of the input's memory, so a
+    # non-contiguous input must give the bytes its contiguous copy gives
+    rs = np.random.RandomState(50 + padding)
+    x = rs.randn(3, 4, 9, 7).transpose(0, 1, 3, 2)[:, ::2]
+    w = rs.randn(5, 2, 3, 3)
+    g = Tensor(rs.randn(3, 5, 7 + 2 * padding - 2, 9 + 2 * padding - 2))
+    grads = []
+    for data in (x, np.ascontiguousarray(x)):
+        xt, wt = Tensor(data, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, padding=padding)
+        tsum(mul(out, g)).backward()
+        grads.append((out.data.tobytes(), xt.grad.tobytes(), wt.grad.tobytes()))
+    assert not x.flags.c_contiguous
+    assert grads[0] == grads[1]
+
+
 def test_leaky_relu_is_bit_equal_to_relu_composition():
     rs = np.random.RandomState(5)
     special = [0.0, -0.0, -5e-324, 5e-324, -1e-310]
@@ -193,6 +211,81 @@ def test_leaky_relu_is_bit_equal_to_relu_composition():
 def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
     with pytest.raises(ValueError, match="slope"):
         leaky_relu(Tensor(np.ones(3)), slope)
+
+
+def _conv_layer_chain(x, w, b, padding, slope=0.1):
+    """The four-node conv layer that ``conv2d(..., bias=b, slope=slope)`` fuses."""
+    h = add(conv2d(x, w, padding=padding), reshape(b, (1, b.shape[0], 1, 1)))
+    return h if slope is None else leaky_relu(h, slope)
+
+
+def _conv_layer_run(layer, x, w, b, g, grads=(True, True, True)):
+    """Forward bytes and the x, w, b gradient bytes of ``sum(layer(...) * g)``."""
+    ts = [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), grads)]
+    out = layer(*ts)
+    tsum(mul(out, Tensor(g))).backward()
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in ts]
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_fused_bias_and_leaky_relu_is_byte_equal_to_the_chain(padding):
+    rs = np.random.RandomState(60 + padding)
+    split = 0
+    for c, h, wid, o, k in MODEL_CONV_SHAPES:
+        w = rs.randn(o, c, k, k)
+        b = rs.randn(o)
+        b[0] = 0.0  # with an all-zero image below, exact zeros reach the activation
+        ho, wo = h + 2 * padding - k + 1, wid + 2 * padding - k + 1
+        for n in (0, 1, 3, 8, 64):
+            x = rs.randn(n, c, h, wid)
+            x[:1] = 0.0
+            g = rs.randn(n, o, ho, wo)
+            fused = _conv_layer_run(
+                lambda x, w, b: conv2d(x, w, padding=padding, bias=b, slope=0.1), x, w, b, g)
+            chain = _conv_layer_run(
+                lambda x, w, b: _conv_layer_chain(x, w, b, padding), x, w, b, g)
+            assert fused == chain, (x.shape, w.shape, padding)
+            split += autodiff._block_images(n, c * k * k * ho * wo * 8) < n
+    # some batch-64 forwards run in several image blocks
+    assert split > 0
+
+
+def test_conv2d_fused_bias_and_leaky_relu_grads_follow_requires_grad():
+    rs = np.random.RandomState(70)
+    for c, h, wid, o, k in [(8, 16, 16, 16, 3), (24, 8, 8, 4, 1)]:
+        x, w, b = rs.randn(3, c, h, wid), rs.randn(o, c, k, k), rs.randn(o)
+        g = rs.randn(3, o, h + 2 - k + 1, wid + 2 - k + 1)
+        for grads in np.ndindex(2, 2, 2):
+            grads = tuple(bool(r) for r in grads)
+            fused = _conv_layer_run(
+                lambda x, w, b: conv2d(x, w, padding=1, bias=b, slope=0.1), x, w, b, g, grads)
+            chain = _conv_layer_run(
+                lambda x, w, b: _conv_layer_chain(x, w, b, 1), x, w, b, g, grads)
+            assert fused == chain, grads
+            assert [r is not None for r in fused[1:]] == list(grads), grads
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        with no_grad():
+            out = conv2d(xt, wt, padding=1, bias=bt, slope=0.1)
+            ref = _conv_layer_chain(xt, wt, bt, 1)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert not out.requires_grad and out._parents == () and out._bwd is None
+
+
+def test_conv2d_bias_without_activation_is_byte_equal_to_add():
+    rs = np.random.RandomState(80)
+    for c, h, wid, o, k in MODEL_CONV_SHAPES:
+        x, w, b = rs.randn(3, c, h, wid), rs.randn(o, c, k, k), rs.randn(o)
+        g = rs.randn(3, o, h - k + 1, wid - k + 1)
+        fused = _conv_layer_run(lambda x, w, b: conv2d(x, w, bias=b), x, w, b, g)
+        chain = _conv_layer_run(
+            lambda x, w, b: _conv_layer_chain(x, w, b, 0, slope=None), x, w, b, g)
+        assert fused == chain, (x.shape, w.shape)
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+def test_conv2d_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="slope"):
+        conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), slope=slope)
 
 
 def _maxpool_oracle(x, size, g):
@@ -380,7 +473,7 @@ def _primitive_cases(rs):
     c2322 = Tensor(rs.randn(2, 3, 2, 2))
     c2388 = Tensor(rs.randn(2, 3, 8, 8))
     c210 = Tensor(rs.randn(2, 10))
-    return {
+    cases = {
         "add": (m, lambda t: mean(add(t, c45a))),
         "add_broadcast": (rs.randn(5), lambda t: mean(mul(add(Tensor(m), t), Tensor(m)))),
         "sub": (m, lambda t: mean(mul(sub(t, c45b), t))),
@@ -408,6 +501,18 @@ def _primitive_cases(rs):
         "reshape": (m, lambda t: mean(mul(reshape(t, (2, 10)), c210))),
         "take_rows": (m, lambda t: mean(mul(take_rows(t, np.array([0, 2, 2, 3])), c45a))),
     }
+    # drawn after the cases above, so their data stays as it was
+    b2 = rs.randn(2)
+    c2244 = Tensor(rs.randn(2, 2, 4, 4))
+    xt, kt, bt = Tensor(x44), Tensor(k), Tensor(b2)
+
+    def conv_layer(x, w, b):
+        return conv2d(x, w, padding=1, bias=b, slope=0.1)
+
+    cases["conv2d_bias_act_x"] = (x44, lambda t: mean(mul(conv_layer(t, kt, bt), c2244)))
+    cases["conv2d_bias_act_w"] = (k, lambda t: mean(mul(conv_layer(xt, t, bt), c2244)))
+    cases["conv2d_bias_act_b"] = (b2, lambda t: mean(mul(conv_layer(xt, kt, t), c2244)))
+    return cases
 
 
 @pytest.mark.parametrize("seed", range(20))

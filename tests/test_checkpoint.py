@@ -197,6 +197,18 @@ MISSING_KEYS = {
     "optimizer.betas": (_drop("optimizer.betas"), "'optimizer.betas'"),
     "entry-without-m": (_orphan("m"), "has no '.+/m' array"),
     "entry-without-v": (_orphan("v"), "has no '.+/v' array"),
+    "counter-a-string": (lambda manifest: manifest.update(counters={"cycle": "x"}),
+                         r"counters\.cycle is 'x', not an integer"),
+    "counter-a-fraction": (lambda manifest: manifest.update(counters={"cycle": 1.5}),
+                           r"counters\.cycle is 1\.5, not an integer"),
+    "counter-a-boolean": (lambda manifest: manifest.update(counters={"cycle": True}),
+                          r"counters\.cycle is True, not an integer"),
+    "total-elements-a-string": (lambda manifest: manifest.update(total_elements="many"),
+                                "total_elements is 'many', not an integer"),
+    "offset-a-string": (lambda manifest: manifest["params"][0].update(offset="0"),
+                        r"entries\[0\]\.offset is '0', not an integer"),
+    "shape-a-fraction": (lambda manifest: manifest["teacher"]["params"][0].update(shape=[2.0]),
+                         r"teacher\.bin entries\[0\]\.shape is 2\.0, not an integer"),
 }
 
 

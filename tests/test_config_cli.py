@@ -106,6 +106,13 @@ def test_duplicate_dataset_ids_rejected():
         run_config_from_dict(cfg)
 
 
+def test_repeated_shape_class_is_a_config_error():
+    cfg = _base_config("out")
+    cfg["datasets"][1]["shape_classes"] = ["ring", "ellipse", "ring"]
+    with pytest.raises(ConfigError, match=r"datasets\[1\]: shape_classes repeats \['ring'\]"):
+        run_config_from_dict(cfg)
+
+
 def test_config_hash_stable_and_out_dir_independent():
     a = run_config_from_dict(_base_config("out1"))
     b = run_config_from_dict(_base_config("out2"))

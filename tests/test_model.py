@@ -160,6 +160,22 @@ def test_forward_deterministic_given_seed():
     assert np.array_equal(m1.forward_seg(x, "d").data, m2.forward_seg(x, "d").data)
 
 
+def test_backbone_tape_holds_one_node_per_conv_layer():
+    model = _model([DatasetModelSpec("d", cls_classes=2)])
+    out = model.backbone_features(_images(2))
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._bwd is not None:
+            ops.append(node._bwd.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    # bias and leaky ReLU ride inside each conv2d node
+    assert sorted(ops) == ["conv2d", "conv2d", "conv2d", "maxpool2d"]
+
+
 # ---------------------------------------------------------------------------
 # gradient census: routing isolation
 

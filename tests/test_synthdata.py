@@ -107,6 +107,11 @@ def test_too_small_image_rejected():
         _spec(image_size=8)
 
 
+def test_repeated_shape_class_rejected():
+    with pytest.raises(ValueError, match=r"shape_classes repeats \['ellipse'\]"):
+        _spec(tasks=("cls",), shape_classes=("ellipse", "ellipse", "ring"))
+
+
 def test_instance_count_bounds_enforced():
     with pytest.raises(ValueError, match="instance"):
         _spec(min_instances=2, max_instances=1)
