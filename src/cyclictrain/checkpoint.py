@@ -86,6 +86,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _number(value, path: str):
+    """``value`` if it is a JSON number; CheckpointError otherwise (true too)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise CheckpointError(f"manifest {path} is {value!r}, not a number")
+    return value
+
+
 def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np.ndarray]:
     try:
         with open(os.path.join(directory, label), "rb") as f:
@@ -239,7 +246,10 @@ def load_checkpoint(directory: str) -> Checkpoint:
     )
     if "teacher" in manifest:
         t = manifest["teacher"]
-        cp.teacher_momentum = float(_field(t, "teacher.momentum"))
+        momentum = _number(_field(t, "teacher.momentum"), "teacher.momentum")
+        if not 0.0 <= momentum <= 1.0:
+            raise CheckpointError(f"manifest teacher.momentum is {momentum!r}, not in [0, 1]")
+        cp.teacher_momentum = float(momentum)
         cp.teacher_arrays = _read_blob(
             directory, "teacher.bin", _field(t, "teacher.params"), _field(t, "teacher.sha256")
         )
@@ -259,15 +269,19 @@ def load_checkpoint(directory: str) -> Checkpoint:
                         f"'{name}/{moment}' array"
                     )
             entries[name] = {
-                "lr": _field(e, f"{where}.lr"),
-                "step_count": _field(e, f"{where}.step_count"),
+                "lr": _number(_field(e, f"{where}.lr"), f"{where}.lr"),
+                "step_count": _integer(_field(e, f"{where}.step_count"), f"{where}.step_count"),
                 "m": moments[f"{name}/m"],
                 "v": moments[f"{name}/v"],
             }
+        betas = _field(o, "optimizer.betas")
+        if not isinstance(betas, list) or len(betas) != 2:
+            raise CheckpointError(
+                f"manifest optimizer.betas is {betas!r}, not a list of two numbers")
         cp.optimizer_state = {
-            "betas": _field(o, "optimizer.betas"),
-            "eps": _field(o, "optimizer.eps"),
-            "weight_decay": _field(o, "optimizer.weight_decay"),
+            "betas": [_number(b, "optimizer.betas") for b in betas],
+            "eps": _number(_field(o, "optimizer.eps"), "optimizer.eps"),
+            "weight_decay": _number(_field(o, "optimizer.weight_decay"), "optimizer.weight_decay"),
             "entries": entries,
         }
     return cp

@@ -405,7 +405,8 @@ _METRIC_FOR_TASK = {"cls": "AUC", "loc": "mAP40", "seg": "Dice"}
 
 
 @no_grad()
-def predict(model, spec, samples, task, weights=None, features=None) -> dict[str, np.ndarray]:
+def predict(model, spec, samples, task, weights=None, features=None,
+            head_inputs=None) -> dict[str, np.ndarray]:
     """Decoded outputs of one task on a sample list, one row per sample.
 
     ``cls`` gives ``scores`` (sigmoid of the logits), ``loc`` gives
@@ -413,11 +414,18 @@ def predict(model, spec, samples, task, weights=None, features=None) -> dict[str
     ``logits``.  The forward runs in 64-image chunks without recording a
     tape; an empty list gives zero-row arrays.
 
-    ``features``, when given, is a memo of backbone features keyed by the
-    chunk's first index: chunks it lacks run the backbone and are stored,
-    the others run only the task's branch.  One memo serves the tasks of one
-    sample list under one weight set, and no longer.  (The chunk size stays
-    64: the cls head's matmul gives other bits on a ragged 1-3 row tail.)
+    Two memos, each owned and sized by its caller, skip repeated passes.
+    ``features`` holds backbone maps keyed by the chunk's first index:
+    chunks it lacks run the backbone and are stored, the others run only
+    the task's branch.  One such memo serves the tasks of one sample list
+    under one weight set, for one call of its owner.  ``head_inputs``
+    holds the input of each task's own head (the backbone map for cls, the
+    loc encoder map for loc, the seg decoder map for seg) keyed by
+    ``(chunk start, task)``: a chunk it holds runs the head alone.  It may
+    outlive a call, but only while every component below the heads stays
+    unchanged; head-only :func:`finetune` keeps one for its whole run.
+    (The chunk size stays 64: the cls head's matmul gives other bits on a
+    ragged 1-3 row tail.)
     """
     if task not in TASKS:
         raise ValueError(f"unknown task '{task}'")
@@ -427,10 +435,16 @@ def predict(model, spec, samples, task, weights=None, features=None) -> dict[str
     outs = []
     # an empty list still runs one zero-row forward, so every array keeps its shape
     for start in range(0, max(len(x), 1), 64):
-        emb = features.get(start)
-        if emb is None:
-            emb = features[start] = model.backbone_features(x[start : start + 64], weights)
-        out, _ = model.task_branch(emb, task, spec.dataset_id, weights)
+        held = None if head_inputs is None else head_inputs.get((start, task))
+        if held is not None:
+            out = model.head(held, task, spec.dataset_id, weights)
+        else:
+            emb = features.get(start)
+            if emb is None:
+                emb = features[start] = model.backbone_features(x[start : start + 64], weights)
+            out, feature = model.task_branch(emb, task, spec.dataset_id, weights)
+            if head_inputs is not None:
+                head_inputs[(start, task)] = emb if feature is None else feature
         outs.append(out if isinstance(out, tuple) else (out,))
     arrays = [np.concatenate([o[k].data for o in outs]) for k in range(len(outs[0]))]
     if task == "cls":
@@ -440,15 +454,17 @@ def predict(model, spec, samples, task, weights=None, features=None) -> dict[str
     return {"logits": arrays[0]}
 
 
-def evaluate_task(model, spec, samples, task, weights=None, features=None):
+def evaluate_task(model, spec, samples, task, weights=None, features=None, head_inputs=None):
     """Metric value for one task on a sample list: AUC, mAP40 or Dice.
 
-    ``features`` is :func:`predict`'s backbone memo for ``samples`` under
-    ``weights``, shared by the tasks evaluated on them.
+    ``features`` is :func:`predict`'s per-call backbone memo for ``samples``
+    under ``weights``, shared by the tasks evaluated on them;
+    ``head_inputs`` is its head-input memo, which lives as long as its owner
+    keeps it (see :func:`predict`).
     """
     if not samples:
         return None, _METRIC_FOR_TASK[task]
-    out = predict(model, spec, samples, task, weights, features)
+    out = predict(model, spec, samples, task, weights, features, head_inputs)
     if task == "cls":
         return auc(out["scores"], np.stack([s.labels for s in samples])), "AUC"
     if task == "loc":
@@ -489,17 +505,22 @@ def evaluate_dataset(model, bundle: DatasetBundle, weights=None, features=None):
     return out
 
 
-def _metric_records(model, spec, samples, tasks, mode, cycle, epoch) -> list[MetricsRecord]:
+def _metric_records(model, spec, samples, tasks, mode, cycle, epoch,
+                    head_inputs=None) -> list[MetricsRecord]:
     """One record per task in ``tasks`` that has a metric value on ``samples``.
 
-    The tasks share one backbone pass per chunk (see :func:`predict`).
+    The tasks share one backbone pass per chunk through a backbone memo that
+    lives for this call only (see :func:`predict`).  ``head_inputs``, when
+    given, is the caller's head-input memo for ``samples``; without one, no
+    loc encoder or seg decoder map outlives its task.
     """
     records = []
     features: dict = {}
     for task in TASKS:
         if task not in tasks:
             continue
-        value, metric_name = evaluate_task(model, spec, samples, task, features=features)
+        value, metric_name = evaluate_task(model, spec, samples, task, features=features,
+                                           head_inputs=head_inputs)
         if value is not None:
             records.append(
                 MetricsRecord(
@@ -634,6 +655,14 @@ def finetune(
     The data is split as in pretraining; ``few_shot_k`` restricts the
     training split to k samples, 1 <= k <= its size (``FewShotError``
     otherwise).  No teacher is involved: finetuning pays task losses only.
+
+    The test split is scored after every epoch, once the frozen components
+    are verified.  In ``head_only`` mode nothing below the heads changes,
+    so one head-input memo (see :func:`predict`) lives for the whole run:
+    each task's head input is computed once per 64-image chunk, about 2.6 MB
+    per 40 loc images at the default architecture, and later epochs run
+    the heads alone.  ``full`` mode trains shared components, so each
+    epoch's scoring starts from no memo.
     """
     if mode not in ("full", "head_only"):
         raise ValueError(f"unknown finetune mode '{mode}'")
@@ -659,6 +688,7 @@ def finetune(
 
     optimizer = make_optimizer(config)
     records: list[MetricsRecord] = []
+    head_inputs = {} if mode == "head_only" else None
     for epoch in range(1, epochs + 1):
         epoch_seed = derive_seed(config.seed, "finetune_epoch", ds, epoch)
         for task in TASKS:
@@ -668,9 +698,9 @@ def finetune(
         for c, expected in frozen_checksums.items():
             if now[c] != expected:
                 raise RuntimeError(f"{mode} finetune modified frozen component '{c}'")
-        records.extend(
-            _metric_records(model, dataset_spec, bundle.test, dataset_spec.tasks, "eval", 0, epoch)
-        )
+        # only after that check may the memo's head inputs be read again
+        records.extend(_metric_records(model, dataset_spec, bundle.test, dataset_spec.tasks,
+                                       "eval", 0, epoch, head_inputs))
     params = model.graph.parameters()
     return FinetuneResult(
         model=model,

@@ -463,20 +463,28 @@ class MultiTaskModel:
     def task_branch(self, emb: Tensor, task: str, dataset_id: str, weights=None):
         """One task's branch over backbone features: ``(output, feature)``.
 
-        ``output`` is the cls logits, the loc ``(boxes, logits)`` pair or the
-        seg logits.  ``feature`` is the shared branch feature the output was
-        read from (loc encoder or seg decoder map; None for cls), which the
-        consistency loss compares.  ``emb`` is only read, so one backbone
-        pass can feed every task of a dataset.
+        ``output`` is :meth:`head`'s.  ``feature`` is the shared branch
+        feature the output was read from (loc encoder or seg decoder map;
+        None for cls), which the consistency loss compares.  ``emb`` is only
+        read, so one backbone pass can feed every task of a dataset.
+        """
+        branch = {"loc": self.loc_encoder_features, "seg": self.seg_decoder_features}.get(task)
+        feature = None if branch is None else branch(emb, weights)
+        return self.head(emb if feature is None else feature, task, dataset_id, weights), feature
+
+    def head(self, head_input: Tensor, task: str, dataset_id: str, weights=None):
+        """The dataset's own head of one task, on that head's input.
+
+        The input is the backbone map for cls, the loc encoder map for loc
+        and the seg decoder map for seg; the output is the cls logits, the
+        loc ``(boxes, logits)`` pair or the seg logits.
         """
         if task == "cls":
-            return self.cls_logits(emb, dataset_id, weights), None
+            return self.cls_logits(head_input, dataset_id, weights)
         if task == "loc":
-            enc = self.loc_encoder_features(emb, weights)
-            return self.loc_predictions(enc, dataset_id, weights), enc
+            return self.loc_predictions(head_input, dataset_id, weights)
         if task == "seg":
-            dec = self.seg_decoder_features(emb, weights)
-            return self.seg_logits(dec, dataset_id, weights), dec
+            return self.seg_logits(head_input, dataset_id, weights)
         raise ValueError(f"unknown task '{task}'")
 
     def forward_cls(self, images, dataset_id: str, weights=None) -> Tensor:

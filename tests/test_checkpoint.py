@@ -209,6 +209,27 @@ MISSING_KEYS = {
                         r"entries\[0\]\.offset is '0', not an integer"),
     "shape-a-fraction": (lambda manifest: manifest["teacher"]["params"][0].update(shape=[2.0]),
                          r"teacher\.bin entries\[0\]\.shape is 2\.0, not an integer"),
+    "momentum-a-string": (lambda manifest: manifest["teacher"].update(momentum="x"),
+                          r"teacher\.momentum is 'x', not a number"),
+    "momentum-a-boolean": (lambda manifest: manifest["teacher"].update(momentum=True),
+                           r"teacher\.momentum is True, not a number"),
+    "momentum-above-one": (lambda manifest: manifest["teacher"].update(momentum=5.0),
+                           r"teacher\.momentum is 5\.0, not in \[0, 1\]"),
+    "step-count-a-string": (lambda manifest: manifest["optimizer"]["entries"][0].update(
+                                step_count="x"),
+                            r"optimizer\.entries\[0\]\.step_count is 'x', not an integer"),
+    "lr-a-string": (lambda manifest: manifest["optimizer"]["entries"][0].update(lr="x"),
+                    r"optimizer\.entries\[0\]\.lr is 'x', not a number"),
+    "eps-a-boolean": (lambda manifest: manifest["optimizer"].update(eps=False),
+                      r"optimizer\.eps is False, not a number"),
+    "weight-decay-a-list": (lambda manifest: manifest["optimizer"].update(weight_decay=[0]),
+                            r"optimizer\.weight_decay is \[0\], not a number"),
+    "betas-a-string": (lambda manifest: manifest["optimizer"].update(betas="x"),
+                       r"optimizer\.betas is 'x', not a list of two numbers"),
+    "betas-of-three": (lambda manifest: manifest["optimizer"].update(betas=[0.9, 0.99, 0.999]),
+                       r"not a list of two numbers"),
+    "beta-a-string": (lambda manifest: manifest["optimizer"].update(betas=[0.9, "x"]),
+                      r"optimizer\.betas is 'x', not a number"),
 }
 
 

@@ -518,8 +518,9 @@ def test_metric_records_share_the_backbone_across_tasks(monkeypatch):
     assert result.epochs_run == 5
     assert per_call == [1, 0, 0] * 5
     per_call.clear()
+    # head-only finetuning keeps its head inputs from the first epoch on
     finetune(result.model, spec, cfg, mode="head_only", epochs=2)
-    assert per_call == [1, 0, 0] * 2
+    assert per_call == [1, 0, 0] + [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +605,91 @@ def test_finetune_splits_subtask_data_like_pretraining():
     result = finetune(model, spec, cfg, mode="head_only", epochs=1)
     final = [(r.task, r.metric_name, r.value) for r in result.records]
     assert final == evaluate_dataset(model, prepare_bundles([spec], cfg)[spec.dataset_id])
+
+
+def _count_branch_passes_inside_evaluation(monkeypatch) -> dict:
+    """Calls of the backbone, loc encoder and seg decoder made inside ``evaluate_task``."""
+    from cyclictrain import engine
+
+    counts = dict.fromkeys(("backbone_features", "loc_encoder_features",
+                            "seg_decoder_features"), 0)
+    inside = []
+    for name in counts:
+        def counted(self, *args, _name=name, _original=getattr(MultiTaskModel, name), **kwargs):
+            counts[_name] += bool(inside)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiTaskModel, name, counted)
+    original = engine.evaluate_task
+
+    def evaluate_task(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(engine, "evaluate_task", evaluate_task)
+    return counts
+
+
+# two 64-image chunks in each test split
+MEMO_SPECS = {
+    "loc_seg": lambda: _organ_spec(n=390),
+    "cls_loc_seg": lambda: SynthDatasetSpec("c", num_images=400, tasks=("cls", "loc", "seg"),
+                                            image_size=16, min_instances=1, max_instances=1,
+                                            seed=3),
+}
+
+
+@pytest.mark.parametrize("mode", ["head_only", "full"])
+@pytest.mark.parametrize("which", list(MEMO_SPECS))
+def test_finetune_scores_like_a_fresh_evaluation_with_one_pass_per_memo(
+    monkeypatch, which, mode
+):
+    spec = MEMO_SPECS[which]()
+    model, bundles, cfg = _build([spec], batch_size=4)
+    bundle = bundles[spec.dataset_id]
+    assert 64 < len(bundle.test) <= 128
+    counts = _count_branch_passes_inside_evaluation(monkeypatch)
+    epochs = 3
+    result = finetune(model, spec, cfg, mode=mode, few_shot_k=8, epochs=epochs)
+    # head-only: each head input once per chunk over the run; full: once per epoch
+    per_chunk = 2 * (1 if mode == "head_only" else epochs)
+    assert counts == {"backbone_features": per_chunk,
+                      "loc_encoder_features": per_chunk,
+                      "seg_decoder_features": per_chunk}
+    last = [(r.task, r.metric_name, float.hex(r.value))
+            for r in result.records if r.epoch == epochs]
+    fresh = [(task, name, float.hex(value)) for task, name, value in evaluate_dataset(model, bundle)]
+    assert last == fresh
+
+
+def test_head_only_finetune_rejects_a_moved_frozen_component_before_scoring(monkeypatch):
+    from cyclictrain import engine
+    from cyclictrain.optim import AdamW
+
+    spec = _tiny_specs()[2]
+    model, _, cfg = _build([spec], batch_size=4)
+    scored = []
+    original_evaluate = engine.evaluate_task
+
+    def evaluate_task(*args, **kwargs):
+        scored.append(args[3])
+        return original_evaluate(*args, **kwargs)
+
+    original_step = AdamW.step
+
+    def step(self, params, grads, lr_scale=1.0):
+        original_step(self, params, grads, lr_scale=lr_scale)
+        if scored:  # from the second epoch on, once the first has filled the memo
+            model.graph["backbone/conv1/w"].tensor.data[0, 0, 0, 0] += 1e-3
+
+    monkeypatch.setattr(engine, "evaluate_task", evaluate_task)
+    monkeypatch.setattr(AdamW, "step", step)
+    with pytest.raises(RuntimeError, match="modified frozen component 'backbone'"):
+        finetune(model, spec, cfg, mode="head_only", epochs=3)
+    assert scored == ["cls", "loc", "seg"]  # the first epoch's scoring only
 
 
 def test_finetune_rejects_unknown_mode():
