@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -135,12 +136,10 @@ def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str):
     """
     cp = load_checkpoint(checkpoint_path)
     chash = config_hash(cfg)
-    if cp.config_hash and cp.config_hash != chash:
-        print(
-            f"warning: checkpoint config hash {cp.config_hash[:12]} != "
-            f"config {chash[:12]}",
-            file=sys.stderr,
-        )
+    # pretraining wrote its checkpoints from this config less the finetune section
+    if cp.config_hash and cp.config_hash not in (chash, config_hash(replace(cfg, finetune=None))):
+        print(f"warning: checkpoint config hash {cp.config_hash[:12]} != config {chash[:12]}",
+              file=sys.stderr)
     model = _build_from_config(cfg)
     target = cfg.finetune.dataset if cfg.finetune is not None else None
     if target is not None and target.dataset_id not in model.datasets \
@@ -228,27 +227,36 @@ def cmd_eval(args) -> int:
     if spec.dataset_id not in model.datasets:
         print(f"error: model has no heads for '{args.dataset}'", file=sys.stderr)
         return 2
-    bundles = engine.prepare_bundles([spec], cfg.train)
-    bundle = bundles[spec.dataset_id]
+    samples = engine.prepare_bundles([spec], cfg.train)[spec.dataset_id].test
     weights = None
     if args.weights == "teacher":
         if cp.teacher_arrays is None:
             print("error: checkpoint holds no teacher weights", file=sys.stderr)
             return 2
         weights = model.merged_weights(cp.teacher_arrays)
-    dump = {"dataset": spec.dataset_id, "weights": args.weights, "tasks": {}}
-    features: dict = {}  # one backbone pass per chunk, for the metrics and the dump
-    for task, metric_name, value in engine.evaluate_dataset(model, bundle, weights, features):
+    report = {"dataset": spec.dataset_id, "weights": args.weights, "tasks": {}}
+    truth = synthdata.annotation_arrays(spec, samples)
+    payload = {"sample_ids": np.asarray([s.sample_id for s in samples], dtype="<i8")}
+    features: dict = {}  # one backbone pass per chunk, shared by the tasks
+    for task in TASKS:
+        if task not in spec.tasks:
+            continue
+        # the metric, --out and the dump all come from this one prediction
+        out = engine.predict(model, spec, samples, task, weights, features)
+        value, metric_name = engine.score(samples, task, out)
         print(f"{spec.dataset_id} {task} {metric_name}: "
               f"{'undefined' if value is None else f'{value:.6f}'}")
-        dump["tasks"][task] = {"metric": metric_name, "value": value}
+        report["tasks"][task] = {"metric": metric_name, "value": value}
+        payload.update((f"{task}_{key}", a) for key, a in out.items())
+        payload.update((name, truth[key]) for key, name in _GROUND_TRUTH_KEYS[task].items())
     if args.dump_predictions:
-        _dump_predictions(model, bundle, weights, args.dump_predictions, features)
+        os.makedirs(args.dump_predictions, exist_ok=True)
+        np.savez(os.path.join(args.dump_predictions, "predictions.npz"), **payload)
         print(f"predictions dumped to {args.dump_predictions}")
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(dump, f, indent=2, sort_keys=True)
+            json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
     return 0
 
@@ -259,26 +267,6 @@ _GROUND_TRUTH_KEYS = {
     "loc": {"box_counts": "gt_box_counts", "boxes": "gt_boxes", "box_classes": "gt_box_classes"},
     "seg": {"masks": "seg_masks"},
 }
-
-
-def _dump_predictions(model, bundle, weights, directory, features=None) -> None:
-    """Raw per-task predictions and ground truth on the test split, for offline rescoring.
-
-    ``features`` is :func:`engine.predict`'s backbone memo for the test split
-    under ``weights``; without one, the tasks share a fresh memo.
-    """
-    os.makedirs(directory, exist_ok=True)
-    spec, samples = bundle.spec, bundle.test
-    truth = synthdata.annotation_arrays(spec, samples)
-    payload = {"sample_ids": np.asarray([s.sample_id for s in samples], dtype="<i8")}
-    features = {} if features is None else features
-    for task in TASKS:
-        if task in spec.tasks:
-            for key, a in engine.predict(model, spec, samples, task, weights, features).items():
-                payload[f"{task}_{key}"] = a
-            for key, name in _GROUND_TRUTH_KEYS[task].items():
-                payload[name] = truth[key]
-    np.savez(os.path.join(directory, "predictions.npz"), **payload)
 
 
 def cmd_inspect(args) -> int:

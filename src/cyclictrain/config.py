@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass
 
 from .engine import TrainConfig
-from .model import TASKS, ArchConfig
+from .model import ArchConfig
 from .synthdata import SynthDatasetSpec
 
 __all__ = ["ConfigError", "FinetuneSpec", "RunConfig", "load_run_config",
@@ -79,6 +79,9 @@ def _value(tp, value, path: str):
         return _value(tp, value, path)
     if dataclasses.is_dataclass(tp):
         return _from_dict(tp, value, path)
+    if typing.get_origin(tp) is dict:
+        items = _coerce(value, dict, path)
+        return {k: _value(args[1], v, _join(path, k)) for k, v in items.items()}
     if typing.get_origin(tp) is tuple:
         items = _coerce(value, list, path)
         if args[-1] is Ellipsis:
@@ -87,16 +90,6 @@ def _value(tp, value, path: str):
             raise ConfigError(f"{path}: expected {len(args)} items, got {len(items)}")
         return tuple(_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, items)))
     return _coerce(value, tp, path)
-
-
-def _lock_release(value, path: str) -> dict[str, bool]:
-    """Per-task flags, merged over the defaults."""
-    flags = _coerce(value, dict, path)
-    for task, flag in flags.items():
-        if task not in TASKS:
-            raise ConfigError(f"{path}.{task}: unknown task")
-        _coerce(flag, bool, f"{path}.{task}")
-    return {**TrainConfig().lock_release, **flags}
 
 
 def _from_dict(cls, d, path: str):
@@ -115,8 +108,6 @@ def _from_dict(cls, d, path: str):
         if name not in d:
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ConfigError(f"{field_path}: required key missing")
-        elif cls is TrainConfig and name == "lock_release":
-            kw[name] = _lock_release(d[name], field_path)
         else:
             kw[name] = _value(hints[name], d[name], field_path)
     try:

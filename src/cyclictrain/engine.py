@@ -24,8 +24,8 @@ from .losses import LossBreakdown, cls_loss, consistency_loss, loc_loss, seg_los
 from .metrics import Detections, GroundTruth, MetricsRecord, auc, dice, map_at_iou
 from .model import (
     BACKBONE,
-    LOC_ENCODER,
-    SEG_DECODER,
+    BRANCHES,
+    SHARED_COMPONENTS,
     TASKS,
     MultiTaskModel,
     component_kind,
@@ -56,6 +56,7 @@ __all__ = [
     "run_epoch",
     "run_pretraining",
     "predict",
+    "score",
     "evaluate_task",
     "evaluate_dataset",
     "export_teacher",
@@ -63,13 +64,12 @@ __all__ = [
     "finetune",
 ]
 
-def _default_lock_release() -> dict[str, bool]:
-    return {"cls": False, "loc": True, "seg": True}
+_LOCK_RELEASE_DEFAULTS = {"cls": False, "loc": True, "seg": True}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for pretraining and finetuning runs."""
+    """Hyperparameters for pretraining and finetuning; ``lock_release`` merges over the defaults."""
 
     lr_backbone: float = 1e-5
     lr_loc: float = 1e-4
@@ -79,7 +79,7 @@ class TrainConfig:
     consistency_weight: float = 1.0
     student_teacher: bool = True
     mirror_heads: bool = False
-    lock_release: dict[str, bool] = field(default_factory=_default_lock_release)
+    lock_release: dict[str, bool] = field(default_factory=dict)
     batch_size: int = 16
     weight_decay: float = 0.0
     step_decay_factor: float = 1.0
@@ -110,6 +110,7 @@ class TrainConfig:
         unknown = set(self.lock_release) - set(TASKS)
         if unknown:
             raise ValueError(f"lock_release has unknown tasks {sorted(unknown)}")
+        object.__setattr__(self, "lock_release", {**_LOCK_RELEASE_DEFAULTS, **self.lock_release})
 
     def lr_for_component(self, component: str) -> float:
         kind = component_kind(component)
@@ -170,7 +171,7 @@ def build_cycle_plan(dataset_specs, config: TrainConfig) -> CyclePlan:
         for task in TASKS:
             if task not in spec.tasks:
                 continue
-            modes = ("lock", "release") if config.lock_release.get(task, False) else ("release",)
+            modes = ("lock", "release") if config.lock_release[task] else ("release",)
             for subtask in subtasks:
                 for _ in range(config.epochs_per_task):
                     for mode in modes:
@@ -206,11 +207,8 @@ class TeacherState:
 
     @staticmethod
     def init_from(model: MultiTaskModel, momentum: float, mirror_heads: bool = False) -> "TeacherState":
-        shared = (BACKBONE, LOC_ENCODER, SEG_DECODER)
-        params = {}
-        for p in model.graph.parameters():
-            if mirror_heads or p.component in shared:
-                params[p.name] = p.tensor.data.copy()
+        params = {p.name: p.tensor.data.copy() for p in model.graph.parameters()
+                  if mirror_heads or p.component in SHARED_COMPONENTS}
         return TeacherState(params=params, momentum=float(momentum))
 
 
@@ -284,9 +282,10 @@ class EpochSummary:
 def _batch_losses(model, teacher, task, dataset_id, batch, config):
     """Build the tape loss for one batch; returns (total, task_val, terms).
 
-    ``terms`` lists the weighted consistency terms.  It is empty without a
-    teacher, and also when no compared student feature requires a gradient
-    (a lock epoch): the teacher forward is then skipped.
+    ``terms`` lists the weighted consistency terms by component.  It is empty
+    without a teacher (none is passed when ``student_teacher`` is off), and
+    also when no compared student feature requires a gradient (a lock
+    epoch): the teacher forward is then skipped.
     """
     x = np.stack([s.image for s in batch])[:, None, :, :]
     emb_s = model.backbone_features(x)
@@ -303,17 +302,14 @@ def _batch_losses(model, teacher, task, dataset_id, batch, config):
     # components frozen, as in a lock epoch) carries no gradient, so the
     # teacher forward runs only when a compared student feature can learn.
     learning = emb_s.requires_grad or (branch_s is not None and branch_s.requires_grad)
-    if teacher is not None and config.student_teacher and learning:
+    if teacher is not None and learning:
         # The teacher pass touches shared components only, all of which the
         # teacher mirrors, so its arrays can resolve parameter names directly.
         emb_t = model.backbone_features(x, weights=teacher.params)
-        terms.append(("backbone", consistency_loss(emb_s, emb_t)))
-        if task == "loc":
-            enc_t = model.loc_encoder_features(emb_t, weights=teacher.params)
-            terms.append(("loc_encoder", consistency_loss(branch_s, enc_t)))
-        elif task == "seg":
-            dec_t = model.seg_decoder_features(emb_t, weights=teacher.params)
-            terms.append(("seg_decoder", consistency_loss(branch_s, dec_t)))
+        terms.append((BACKBONE, consistency_loss(emb_s, emb_t)))
+        if branch_s is not None:
+            branch_t = model.branch_features(emb_t, task, weights=teacher.params)
+            terms.append((BRANCHES[task], consistency_loss(branch_s, branch_t)))
 
     total = task_term
     weighted = []
@@ -407,7 +403,8 @@ _METRIC_FOR_TASK = {"cls": "AUC", "loc": "mAP40", "seg": "Dice"}
 @no_grad()
 def predict(model, spec, samples, task, weights=None, features=None,
             head_inputs=None) -> dict[str, np.ndarray]:
-    """Decoded outputs of one task on a sample list, one row per sample.
+    """Decoded outputs of one task on a sample list, one row per sample;
+    :func:`score` scores them and ``cyclictrain eval`` also dumps them.
 
     ``cls`` gives ``scores`` (sigmoid of the logits), ``loc`` gives
     ``boxes`` and the class ``logits`` per query, ``seg`` gives mask
@@ -419,8 +416,7 @@ def predict(model, spec, samples, task, weights=None, features=None,
     chunks it lacks run the backbone and are stored, the others run only
     the task's branch.  One such memo serves the tasks of one sample list
     under one weight set, for one call of its owner.  ``head_inputs``
-    holds the input of each task's own head (the backbone map for cls, the
-    loc encoder map for loc, the seg decoder map for seg) keyed by
+    holds each task's head input (see ``model.BRANCHES``) keyed by
     ``(chunk start, task)``: a chunk it holds runs the head alone.  It may
     outlive a call, but only while every component below the heads stays
     unchanged; head-only :func:`finetune` keeps one for its whole run.
@@ -454,22 +450,20 @@ def predict(model, spec, samples, task, weights=None, features=None,
     return {"logits": arrays[0]}
 
 
-def evaluate_task(model, spec, samples, task, weights=None, features=None, head_inputs=None):
-    """Metric value for one task on a sample list: AUC, mAP40 or Dice.
+def score(samples, task, out) -> tuple[float | None, str]:
+    """``(value, metric name)`` of one task from :func:`predict`'s ``out`` on ``samples``.
 
-    ``features`` is :func:`predict`'s per-call backbone memo for ``samples``
-    under ``weights``, shared by the tasks evaluated on them;
-    ``head_inputs`` is its head-input memo, which lives as long as its owner
-    keeps it (see :func:`predict`).
+    AUC for cls; mAP40 for loc, one detection per query (its likeliest class
+    but "no object"); mean Dice over (sample, class) masks for seg.  None if
+    ``samples`` is empty.
     """
+    name = _METRIC_FOR_TASK[task]
     if not samples:
-        return None, _METRIC_FOR_TASK[task]
-    out = predict(model, spec, samples, task, weights, features, head_inputs)
+        return None, name
     if task == "cls":
-        return auc(out["scores"], np.stack([s.labels for s in samples])), "AUC"
+        return auc(out["scores"], np.stack([s.labels for s in samples])), name
     if task == "loc":
         boxes = out["boxes"]
-        # one detection per query: its most likely class other than "no object"
         class_probs = softmax(out["logits"]).data[..., :-1]
         class_ids = np.argmax(class_probs, axis=-1)
         detections = Detections(
@@ -480,60 +474,55 @@ def evaluate_task(model, spec, samples, task, weights=None, features=None, head_
         )
         gts = [GroundTruth(image_id=s.sample_id, box=tuple(b), class_id=int(c))
                for s in samples for b, c in zip(s.boxes.boxes, s.boxes.class_ids)]
-        return map_at_iou(detections, gts, iou_threshold=0.40), "mAP40"
+        return map_at_iou(detections, gts, iou_threshold=0.40), name
     pred = out["logits"] > 0.0  # sigmoid(z) > 0.5 iff z > 0
     values = [dice(pred[i, c], s.mask[c])
               for i, s in enumerate(samples) for c in range(pred.shape[1])]
-    return float(np.mean(values)), "Dice"
+    return float(np.mean(values)), name
 
 
-def evaluate_dataset(model, bundle: DatasetBundle, weights=None, features=None):
-    """(task, metric_name, value) on the test split for every declared task.
+def evaluate_task(model, spec, samples, task, weights=None, features=None, head_inputs=None):
+    """:func:`predict` then :func:`score`: ``(value, metric name)`` of one task on ``samples``.
 
-    The tasks share one backbone pass per chunk (see :func:`predict`).  A
-    caller that goes on to predict on the same test split under the same
-    ``weights`` may pass its own ``features`` memo to reuse those passes.
+    An empty sample list runs no forward.  ``features`` and ``head_inputs``
+    are :func:`predict`'s backbone and head-input memos, owned by the caller.
     """
-    out = []
-    features = {} if features is None else features
-    for task in TASKS:
-        if task not in bundle.spec.tasks:
-            continue
-        value, name = evaluate_task(model, bundle.spec, bundle.test, task, weights,
-                                    features=features)
-        out.append((task, name, value))
-    return out
+    out = predict(model, spec, samples, task, weights, features, head_inputs) if samples else None
+    return score(samples, task, out)
 
 
-def _metric_records(model, spec, samples, tasks, mode, cycle, epoch,
-                    head_inputs=None) -> list[MetricsRecord]:
-    """One record per task in ``tasks`` that has a metric value on ``samples``.
+def _evaluate_tasks(model, spec, samples, tasks, weights=None, head_inputs=None):
+    """``(task, metric name, value)`` for each of ``tasks``, in cls -> loc -> seg order.
 
     The tasks share one backbone pass per chunk through a backbone memo that
     lives for this call only (see :func:`predict`).  ``head_inputs``, when
     given, is the caller's head-input memo for ``samples``; without one, no
     loc encoder or seg decoder map outlives its task.
     """
-    records = []
     features: dict = {}
+    out = []
     for task in TASKS:
-        if task not in tasks:
-            continue
-        value, metric_name = evaluate_task(model, spec, samples, task, features=features,
-                                           head_inputs=head_inputs)
-        if value is not None:
-            records.append(
-                MetricsRecord(
-                    cycle=cycle,
-                    epoch=epoch,
-                    dataset_id=spec.dataset_id,
-                    task=task,
-                    mode=mode,
-                    metric_name=metric_name,
-                    value=value,
-                )
-            )
-    return records
+        if task in tasks:
+            value, name = evaluate_task(model, spec, samples, task, weights, features, head_inputs)
+            out.append((task, name, value))
+    return out
+
+
+def evaluate_dataset(model, bundle: DatasetBundle, weights=None):
+    """(task, metric_name, value) on the test split for every declared task."""
+    return _evaluate_tasks(model, bundle.spec, bundle.test, bundle.spec.tasks, weights)
+
+
+def _metric_records(model, spec, samples, tasks, mode, cycle, epoch,
+                    head_inputs=None) -> list[MetricsRecord]:
+    """One record per task in ``tasks`` that has a metric value on ``samples``."""
+    return [
+        MetricsRecord(cycle=cycle, epoch=epoch, dataset_id=spec.dataset_id, task=task,
+                      mode=mode, metric_name=name, value=value)
+        for task, name, value in _evaluate_tasks(model, spec, samples, tasks,
+                                                 head_inputs=head_inputs)
+        if value is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

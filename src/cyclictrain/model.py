@@ -33,6 +33,8 @@ __all__ = [
     "BACKBONE",
     "LOC_ENCODER",
     "SEG_DECODER",
+    "BRANCHES",
+    "SHARED_COMPONENTS",
     "cls_head_component",
     "loc_decoder_component",
     "seg_head_component",
@@ -53,6 +55,10 @@ TASKS = ("cls", "loc", "seg")
 BACKBONE = "backbone"
 LOC_ENCODER = "loc_encoder"
 SEG_DECODER = "seg_decoder"
+
+# task -> the shared component whose map the task's head reads (cls reads the backbone's)
+BRANCHES = {"cls": None, "loc": LOC_ENCODER, "seg": SEG_DECODER}
+SHARED_COMPONENTS = (BACKBONE,) + tuple(b for b in BRANCHES.values() if b is not None)
 
 
 def cls_head_component(dataset_id: str) -> str:
@@ -128,9 +134,6 @@ class ModelGraph:
 
     def __len__(self) -> int:
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
@@ -262,14 +265,8 @@ class DatasetModelSpec:
 
     @property
     def tasks(self) -> tuple[str, ...]:
-        out = []
-        if self.cls_classes is not None:
-            out.append("cls")
-        if self.loc_classes is not None:
-            out.append("loc")
-        if self.seg_classes is not None:
-            out.append("seg")
-        return tuple(out)
+        counts = (self.cls_classes, self.loc_classes, self.seg_classes)
+        return tuple(task for task, n in zip(TASKS, counts) if n is not None)
 
 
 class MultiTaskModel:
@@ -367,11 +364,12 @@ class MultiTaskModel:
             )
         return Tensor(x)
 
-    def _conv_block(self, x, p, name, padding=1, act=False):
+    def _conv_block(self, x, p, name, act=False):
         # one tape node: conv, bias and, with ``act``, the leaky ReLU whose
         # small negative slope keeps gradients alive when imbalanced losses
-        # push a whole feature map negative early in training
-        return conv2d(x, p(f"{name}/w"), padding=padding, bias=p(f"{name}/b"),
+        # push a whole feature map negative early in training; padding keeps the size
+        w = p(f"{name}/w")
+        return conv2d(x, w, padding=w.shape[-1] // 2, bias=p(f"{name}/b"),
                       slope=0.1 if act else None)
 
     def _linear(self, x, p, name):
@@ -434,18 +432,18 @@ class MultiTaskModel:
         # shape-sensitive mixing runs at full encoder resolution; pooling to
         # the query grid afterwards keeps fine structure available to the
         # class head (ring-vs-disc distinctions die if pooled first)
-        h = self._conv_block(enc, p, f"{comp}/in", padding=0, act=True)
-        h = self._conv_block(h, p, f"{comp}/mix", padding=1, act=True)
+        h = self._conv_block(enc, p, f"{comp}/in", act=True)
+        h = self._conv_block(h, p, f"{comp}/mix", act=True)
         factor = a.fmap_size // a.loc_grid
         if factor > 1:
             h = maxpool2d(h, factor)
         q = reshape(p(f"{comp}/queries"), (1, a.query_dim, a.loc_grid, a.loc_grid))
         h = add(h, q)
         n = h.shape[0]
-        box_z = add(self._conv_block(h, p, f"{comp}/box", padding=0),
+        box_z = add(self._conv_block(h, p, f"{comp}/box"),
                     Tensor(self._box_reference_logits()))
         boxes = sigmoid(permute(reshape(box_z, (n, 4, a.num_queries)), (0, 2, 1)))
-        cls_z = self._conv_block(h, p, f"{comp}/cls", padding=0)
+        cls_z = self._conv_block(h, p, f"{comp}/cls")
         logits = permute(reshape(cls_z, (n, spec.loc_classes + 1, a.num_queries)), (0, 2, 1))
         return boxes, logits
 
@@ -458,7 +456,7 @@ class MultiTaskModel:
         self._require(dataset_id, "seg")
         p = self._resolver(weights)
         comp = seg_head_component(dataset_id)
-        return self._conv_block(dec, p, f"{comp}/conv", padding=0)
+        return self._conv_block(dec, p, f"{comp}/conv")
 
     def task_branch(self, emb: Tensor, task: str, dataset_id: str, weights=None):
         """One task's branch over backbone features: ``(output, feature)``.
@@ -468,16 +466,21 @@ class MultiTaskModel:
         None for cls), which the consistency loss compares.  ``emb`` is only
         read, so one backbone pass can feed every task of a dataset.
         """
-        branch = {"loc": self.loc_encoder_features, "seg": self.seg_decoder_features}.get(task)
-        feature = None if branch is None else branch(emb, weights)
+        feature = self.branch_features(emb, task, weights)
         return self.head(emb if feature is None else feature, task, dataset_id, weights), feature
+
+    def branch_features(self, emb: Tensor, task: str, weights=None) -> Tensor | None:
+        """The ``BRANCHES[task]`` map over ``emb``; None for cls, whose head reads ``emb``."""
+        forward = {LOC_ENCODER: self.loc_encoder_features,
+                   SEG_DECODER: self.seg_decoder_features}.get(BRANCHES.get(task))
+        return None if forward is None else forward(emb, weights)
 
     def head(self, head_input: Tensor, task: str, dataset_id: str, weights=None):
         """The dataset's own head of one task, on that head's input.
 
-        The input is the backbone map for cls, the loc encoder map for loc
-        and the seg decoder map for seg; the output is the cls logits, the
-        loc ``(boxes, logits)`` pair or the seg logits.
+        The input is the map of the task's ``BRANCHES`` entry (the backbone
+        map for cls); the output is the cls logits, the loc ``(boxes,
+        logits)`` pair or the seg logits.
         """
         if task == "cls":
             return self.cls_logits(head_input, dataset_id, weights)
@@ -534,14 +537,6 @@ def build_model(arch: ArchConfig, dataset_specs) -> MultiTaskModel:
     return model
 
 
-# task -> (its per-dataset head/decoder, the shared components it routes through)
-_TASK_COMPONENTS = {
-    "cls": (cls_head_component, (BACKBONE,)),
-    "loc": (loc_decoder_component, (BACKBONE, LOC_ENCODER)),
-    "seg": (seg_head_component, (BACKBONE, SEG_DECODER)),
-}
-
-
 def trainable_components(task: str, mode: str, dataset_id: str) -> frozenset[str]:
     """The components one (task, mode) epoch on ``dataset_id`` trains.
 
@@ -553,8 +548,11 @@ def trainable_components(task: str, mode: str, dataset_id: str) -> frozenset[str
         raise ValueError(f"unknown task '{task}'")
     if mode not in ("lock", "release"):
         raise ValueError(f"unknown mode '{mode}'")
-    head, shared = _TASK_COMPONENTS[task]
-    return frozenset((head(dataset_id),) + (shared if mode == "release" else ()))
+    head = {"cls": cls_head_component, "loc": loc_decoder_component,
+            "seg": seg_head_component}[task](dataset_id)
+    if mode == "lock":
+        return frozenset((head,))
+    return frozenset({head, BACKBONE, BRANCHES[task]} - {None})
 
 
 def count_params(model: MultiTaskModel) -> tuple[dict[str, int], int]:

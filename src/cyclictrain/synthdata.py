@@ -392,26 +392,57 @@ def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
         f.write("\n")
 
 
+@dataclass(frozen=True)
+class _ArrayFile:
+    """One ``arrays`` entry of a dataset manifest."""
+
+    file: str
+    dtype: str
+    shape: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            np.dtype(self.dtype)
+        except TypeError:
+            raise ValueError(f"dtype {self.dtype!r} is not a numpy dtype") from None
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    format_version: int
+    spec: SynthDatasetSpec
+    arrays: dict[str, _ArrayFile]
+
+
 def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
-    """Read a :func:`save_dataset` directory; ValueError on an unknown version or a bad length."""
+    """Read a :func:`save_dataset` directory; ValueError, naming the file, on bad input.
+
+    The manifest is decoded by the config file's rules (:mod:`cyclictrain.config`).
+    """
+    from .config import _from_dict  # config imports this module, so not at load time
+
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
-    version = manifest.get("format_version")
-    if version != DATASET_FORMAT_VERSION:
-        raise ValueError(f"{manifest_path}: unsupported format version {version!r}")
-    spec = SynthDatasetSpec(**manifest["spec"])
+    if isinstance(manifest, dict) and manifest.get("format_version") != DATASET_FORMAT_VERSION:
+        raise ValueError(f"{manifest_path}: unsupported format version "
+                         f"{manifest.get('format_version')!r}")
+    try:
+        decoded = _from_dict(_Manifest, manifest, "")
+    except ValueError as e:
+        raise ValueError(f"{manifest_path}: {e}") from None
+    spec = decoded.spec
     arrays: dict[str, np.ndarray] = {}
-    for name, meta in manifest["arrays"].items():
-        path = os.path.join(directory, meta["file"])
+    for name, meta in decoded.arrays.items():
+        path = os.path.join(directory, meta.file)
         with open(path, "rb") as f:
             raw = f.read()
-        dtype = np.dtype(meta["dtype"])
-        expected = math.prod(meta["shape"]) * dtype.itemsize
+        dtype = np.dtype(meta.dtype)
+        expected = math.prod(meta.shape) * dtype.itemsize
         if len(raw) != expected:
-            raise ValueError(f"{path}: {len(raw)} bytes, but shape {meta['shape']} "
+            raise ValueError(f"{path}: {len(raw)} bytes, but shape {list(meta.shape)} "
                              f"of {dtype} needs {expected}")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(meta["shape"])
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(meta.shape)
     samples = []
     at = 0
     for i in range(spec.num_images):

@@ -419,8 +419,12 @@ def test_criterion_08_checkpoint_round_trip(tmp_path):
 # 9. desk-scale learning smoke test
 
 
-def test_criterion_09_learning_smoke():
-    t0 = time.time()
+# Criteria 09 and 10 are defined once, here: tools/gate_margin.py reruns them
+# to measure how far their gates clear.
+
+
+def criterion_09_setup():
+    """Criterion 09's datasets, training config and untrained model."""
     specs = [preset_cls_only(), preset_cls_loc(), preset_cls_loc_seg()]
     # paper-table defaults scaled to desk size: backbone an order of
     # magnitude colder than the branches, AdamW, batch 8
@@ -428,7 +432,12 @@ def test_criterion_09_learning_smoke():
         lr_backbone=3e-4, lr_loc=6e-3, lr_seg=1e-2, lr_cls_head=1e-2,
         num_cycles=5, batch_size=8, epochs_per_task=5, seed=0,
     )
-    model = build_model(ArchConfig(), [s.model_spec() for s in specs])
+    return specs, cfg, build_model(ArchConfig(), [s.model_spec() for s in specs])
+
+
+def test_criterion_09_learning_smoke():
+    t0 = time.time()
+    specs, cfg, model = criterion_09_setup()
     result = run_pretraining(model, specs, cfg)
     bundles = prepare_bundles(specs, cfg)
     exported = export_teacher(result.model, result.teacher)
@@ -450,25 +459,27 @@ def test_criterion_09_learning_smoke():
 # 10. ablation direction: lock-release + student-teacher helps
 
 
-def test_criterion_10_ablation_direction():
-    def run(seed, enabled):
-        spec = preset_loc_only(num_images=160)
-        cfg = TrainConfig(
-            lr_backbone=3e-4, lr_loc=6e-3,
-            lock_release={"cls": False, "loc": enabled, "seg": False},
-            student_teacher=enabled,
-            num_cycles=3, batch_size=8, epochs_per_task=2, seed=seed,
-        )
-        model = build_model(ArchConfig(init_seed=seed), [spec.model_spec()])
-        result = run_pretraining(model, [spec], cfg)
-        bundle = prepare_bundles([spec], cfg)[spec.dataset_id]
-        values = dict(
-            (task, value) for task, _, value in evaluate_dataset(result.model, bundle)
-        )
-        return values["loc"]
+def criterion_10_loc_map(seed, enabled):
+    """One criterion 10 run: test-split loc mAP40, lock-release and teacher on or off."""
+    spec = preset_loc_only(num_images=160)
+    cfg = TrainConfig(
+        lr_backbone=3e-4, lr_loc=6e-3,
+        lock_release={"cls": False, "loc": enabled, "seg": False},
+        student_teacher=enabled,
+        num_cycles=3, batch_size=8, epochs_per_task=2, seed=seed,
+    )
+    model = build_model(ArchConfig(init_seed=seed), [spec.model_spec()])
+    result = run_pretraining(model, [spec], cfg)
+    bundle = prepare_bundles([spec], cfg)[spec.dataset_id]
+    values = dict(
+        (task, value) for task, _, value in evaluate_dataset(result.model, bundle)
+    )
+    return values["loc"]
 
-    with_both = [run(seed, True) for seed in range(5)]
-    without = [run(seed, False) for seed in range(5)]
+
+def test_criterion_10_ablation_direction():
+    with_both = [criterion_10_loc_map(seed, True) for seed in range(5)]
+    without = [criterion_10_loc_map(seed, False) for seed in range(5)]
     ok = float(np.mean(with_both)) >= float(np.mean(without))
     _report(10, "ablation direction", ok,
             f"mean mAP40 with lock-release+teacher {np.mean(with_both):.3f} "

@@ -13,7 +13,7 @@ from cyclictrain.config import (
     load_run_config,
     run_config_from_dict,
 )
-from cyclictrain.engine import TrainConfig, prepare_bundles
+from cyclictrain.engine import TrainConfig, build_cycle_plan, predict, prepare_bundles
 from cyclictrain.metrics import auc, dice, map_at_iou, Detection, GroundTruth
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
@@ -111,6 +111,29 @@ def test_repeated_shape_class_is_a_config_error():
     cfg["datasets"][1]["shape_classes"] = ["ring", "ellipse", "ring"]
     with pytest.raises(ConfigError, match=r"datasets\[1\]: shape_classes repeats \['ring'\]"):
         run_config_from_dict(cfg)
+
+
+def test_partial_lock_release_keeps_the_defaults_from_json_and_python():
+    cfg = _base_config("out", lock_release={"cls": True})
+    cfg["datasets"] = [json.loads(json.dumps(dataclasses.asdict(synthdata.preset_organ_pairs())))]
+    from_json = run_config_from_dict(cfg)
+    from_python = TrainConfig(**{**cfg["train"], "lock_release": {"cls": True}})
+    assert from_python == from_json.train
+    assert from_python.lock_release == {"cls": True, "loc": True, "seg": True}
+    plans = [build_cycle_plan(from_json.datasets, train).entries
+             for train in (from_json.train, from_python)]
+    assert plans[0] == plans[1]
+    assert (len(plans[1]), sum(e.mode == "lock" for e in plans[1])) == (12, 6)
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"cls": 1}, r"train\.lock_release\.cls: expected bool, got int"),
+    ({"box": True}, r"train: lock_release has unknown tasks \['box'\]"),
+    (["cls"], r"train\.lock_release: expected dict, got list"),
+], ids=["flag-an-int", "unknown-task", "a-list"])
+def test_bad_lock_release_is_a_config_error(flags, message):
+    with pytest.raises(ConfigError, match=message):
+        run_config_from_dict(_base_config("out", lock_release=flags))
 
 
 def test_config_hash_stable_and_out_dir_independent():
@@ -492,8 +515,8 @@ def test_dumped_predictions_equal_a_plain_forward(tmp_path):
         bundle = prepare_bundles(specs, cfg.train)[spec.dataset_id]
         if test_size is not None:
             assert len(bundle.test) == test_size
-        cli._dump_predictions(model, bundle, None, str(tmp_path / spec.dataset_id))
-        data = np.load(tmp_path / spec.dataset_id / "predictions.npz")
+        data = {f"{task}_{key}": a for task in spec.tasks
+                for key, a in predict(model, spec, bundle.test, task).items()}
 
         x = np.stack([s.image for s in bundle.test])[:, None, :, :]
         logits = model.forward_cls(x, spec.dataset_id)
@@ -540,6 +563,39 @@ def test_cmd_eval_dumps_zero_rows_for_an_empty_test_split(tmp_path, capsys):
         "seg_logits": ("<f8", (0, 3, 16, 16)),
         "seg_masks": ("<i8", (0, 3, 16, 16)),
     }
+
+
+def test_cmd_eval_runs_each_branch_and_head_once_for_metrics_and_dump(tmp_path, monkeypatch):
+    out, cfg = _pretrained(tmp_path)
+    path = _write(tmp_path, cfg)
+    calls = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = ("backbone_features", "loc_encoder_features", "seg_decoder_features",
+             "cls_logits", "loc_predictions", "seg_logits")
+    for name in names:
+        monkeypatch.setattr(MultiTaskModel, name, counting(name, getattr(MultiTaskModel, name)))
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoints" / "final"),
+                     "--config", path, "--dataset", "boxesmasks",
+                     "--dump-predictions", str(tmp_path / "dump")]) == 0
+    assert calls == dict.fromkeys(names, 1)  # the test split is one 64-image chunk
+
+
+def test_readme_pretrain_then_finetune_prints_no_hash_warning(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CYCLICTRAIN_OUT_DIR", str(tmp_path / "demo"))
+    final = str(tmp_path / "demo" / "checkpoints" / "final")
+    assert cli.main(["pretrain", "--config", str(DEMOS / "run_config.json")]) == 0
+    assert cli.main(["finetune", "--checkpoint", final,
+                     "--config", str(DEMOS / "finetune_config.json"), "--mode", "head-only",
+                     "--few-shot", "3", "--init-new-head"]) == 0
+    assert cli.main(["eval", "--checkpoint", final, "--config", str(DEMOS / "finetune_config.json"),
+                     "--dataset", "labels_boxes_masks"]) == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_cmd_eval_warns_on_config_hash_mismatch(tmp_path, capsys):

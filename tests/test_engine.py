@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyclictrain import engine
 from cyclictrain.engine import (
     DatasetBundle,
     TeacherState,
@@ -19,6 +20,7 @@ from cyclictrain.engine import (
     sample_lock_subset,
 )
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model, trainable_components
+from cyclictrain.optim import AdamW
 from cyclictrain.synthdata import SynthDatasetSpec, preset_cls_loc_seg, preset_organ_pairs
 
 SMALL_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
@@ -211,7 +213,7 @@ def test_teacher_mirrors_shared_components_only_by_default():
     comps = {model.graph[n].component for n in teacher.params}
     assert comps == {"backbone", "loc_encoder", "seg_decoder"}
     full = TeacherState.init_from(model, momentum=0.8, mirror_heads=True)
-    assert set(full.params) == set(model.graph.names())
+    assert set(full.params) == {p.name for p in model.graph.parameters()}
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +341,37 @@ def test_run_epoch_rejects_empty_data_and_wrong_bundle():
 # run_pretraining
 
 
+def test_step_decay_scales_the_learning_rate_per_interval():
+    cfg = TrainConfig(step_decay_factor=0.1, step_decay_interval=2)
+    assert [cfg.lr_scale_at(e) for e in range(5)] == [1.0, 1.0, 0.1, 0.1, 0.1 ** 2]
+    assert [TrainConfig(step_decay_factor=0.1).lr_scale_at(e) for e in range(5)] == [1.0] * 5
+
+
+def test_every_pretraining_step_uses_the_global_epoch_decay(monkeypatch):
+    specs = _tiny_specs()[:2]  # 1 + (1 + 2) epochs per cycle
+    model, bundles, cfg = _build(specs, num_cycles=2, batch_size=4, seed=3,
+                                 step_decay_factor=0.5, step_decay_interval=2)
+    epochs_started = []
+    steps = []
+    original_run_epoch, original_step = engine.run_epoch, AdamW.step
+
+    def run_epoch(*args, **kwargs):
+        epochs_started.append(len(epochs_started))
+        return original_run_epoch(*args, **kwargs)
+
+    def step(self, params, grads, lr_scale=1.0):
+        steps.append((epochs_started[-1], lr_scale))
+        original_step(self, params, grads, lr_scale=lr_scale)
+
+    monkeypatch.setattr(engine, "run_epoch", run_epoch)
+    monkeypatch.setattr(AdamW, "step", step)
+    run_pretraining(model, specs, cfg, bundles=bundles)
+    assert epochs_started == list(range(8))
+    assert {epoch for epoch, _ in steps} == set(range(8))
+    assert all(scale == cfg.lr_scale_at(epoch) for epoch, scale in steps)
+    assert sorted({scale for _, scale in steps}) == [0.125, 0.25, 0.5, 1.0]
+
+
 def test_two_cycles_of_organ_scenario_run_24_epochs_12_evals():
     spec = _organ_spec()
     cfg = TrainConfig(num_cycles=2, batch_size=8)
@@ -418,7 +451,6 @@ def test_eval_every_epoch_adds_cross_dataset_rows():
 def test_loc_eval_scores_every_query_slot_in_one_map_call(monkeypatch):
     # perfbench's tracer rebinds engine.map_at_iou: it times that call and
     # counts len(detections) as metrics.detections_scored
-    from cyclictrain import engine
 
     calls = []
 
@@ -492,7 +524,6 @@ def test_task_branches_leave_the_shared_features_unchanged(three_task_eval):
 
 def _backbone_passes_per_evaluation(monkeypatch) -> list:
     """Backbone passes made inside each ``evaluate_task`` call, in call order."""
-    from cyclictrain import engine
 
     calls = _record_backbone_calls(monkeypatch)
     per_call = []
@@ -609,7 +640,6 @@ def test_finetune_splits_subtask_data_like_pretraining():
 
 def _count_branch_passes_inside_evaluation(monkeypatch) -> dict:
     """Calls of the backbone, loc encoder and seg decoder made inside ``evaluate_task``."""
-    from cyclictrain import engine
 
     counts = dict.fromkeys(("backbone_features", "loc_encoder_features",
                             "seg_decoder_features"), 0)
@@ -666,8 +696,6 @@ def test_finetune_scores_like_a_fresh_evaluation_with_one_pass_per_memo(
 
 
 def test_head_only_finetune_rejects_a_moved_frozen_component_before_scoring(monkeypatch):
-    from cyclictrain import engine
-    from cyclictrain.optim import AdamW
 
     spec = _tiny_specs()[2]
     model, _, cfg = _build([spec], batch_size=4)

@@ -293,3 +293,54 @@ def test_load_rejects_a_truncated_array_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])  # one float64 short
     with pytest.raises(ValueError, match=r"images\.bin: 32760 bytes, but shape \[4, 32, 32\]"):
         load_dataset(str(directory))
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+    return edit
+
+
+def _set_spec(key, value):
+    def edit(manifest):
+        manifest["spec"][key] = value
+    return edit
+
+
+def _set_array(name, value):
+    def edit(manifest):
+        manifest["arrays"][name] = value
+    return edit
+
+
+def _set_image_entry(key, value):
+    def edit(manifest):
+        manifest["arrays"]["images"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_drop("spec"), "spec: required key missing"),
+    (_drop("arrays"), "arrays: required key missing"),
+    (_set_spec("colour", "red"), "spec.colour: unknown key"),
+    (_set_spec("num_images", "4"), "spec.num_images: expected int, got str"),
+    (_set_spec("tasks", "loc"), "spec.tasks: expected list, got str"),
+    (_set_spec("tasks", ["loc", "box"]), "spec: unknown tasks ['box']"),
+    (_set_array("images", "images.bin"), "arrays.images: expected an object"),
+    (_set_image_entry("dtype", "float99"), "arrays.images: dtype 'float99' is not a numpy dtype"),
+    (_set_image_entry("dtype", 8), "arrays.images.dtype: expected str, got int"),
+    (_set_image_entry("file", None), "arrays.images.file: expected str, got NoneType"),
+    (_set_image_entry("shape", [4, "32", 32]), "arrays.images.shape[1]: expected int, got str"),
+    (lambda manifest: [manifest], "top level: expected an object"),
+], ids=["no-spec", "no-arrays", "unknown-spec-key", "num-images-a-string", "tasks-a-string",
+        "unknown-task", "entry-a-string", "bad-dtype", "dtype-a-number", "file-null",
+        "shape-of-a-string", "manifest-a-list"])
+def test_load_rejects_a_bad_manifest_naming_its_path(tmp_path, edit, where):
+    directory = _saved(tmp_path)
+    mpath = directory / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest = edit(manifest) or manifest  # an edit may return a whole new manifest
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as info:
+        load_dataset(str(directory))
+    assert str(info.value) == f"{mpath}: {where}"

@@ -1,10 +1,12 @@
 """How far the learning gates of acceptance criteria 09 and 10 clear their bounds.
 
 Criterion 09 trains one seeded run and checks AUC >= 0.90, Dice >= 0.80 and
-mAP40 >= 0.50 on the teacher export.  This study reruns its exact config
-``--runs`` times, run k with every non-zero initial weight moved by one ulp
-(``np.nextafter``) in a direction drawn from ``RandomState(1000 + k)``, plus
-the unperturbed run.  Each run's teacher export is scored on the 40-image
+mAP40 >= 0.50 on the teacher export.  Both criteria are imported from
+``tests/test_acceptance.py`` (``criterion_09_setup`` and
+``criterion_10_loc_map``), so the study runs what the tests run.  It reruns
+criterion 09 ``--runs`` times, run k with every non-zero initial weight
+moved by one ulp (``np.nextafter``) in a direction drawn from
+``RandomState(1000 + k)``, plus the unperturbed run.  Each run's teacher export is scored on the 40-image
 test split and on a fresh 1000-image set
 (``preset_cls_loc_seg(num_images=1000, seed=9303)``).  The study prints the
 unperturbed value and the min / median / max of the perturbed runs per
@@ -33,20 +35,20 @@ import time  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
 from cyclictrain import synthdata  # noqa: E402
 from cyclictrain.engine import (  # noqa: E402
     DatasetBundle,
-    TrainConfig,
     evaluate_dataset,
     export_teacher,
     prepare_bundles,
     run_pretraining,
 )
-from cyclictrain.model import ArchConfig, build_model  # noqa: E402
+from test_acceptance import criterion_09_setup, criterion_10_loc_map  # noqa: E402
 
 # (metric key, label, gate)
 GATES = (
@@ -71,13 +73,7 @@ def perturb(model, k: int) -> None:
 
 def criterion_09_run(k):
     """Criterion 09's run, perturbed by ``k`` (None: as the test runs it); metric -> value."""
-    specs = [synthdata.preset_cls_only(), synthdata.preset_cls_loc(),
-             synthdata.preset_cls_loc_seg()]
-    cfg = TrainConfig(
-        lr_backbone=3e-4, lr_loc=6e-3, lr_seg=1e-2, lr_cls_head=1e-2,
-        num_cycles=5, batch_size=8, epochs_per_task=5, seed=0,
-    )
-    model = build_model(ArchConfig(), [s.model_spec() for s in specs])
+    specs, cfg, model = criterion_09_setup()
     if k is not None:
         perturb(model, k)
     result = run_pretraining(model, specs, cfg)
@@ -92,22 +88,6 @@ def criterion_09_run(k):
     return values
 
 
-def criterion_10_run(seed_and_enabled):
-    """One of criterion 10's ten runs: its loc mAP40 on the test split."""
-    seed, enabled = seed_and_enabled
-    spec = synthdata.preset_loc_only(num_images=160)
-    cfg = TrainConfig(
-        lr_backbone=3e-4, lr_loc=6e-3,
-        lock_release={"cls": False, "loc": enabled, "seg": False},
-        student_teacher=enabled,
-        num_cycles=3, batch_size=8, epochs_per_task=2, seed=seed,
-    )
-    model = build_model(ArchConfig(init_seed=seed), [spec.model_spec()])
-    result = run_pretraining(model, [spec], cfg)
-    bundle = prepare_bundles([spec], cfg)[spec.dataset_id]
-    return dict((task, value) for task, _, value in evaluate_dataset(result.model, bundle))["loc"]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10, help="perturbed criterion 09 runs")
@@ -117,12 +97,13 @@ def main(argv=None) -> int:
         parser.error("--runs and --jobs must be at least 1")
 
     t0 = time.time()
-    ablation = [(seed, enabled) for enabled in (True, False) for seed in range(5)]
+    # criterion 10's ten runs: seeds 0-4 with lock-release and the teacher, then without
+    seeds, enabled = list(range(5)) * 2, [True] * 5 + [False] * 5
     # spawned workers import this file afresh, which sets their BLAS threads too
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
         runs = pool.map(criterion_09_run, [None] + list(range(args.runs)))
-        loc = pool.map(criterion_10_run, ablation)
+        loc = pool.map(criterion_10_loc_map, seeds, enabled)
         runs, loc = list(runs), list(loc)
     unperturbed, perturbed = runs[0], runs[1:]
 
