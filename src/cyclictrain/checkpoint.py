@@ -9,18 +9,23 @@ component; the optimizer's moments are the arrays ``<param>/m`` and
 reproduces the directory byte for byte.  Next to each list sits the
 SHA-256 of the blob's bytes (``sha256``, ``teacher.sha256``,
 ``optimizer.sha256``); loading verifies it, so a damaged blob of the right
-length is rejected rather than loaded.
+length is rejected rather than loaded.  The manifest's one schema is the
+private records below: saving writes them, and loading decodes them by the
+config file's rules (:func:`cyclictrain.config._from_dict`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _from_dict
 from .engine import TeacherState
 from .model import MultiTaskModel
 from .optim import AdamW
@@ -48,16 +53,75 @@ class Checkpoint:
     optimizer_state: dict | None = None
 
 
+@dataclass(frozen=True)
+class _Entry:
+    name: str
+    shape: tuple[int, ...]
+    offset: int  # in elements, from the start of the blob
+
+    def __post_init__(self):
+        if any(d < 0 for d in self.shape):
+            raise ValueError(f"shape {list(self.shape)} has a negative dimension")
+
+
+@dataclass(frozen=True)
+class _StudentEntry(_Entry):
+    component: str
+
+
+@dataclass(frozen=True)
+class _Teacher:
+    momentum: float
+    params: tuple[_Entry, ...]
+    sha256: str
+
+    def __post_init__(self):
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"momentum {self.momentum!r} is not in [0, 1]")
+
+
+@dataclass(frozen=True)
+class _OptimizerEntry:
+    name: str
+    lr: float
+    step_count: int
+
+
+@dataclass(frozen=True)
+class _Optimizer:
+    betas: tuple[float, float]
+    eps: float
+    weight_decay: float
+    # a list, not a dict: json.dump sorts dict keys, and the order read
+    # back here is the order of optim.bin on the next save
+    entries: tuple[_OptimizerEntry, ...]
+    params: tuple[_Entry, ...]
+    sha256: str
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    format_version: int
+    config_hash: str
+    weights_kind: str
+    counters: dict[str, int]
+    total_elements: int
+    params: tuple[_StudentEntry, ...]
+    sha256: str
+    teacher: _Teacher | None = None  # an absent section is left out of the file
+    optimizer: _Optimizer | None = None
+
+
 def _blob_entries(arrays: dict[str, np.ndarray], components: dict[str, str] | None = None):
     entries = []
     offset = 0
     for name, arr in arrays.items():
-        entry = {"name": name, "shape": list(arr.shape), "offset": offset}
-        if components is not None:
-            entry["component"] = components[name]
-        entries.append(entry)
+        if components is None:
+            entries.append(_Entry(name, arr.shape, offset))
+        else:
+            entries.append(_StudentEntry(name, arr.shape, offset, components[name]))
         offset += arr.size
-    return entries, offset
+    return tuple(entries)
 
 
 def _write_blob(directory: str, label: str, arrays: dict[str, np.ndarray]) -> str:
@@ -71,28 +135,6 @@ def _write_blob(directory: str, label: str, arrays: dict[str, np.ndarray]) -> st
     return digest.hexdigest()
 
 
-def _field(section, path: str):
-    """``section[key]`` for the last key of ``path``; CheckpointError if absent."""
-    key = path.rsplit(".", 1)[-1]
-    if not isinstance(section, dict) or key not in section:
-        raise CheckpointError(f"manifest lacks required key '{path}'")
-    return section[key]
-
-
-def _integer(value, path: str) -> int:
-    """``value`` if it is a JSON integer; CheckpointError otherwise (1.5 and true too)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CheckpointError(f"manifest {path} is {value!r}, not an integer")
-    return value
-
-
-def _number(value, path: str):
-    """``value`` if it is a JSON number; CheckpointError otherwise (true too)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise CheckpointError(f"manifest {path} is {value!r}, not a number")
-    return value
-
-
 def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np.ndarray]:
     try:
         with open(os.path.join(directory, label), "rb") as f:
@@ -103,38 +145,24 @@ def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np
         raise CheckpointError(f"{label}: blob length {len(raw)} is not a multiple of 8")
     flat = np.frombuffer(raw, dtype="<f8")
     out: dict[str, np.ndarray] = {}
-    expected_end = 0
-    for i, entry in enumerate(entries):
-        at = f"{label} entries[{i}]"
-        name = _field(entry, f"{at}.name")
-        shape = tuple(_integer(d, f"{at}.shape") for d in _field(entry, f"{at}.shape"))
-        offset = _integer(_field(entry, f"{at}.offset"), f"{at}.offset")
-        size = 1
-        for d in shape:
-            size *= d
-        if offset != expected_end:
-            raise CheckpointError(
-                f"{label}: parameter '{name}' declared at offset {offset}, "
-                f"expected {expected_end}"
-            )
-        end = offset + size
+    end = 0
+    for e in entries:
+        if e.name in out:
+            raise CheckpointError(f"{label}: parameter '{e.name}' is listed twice")
+        if e.offset != end:
+            raise CheckpointError(f"{label}: parameter '{e.name}' declared at offset "
+                                  f"{e.offset}, expected {end}")
+        end += math.prod(e.shape)
         if end > flat.size:
-            raise CheckpointError(
-                f"{label}: parameter '{name}' at offset {offset} needs {size} "
-                f"elements but blob holds {flat.size}"
-            )
-        out[name] = flat[offset:end].reshape(shape).astype(np.float64)
-        expected_end = end
-    if expected_end != flat.size:
+            raise CheckpointError(f"{label}: parameter '{e.name}' at offset {e.offset} needs "
+                                  f"{end - e.offset} elements but blob holds {flat.size}")
+        out[e.name] = flat[e.offset:end].reshape(e.shape).astype(np.float64)
+    if end != flat.size:
         raise CheckpointError(
-            f"{label}: blob holds {flat.size} elements, manifest accounts for "
-            f"{expected_end}"
-        )
+            f"{label}: blob holds {flat.size} elements, manifest accounts for {end}")
     actual = hashlib.sha256(raw).hexdigest()
     if actual != sha256:
-        raise CheckpointError(
-            f"{label}: SHA-256 {actual} does not match the manifest's {sha256}"
-        )
+        raise CheckpointError(f"{label}: SHA-256 {actual} does not match the manifest's {sha256}")
     return out
 
 
@@ -165,47 +193,27 @@ def save_checkpoint(
             )
         arrays[p.name] = np.asarray(data, dtype=np.float64)
         components[p.name] = p.component
-    param_entries, total = _blob_entries(arrays, components)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config_hash": config_hash,
-        "weights_kind": weights_kind,
-        "counters": dict(counters or {}),
-        "total_elements": total,
-        "params": param_entries,
-    }
-    manifest["sha256"] = _write_blob(directory, "student.bin", arrays)
-
+    teacher_section = optimizer_section = None
     if teacher is not None:
-        teacher_entries, _ = _blob_entries(teacher.params)
-        manifest["teacher"] = {
-            "momentum": teacher.momentum,
-            "params": teacher_entries,
-            "sha256": _write_blob(directory, "teacher.bin", teacher.params),
-        }
+        teacher_section = _Teacher(teacher.momentum, _blob_entries(teacher.params),
+                                   _write_blob(directory, "teacher.bin", teacher.params))
     if optimizer is not None:
         state = optimizer.export_state()
-        moment_arrays: dict[str, np.ndarray] = {}
-        for name, entry in state["entries"].items():
-            moment_arrays[f"{name}/m"] = entry["m"]
-            moment_arrays[f"{name}/v"] = entry["v"]
-        moment_entries, _ = _blob_entries(moment_arrays)
-        # a list, not a dict: json.dump sorts dict keys, and the order read
-        # back here is the order of optim.bin on the next save
-        manifest["optimizer"] = {
-            "betas": state["betas"],
-            "eps": state["eps"],
-            "weight_decay": state["weight_decay"],
-            "entries": [
-                {"name": name, "lr": e["lr"], "step_count": e["step_count"]}
-                for name, e in state["entries"].items()
-            ],
-            "params": moment_entries,
-            "sha256": _write_blob(directory, "optim.bin", moment_arrays),
-        }
-
+        moments = {f"{name}/{k}": e[k] for name, e in state["entries"].items() for k in "mv"}
+        optimizer_section = _Optimizer(
+            betas=tuple(state["betas"]), eps=state["eps"], weight_decay=state["weight_decay"],
+            entries=tuple(_OptimizerEntry(name, e["lr"], e["step_count"])
+                          for name, e in state["entries"].items()),
+            params=_blob_entries(moments), sha256=_write_blob(directory, "optim.bin", moments))
+    manifest = _Manifest(
+        format_version=FORMAT_VERSION, config_hash=config_hash, weights_kind=weights_kind,
+        counters=dict(counters or {}), total_elements=sum(a.size for a in arrays.values()),
+        params=_blob_entries(arrays, components),
+        sha256=_write_blob(directory, "student.bin", arrays),
+        teacher=teacher_section, optimizer=optimizer_section)
+    record = {k: v for k, v in dataclasses.asdict(manifest).items() if v is not None}
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(record, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -213,75 +221,40 @@ def load_checkpoint(directory: str) -> Checkpoint:
     manifest_path = os.path.join(directory, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+            data = json.load(f)
     except FileNotFoundError:
         raise CheckpointError(f"no manifest at {manifest_path}")
     except json.JSONDecodeError as e:
         raise CheckpointError(f"manifest is not valid JSON: {e}")
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"manifest is a JSON {type(manifest).__name__}, not an object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported format version {manifest.get('format_version')!r}"
-        )
-    params = _field(manifest, "params")
-    arrays = _read_blob(directory, "student.bin", params, _field(manifest, "sha256"))
-    components = {e["name"]: e.get("component", "") for e in params}
-    declared = _integer(manifest.get("total_elements", -1), "total_elements")
+    if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format version {data.get('format_version')!r}")
+    try:
+        m = _from_dict(_Manifest, data, "")
+    except ValueError as e:
+        raise CheckpointError(f"manifest.json: {e}") from None
+    if not m.params:
+        raise CheckpointError("manifest.json: params: a checkpoint holds at least one parameter")
+    arrays = _read_blob(directory, "student.bin", m.params, m.sha256)
     actual = sum(a.size for a in arrays.values())
-    if declared >= 0 and declared != actual:
-        raise CheckpointError(
-            f"manifest declares {declared} elements, blob holds {actual}"
-        )
-    counters = manifest.get("counters", {})
-    if not isinstance(counters, dict):
-        raise CheckpointError(f"manifest counters is a JSON {type(counters).__name__}, "
-                              "not an object")
-    cp = Checkpoint(
-        arrays=arrays,
-        components=components,
-        counters={k: _integer(v, f"counters.{k}") for k, v in counters.items()},
-        config_hash=manifest.get("config_hash", ""),
-        weights_kind=manifest.get("weights_kind", "student"),
-    )
-    if "teacher" in manifest:
-        t = manifest["teacher"]
-        momentum = _number(_field(t, "teacher.momentum"), "teacher.momentum")
-        if not 0.0 <= momentum <= 1.0:
-            raise CheckpointError(f"manifest teacher.momentum is {momentum!r}, not in [0, 1]")
-        cp.teacher_momentum = float(momentum)
-        cp.teacher_arrays = _read_blob(
-            directory, "teacher.bin", _field(t, "teacher.params"), _field(t, "teacher.sha256")
-        )
-    if "optimizer" in manifest:
-        o = manifest["optimizer"]
-        moments = _read_blob(
-            directory, "optim.bin", _field(o, "optimizer.params"), _field(o, "optimizer.sha256")
-        )
-        entries = {}
-        for i, e in enumerate(_field(o, "optimizer.entries")):
-            where = f"optimizer.entries[{i}]"
-            name = _field(e, f"{where}.name")
-            for moment in ("m", "v"):
-                if f"{name}/{moment}" not in moments:
-                    raise CheckpointError(
-                        f"optim.bin: optimizer entry '{name}' has no "
-                        f"'{name}/{moment}' array"
-                    )
-            entries[name] = {
-                "lr": _number(_field(e, f"{where}.lr"), f"{where}.lr"),
-                "step_count": _integer(_field(e, f"{where}.step_count"), f"{where}.step_count"),
-                "m": moments[f"{name}/m"],
-                "v": moments[f"{name}/v"],
-            }
-        betas = _field(o, "optimizer.betas")
-        if not isinstance(betas, list) or len(betas) != 2:
-            raise CheckpointError(
-                f"manifest optimizer.betas is {betas!r}, not a list of two numbers")
-        cp.optimizer_state = {
-            "betas": [_number(b, "optimizer.betas") for b in betas],
-            "eps": _number(_field(o, "optimizer.eps"), "optimizer.eps"),
-            "weight_decay": _number(_field(o, "optimizer.weight_decay"), "optimizer.weight_decay"),
-            "entries": entries,
-        }
+    if m.total_elements != actual:
+        raise CheckpointError(f"manifest declares {m.total_elements} elements, blob holds {actual}")
+    cp = Checkpoint(arrays, {e.name: e.component for e in m.params}, m.counters,
+                    m.config_hash, m.weights_kind)
+    if m.teacher is not None:
+        cp.teacher_momentum = m.teacher.momentum
+        cp.teacher_arrays = _read_blob(directory, "teacher.bin", m.teacher.params,
+                                       m.teacher.sha256)
+    if m.optimizer is not None:
+        o = m.optimizer
+        moments = _read_blob(directory, "optim.bin", o.params, o.sha256)
+        for e in o.entries:
+            for k in ("m", "v"):
+                if f"{e.name}/{k}" not in moments:
+                    raise CheckpointError(f"optim.bin: optimizer entry '{e.name}' has no "
+                                          f"'{e.name}/{k}' array")
+        entries = {e.name: {"lr": e.lr, "step_count": e.step_count,
+                            "m": moments[f"{e.name}/m"], "v": moments[f"{e.name}/v"]}
+                   for e in o.entries}
+        cp.optimizer_state = {"betas": list(o.betas), "eps": o.eps,
+                              "weight_decay": o.weight_decay, "entries": entries}
     return cp

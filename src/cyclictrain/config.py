@@ -11,6 +11,7 @@ failures report the dotted field path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import types
@@ -92,6 +93,12 @@ def _value(tp, value, path: str):
     return _coerce(value, tp, path)
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """Field annotations of dataclass ``cls``, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _from_dict(cls, d, path: str):
     """Build dataclass ``cls`` from a JSON object, schema from its fields."""
     where = path or "top level"
@@ -101,7 +108,7 @@ def _from_dict(cls, d, path: str):
     for key in d:
         if key not in fields:
             raise ConfigError(f"{_join(path, key)}: unknown key")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     kw = {}
     for name, f in fields.items():
         field_path = _join(path, name)

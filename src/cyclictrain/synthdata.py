@@ -418,6 +418,9 @@ def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
     """Read a :func:`save_dataset` directory; ValueError, naming the file, on bad input.
 
     The manifest is decoded by the config file's rules (:mod:`cyclictrain.config`).
+    It lists exactly ``images`` and the spec's :func:`annotation_arrays`; each
+    has ``num_images`` rows, except ``boxes`` and ``box_classes``, which have
+    ``sum(box_counts)``.
     """
     from .config import _from_dict  # config imports this module, so not at load time
 
@@ -432,6 +435,10 @@ def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
     except ValueError as e:
         raise ValueError(f"{manifest_path}: {e}") from None
     spec = decoded.spec
+    names = ["images", *annotation_arrays(spec, [])]
+    if sorted(decoded.arrays) != sorted(names):
+        raise ValueError(f"{manifest_path}: arrays: expected {sorted(names)}, "
+                         f"got {sorted(decoded.arrays)}")
     arrays: dict[str, np.ndarray] = {}
     for name, meta in decoded.arrays.items():
         path = os.path.join(directory, meta.file)
@@ -443,6 +450,13 @@ def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
             raise ValueError(f"{path}: {len(raw)} bytes, but shape {list(meta.shape)} "
                              f"of {dtype} needs {expected}")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(meta.shape)
+    rows = dict.fromkeys(names, spec.num_images)
+    if "box_counts" in arrays:
+        rows["boxes"] = rows["box_classes"] = int(arrays["box_counts"].sum())
+    for name, n in rows.items():
+        if arrays[name].shape[:1] != (n,):
+            raise ValueError(f"{manifest_path}: arrays.{name}: shape "
+                             f"{list(arrays[name].shape)} does not have {n} rows")
     samples = []
     at = 0
     for i in range(spec.num_images):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -164,7 +165,7 @@ def _drop(path):
     def edit(manifest):
         *parents, key = path.split(".")
         for parent in parents:
-            manifest = manifest[parent]
+            manifest = manifest[int(parent) if isinstance(manifest, list) else parent]
         del manifest[key]
 
     return edit
@@ -182,54 +183,77 @@ def _orphan(moment):
     return edit
 
 
-# manifest edit (in place, or returning the manifest to write) -> what the error must name
+# manifest edit (in place, or returning the manifest to write) -> what the error must name;
+# the manifest is decoded by the config file's rules, so each message is theirs
 MISSING_KEYS = {
-    "not-an-object": (lambda manifest: [], "manifest is a JSON list, not an object"),
+    "not-an-object": (lambda manifest: [], "manifest.json: top level: expected an object"),
     "counters-not-an-object": (lambda manifest: manifest.update(counters=[1, 2]),
-                               "counters is a JSON list, not an object"),
-    "params": (_drop("params"), "'params'"),
-    "sha256": (_drop("sha256"), "'sha256'"),
-    "teacher.sha256": (_drop("teacher.sha256"), "'teacher.sha256'"),
-    "optimizer.sha256": (_drop("optimizer.sha256"), "'optimizer.sha256'"),
-    "teacher.momentum": (_drop("teacher.momentum"), "'teacher.momentum'"),
-    "teacher.params": (_drop("teacher.params"), "'teacher.params'"),
-    "optimizer.params": (_drop("optimizer.params"), "'optimizer.params'"),
-    "optimizer.betas": (_drop("optimizer.betas"), "'optimizer.betas'"),
+                               "counters: expected dict, got list"),
+    "params": (_drop("params"), "params: required key missing"),
+    "sha256": (_drop("sha256"), "sha256: required key missing"),
+    "teacher.sha256": (_drop("teacher.sha256"), r"teacher\.sha256: required key missing"),
+    "optimizer.sha256": (_drop("optimizer.sha256"), r"optimizer\.sha256: required key missing"),
+    "teacher.momentum": (_drop("teacher.momentum"), r"teacher\.momentum: required key missing"),
+    "teacher.params": (_drop("teacher.params"), r"teacher\.params: required key missing"),
+    "optimizer.params": (_drop("optimizer.params"), r"optimizer\.params: required key missing"),
+    "optimizer.betas": (_drop("optimizer.betas"), r"optimizer\.betas: required key missing"),
     "entry-without-m": (_orphan("m"), "has no '.+/m' array"),
     "entry-without-v": (_orphan("v"), "has no '.+/v' array"),
     "counter-a-string": (lambda manifest: manifest.update(counters={"cycle": "x"}),
-                         r"counters\.cycle is 'x', not an integer"),
+                         r"counters\.cycle: expected int, got str"),
     "counter-a-fraction": (lambda manifest: manifest.update(counters={"cycle": 1.5}),
-                           r"counters\.cycle is 1\.5, not an integer"),
+                           r"counters\.cycle: expected int, got float"),
     "counter-a-boolean": (lambda manifest: manifest.update(counters={"cycle": True}),
-                          r"counters\.cycle is True, not an integer"),
+                          r"counters\.cycle: expected int, got bool"),
     "total-elements-a-string": (lambda manifest: manifest.update(total_elements="many"),
-                                "total_elements is 'many', not an integer"),
+                                "total_elements: expected int, got str"),
     "offset-a-string": (lambda manifest: manifest["params"][0].update(offset="0"),
-                        r"entries\[0\]\.offset is '0', not an integer"),
+                        r"params\[0\]\.offset: expected int, got str"),
     "shape-a-fraction": (lambda manifest: manifest["teacher"]["params"][0].update(shape=[2.0]),
-                         r"teacher\.bin entries\[0\]\.shape is 2\.0, not an integer"),
+                         r"teacher\.params\[0\]\.shape\[0\]: expected int, got float"),
+    "shape-negative": (lambda manifest: manifest["params"][0].update(shape=[-4, -1, 3, 3]),
+                       r"params\[0\]: shape \[-4, -1, 3, 3\] has a negative dimension"),
+    "teacher-name-twice": (
+        lambda manifest: manifest["teacher"]["params"][1].update(
+            name=manifest["teacher"]["params"][0]["name"]),
+        r"teacher\.bin: parameter 'backbone/conv1/w' is listed twice"),
     "momentum-a-string": (lambda manifest: manifest["teacher"].update(momentum="x"),
-                          r"teacher\.momentum is 'x', not a number"),
+                          r"teacher\.momentum: expected float, got str"),
     "momentum-a-boolean": (lambda manifest: manifest["teacher"].update(momentum=True),
-                           r"teacher\.momentum is True, not a number"),
+                           r"teacher\.momentum: expected float, got bool"),
     "momentum-above-one": (lambda manifest: manifest["teacher"].update(momentum=5.0),
-                           r"teacher\.momentum is 5\.0, not in \[0, 1\]"),
+                           r"teacher: momentum 5\.0 is not in \[0, 1\]"),
     "step-count-a-string": (lambda manifest: manifest["optimizer"]["entries"][0].update(
                                 step_count="x"),
-                            r"optimizer\.entries\[0\]\.step_count is 'x', not an integer"),
+                            r"optimizer\.entries\[0\]\.step_count: expected int, got str"),
     "lr-a-string": (lambda manifest: manifest["optimizer"]["entries"][0].update(lr="x"),
-                    r"optimizer\.entries\[0\]\.lr is 'x', not a number"),
+                    r"optimizer\.entries\[0\]\.lr: expected float, got str"),
     "eps-a-boolean": (lambda manifest: manifest["optimizer"].update(eps=False),
-                      r"optimizer\.eps is False, not a number"),
+                      r"optimizer\.eps: expected float, got bool"),
     "weight-decay-a-list": (lambda manifest: manifest["optimizer"].update(weight_decay=[0]),
-                            r"optimizer\.weight_decay is \[0\], not a number"),
+                            r"optimizer\.weight_decay: expected float, got list"),
     "betas-a-string": (lambda manifest: manifest["optimizer"].update(betas="x"),
-                       r"optimizer\.betas is 'x', not a list of two numbers"),
+                       r"optimizer\.betas: expected list, got str"),
     "betas-of-three": (lambda manifest: manifest["optimizer"].update(betas=[0.9, 0.99, 0.999]),
-                       r"not a list of two numbers"),
+                       r"optimizer\.betas: expected 2 items, got 3"),
     "beta-a-string": (lambda manifest: manifest["optimizer"].update(betas=[0.9, "x"]),
-                      r"optimizer\.betas is 'x', not a number"),
+                      r"optimizer\.betas\[1\]: expected float, got str"),
+    "component-a-number": (lambda manifest: manifest["params"][0].update(component=5),
+                           r"params\[0\]\.component: expected str, got int"),
+    "name-a-list": (lambda manifest: manifest["params"][0].update(name=[1]),
+                    r"params\[0\]\.name: expected str, got list"),
+    "params-a-number": (lambda manifest: manifest.update(params=5),
+                        "params: expected list, got int"),
+    "weights-kind-a-list": (lambda manifest: manifest.update(weights_kind=[1]),
+                            "weights_kind: expected str, got list"),
+    "config-hash-a-number": (lambda manifest: manifest.update(config_hash=5),
+                             "config_hash: expected str, got int"),
+    "unknown-key": (lambda manifest: manifest.update(epoch=3), "epoch: unknown key"),
+    "entry-without-component": (_drop("params.0.component"),
+                                r"params\[0\]\.component: required key missing"),
+    "teacher-entry-with-component": (
+        lambda manifest: manifest["teacher"]["params"][0].update(component="backbone"),
+        r"teacher\.params\[0\]\.component: unknown key"),
 }
 
 
@@ -246,6 +270,45 @@ def test_manifest_missing_key_rejected(tmp_path, capsys, full_checkpoint, case):
         load_checkpoint(str(path))
     assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_checkpoint_without_parameters_rejected(tmp_path, capsys):
+    model, _, _ = _trained_model()
+    path = tmp_path / "cp"
+    save_checkpoint(str(path), model)
+    (path / "student.bin").write_bytes(b"")
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest.update(params=[], total_elements=0, sha256=hashlib.sha256(b"").hexdigest())
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="params: a checkpoint holds at least one parameter"):
+        load_checkpoint(str(path))
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+    assert "checkpoint error" in capsys.readouterr().err
+
+
+# SHA-256 of every file of the checkpoint below; its arithmetic is seeded
+# RandomState draws and one elementwise AdamW step (no BLAS, no summation
+# order), so the bytes are the same on every machine
+PINNED_FILES = {
+    "manifest.json": "42936c8d8127b98e1e888049231ea14aa12ab3e32978b4aa11fd675954cdfb0b",
+    "optim.bin": "0d49cadc84095af6d2244ba211a7dcf3c49d0a18e4629f5c959e3c2ef389be38",
+    "student.bin": "61549dba96b55d15decb6ad8c1ce6a846729d6428d6847cf0db3b40a49a711ed",
+    "teacher.bin": "61511ab9b46619ce510fb9b95d611a19009ff8f57b07fa7a514cab16fda7b1ec",
+}
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    model = build_model(ARCH, [SPEC.model_spec()])
+    teacher = TeacherState.init_from(model, 0.8)
+    opt = make_optimizer(TrainConfig())
+    params = list(model.graph.parameters())
+    opt.step(params, {p.name: np.ones_like(p.tensor.data) for p in params})
+    save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt,
+                    counters={"cycle": 2, "epoch": 7}, config_hash="0123456789ab")
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _dir_bytes(tmp_path / "cp").items()}
+    assert digests == PINNED_FILES
 
 
 def test_optimizer_state_roundtrip_resumes_identically(tmp_path):

@@ -608,6 +608,19 @@ def test_cmd_eval_warns_on_config_hash_mismatch(tmp_path, capsys):
     assert "config hash" in capsys.readouterr().err
 
 
+def test_cmd_eval_rejects_a_non_string_config_hash(tmp_path, capsys):
+    out, cfg = _pretrained(tmp_path)
+    ckpt = out / "checkpoints" / "final"
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config_hash"] = 5
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", path,
+                     "--dataset", "boxesmasks"]) == 2
+    assert "config_hash: expected str, got int" in capsys.readouterr().err
+
+
 def test_cmd_eval_rejects_a_checkpoint_of_another_shape(tmp_path, capsys):
     out, cfg = _pretrained(tmp_path)
     ckpt = str(out / "checkpoints" / "final")

@@ -313,6 +313,15 @@ def _set_array(name, value):
     return edit
 
 
+def _drop_array(name):
+    def edit(manifest):
+        del manifest["arrays"][name]
+    return edit
+
+
+ALL_ARRAYS = ["box_classes", "box_counts", "boxes", "images", "labels", "masks"]
+
+
 def _set_image_entry(key, value):
     def edit(manifest):
         manifest["arrays"]["images"][key] = value
@@ -332,9 +341,16 @@ def _set_image_entry(key, value):
     (_set_image_entry("file", None), "arrays.images.file: expected str, got NoneType"),
     (_set_image_entry("shape", [4, "32", 32]), "arrays.images.shape[1]: expected int, got str"),
     (lambda manifest: [manifest], "top level: expected an object"),
+    (_drop_array("images"), f"arrays: expected {ALL_ARRAYS}, got {ALL_ARRAYS[:3] + ALL_ARRAYS[4:]}"),
+    (_drop_array("box_counts"), f"arrays: expected {ALL_ARRAYS}, got {ALL_ARRAYS[:1] + ALL_ARRAYS[2:]}"),
+    (_drop_array("labels"), f"arrays: expected {ALL_ARRAYS}, got {ALL_ARRAYS[:4] + ALL_ARRAYS[5:]}"),
+    (_set_array("extra", {"file": "images.bin", "dtype": "<f8", "shape": [4, 32, 32]}),
+     f"arrays: expected {ALL_ARRAYS}, got {sorted(ALL_ARRAYS + ['extra'])}"),
+    (_set_spec("num_images", 9), "arrays.images: shape [4, 32, 32] does not have 9 rows"),
 ], ids=["no-spec", "no-arrays", "unknown-spec-key", "num-images-a-string", "tasks-a-string",
         "unknown-task", "entry-a-string", "bad-dtype", "dtype-a-number", "file-null",
-        "shape-of-a-string", "manifest-a-list"])
+        "shape-of-a-string", "manifest-a-list", "no-images", "no-box-counts", "no-labels",
+        "extra-array", "more-images-than-rows"])
 def test_load_rejects_a_bad_manifest_naming_its_path(tmp_path, edit, where):
     directory = _saved(tmp_path)
     mpath = directory / "manifest.json"
@@ -344,3 +360,16 @@ def test_load_rejects_a_bad_manifest_naming_its_path(tmp_path, edit, where):
     with pytest.raises(ValueError) as info:
         load_dataset(str(directory))
     assert str(info.value) == f"{mpath}: {where}"
+
+
+def test_load_rejects_box_counts_that_disagree_with_the_box_rows(tmp_path):
+    directory = _saved(tmp_path)
+    counts_path = directory / "box_counts.bin"
+    counts = np.frombuffer(counts_path.read_bytes(), dtype="<i8").copy()
+    rows = int(counts.sum())
+    counts[0] += 1
+    counts_path.write_bytes(counts.tobytes())
+    with pytest.raises(ValueError) as info:
+        load_dataset(str(directory))
+    assert str(info.value) == (f"{directory / 'manifest.json'}: arrays.boxes: shape "
+                               f"[{rows}, 4] does not have {rows + 1} rows")
