@@ -21,7 +21,9 @@ layer (conv, bias, leaky ReLU) is one node: it adds the bias and applies the
 activation per image block of its blocked forward, in place, and keeps two
 bool masks of the pre-activation's sign for the backward instead of the
 pre-activation itself.  The result is byte-equal to the chain of separate
-ops, forward and gradients.
+ops, forward and gradients.  It zero-pads its input one image block at a
+time, and a recorded node keeps the padded input only when one block held
+the whole batch.
 
 Inside a ``no_grad()`` block no op records anything; evaluation runs there.
 
@@ -521,7 +523,8 @@ def _patches(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
 
 
 # Largest patch matrix, in bytes, that the conv2d forward builds at once:
-# larger batches run in image blocks whose GEMM operands fit a core's L2.
+# larger batches run in image blocks whose GEMM operands fit a core's L2,
+# and are zero-padded one block at a time, into one block-sized buffer.
 PATCH_BLOCK_BYTES = 2 * 2**20
 
 
@@ -538,20 +541,46 @@ def _block_images(n: int, image_bytes: int) -> int:
     return max(1, -(-n // blocks))
 
 
+def _padded_blocks(x: np.ndarray, padding: int, step: int):
+    """Yield ``(start, stop, block)``: images ``start:stop`` of ``x``, zero-padded.
+
+    ``block`` holds the bytes ``np.pad`` gives for those images, ``padding``
+    zeros on each spatial side.  Every block is a view of one buffer sized
+    for ``step`` images: its border is written once and each block refills
+    its interior, so a block is valid only until the next one is drawn.
+    The last block may be shorter.  With ``padding=0`` a block is a slice
+    of ``x`` itself.
+    """
+    n, c, h, w = x.shape
+    if padding:
+        buf = np.zeros((min(step, n), c, h + 2 * padding, w + 2 * padding))
+        inner = buf[:, :, padding : padding + h, padding : padding + w]
+    for start in range(0, n, step):
+        block = x[start : start + step]
+        if padding:
+            inner[: len(block)] = block
+            block = buf[: len(block)]
+        yield start, start + len(block), block
+
+
 def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
     """2-D convolution (cross-correlation) of NCHW input with OCHW kernels.
 
     Forward and the kernel gradient are one GEMM each over the patch matrix
     (rebuilt in backward rather than kept alive on the tape); the input
-    gradient is one matmul per kernel tap.  A padded input is one slice
-    assignment into a fresh zero buffer: the same bytes ``np.pad`` gives,
-    without its per-call Python overhead, which dominates on small maps.
+    gradient is one matmul per kernel tap.
 
     The forward runs in image blocks (see :func:`_block_images`) written
     into one C-order output.  Each output element is one dot product over
     ``(c, di, dj)``, computed the same way whichever columns share its GEMM,
-    so a block gives the bytes the whole-batch product gives.  The kernel
-    gradient still builds the whole batch's patch matrix: blocking it would
+    so a block gives the bytes the whole-batch product gives.  A padded
+    input exists one block at a time (see :func:`_padded_blocks`): each
+    block is zero-padded into one block-sized buffer, the same bytes
+    ``np.pad`` gives, and the whole batch is never copied.  A recorded node
+    keeps that buffer for the kernel gradient only when one block covered
+    the batch, so that it is the whole padded input; otherwise the backward
+    pads the whole batch again and drops it on return.  The kernel gradient
+    is one GEMM over the whole batch's patch matrix: blocking it would
     change its summation over the batch.
 
     ``bias`` (shape ``(O,)``) and ``slope`` fuse a conv layer into one node:
@@ -588,13 +617,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
             f"with padding={padding}"
         )
     parents = (x, w) if b is None else (x, w, b)
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + wid] = x.data
-    else:
-        xp = x.data
     w2 = w.data.reshape(o, -1)
-    step = _block_images(n, c * kh * kw * ho * wo * xp.itemsize)
+    step = _block_images(n, c * kh * kw * ho * wo * x.data.itemsize)
     # C order, as every other op's output: reductions further down the tape
     # sum in memory order, so a transposed view would change their results
     out = np.empty((n, o, ho, wo))
@@ -602,9 +626,10 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
     if keep_masks:
         below = np.empty(out.shape, dtype=bool)
         above = np.empty(out.shape, dtype=bool)
-    for start in range(0, n, step):
-        stop = start + step
-        block = w2 @ _patches(xp[start:stop], kh, kw, ho, wo)
+    # the whole padded input, kept for the kernel gradient when it costs no copy
+    xp = None if padding else x.data
+    for start, stop, xb in _padded_blocks(x.data, padding, step):
+        block = w2 @ _patches(xb, kh, kw, ho, wo)
         blk = out[start:stop]
         blk[...] = block.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
         if b is not None:
@@ -614,6 +639,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
                 np.less(blk, 0.0, out=below[start:stop])
                 np.greater(blk, 0.0, out=above[start:stop])
             _leaky(blk, slope, out=blk)
+        if stop - start == n:
+            xp = xb
 
     def bwd(g):
         if slope is not None:
@@ -621,9 +648,10 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
         if b is not None and b.requires_grad:
             # the sums add's backward makes: axes of length 1 are not summed
             _accumulate(b, _unbroadcast(g, (1, o, 1, 1)).reshape(o))
+        hp, wp = h + 2 * padding, wid + 2 * padding
         if x.requires_grad:
             g3 = g.reshape(n, o, ho * wo)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((n, c, hp, wp))
             for di in range(kh):
                 for dj in range(kw):
                     gxp[:, :, di : di + ho, dj : dj + wo] += np.matmul(
@@ -633,7 +661,11 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
             _accumulate(x, gx)
         if w.requires_grad:
             g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-            gw = g2 @ _patches(xp, kh, kw, ho, wo).T
+            xpad = xp
+            if xpad is None:  # several blocks: pad the batch again, for this call only
+                xpad = np.zeros((n, c, hp, wp))
+                xpad[:, :, padding : padding + h, padding : padding + wid] = x.data
+            gw = g2 @ _patches(xpad, kh, kw, ho, wo).T
             _accumulate(w, gw.reshape(w.data.shape))
 
     return _node(out, parents, bwd)

@@ -86,12 +86,26 @@ class AdamW:
                 st.v = np.zeros_like(p.tensor.data)
                 self._state[p.name] = st
             st.step_count += 1
-            st.m = b1 * st.m + (1.0 - b1) * g
-            st.v = b2 * st.v + (1.0 - b2) * (g * g)
-            m_hat = st.m / (1.0 - b1 ** st.step_count)
-            v_hat = st.v / (1.0 - b2 ** st.step_count)
-            update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.tensor.data
-            p.tensor.data -= (st.lr * lr_scale) * update
+            # in place, through two scratch arrays, each element takes the
+            # operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+            # p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), in that order.
+            # m and v are updated in place, so export_state and load_state copy
+            tmp = np.multiply(g, 1.0 - b1)
+            st.m *= b1
+            st.m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            st.v *= b2
+            st.v += tmp
+            update = st.m / (1.0 - b1 ** st.step_count)
+            np.divide(st.v, 1.0 - b2 ** st.step_count, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update /= tmp
+            np.multiply(p.tensor.data, self.weight_decay, out=tmp)
+            update += tmp
+            update *= st.lr * lr_scale
+            p.tensor.data -= update
 
     # ------------------------------------------------------------------
     # serialization support for checkpoints
@@ -102,8 +116,8 @@ class AdamW:
             entries[name] = {
                 "lr": st.lr,
                 "step_count": st.step_count,
-                "m": st.m,
-                "v": st.v,
+                "m": st.m.copy(),
+                "v": st.v.copy(),
             }
         return {
             "betas": list(self.betas),
@@ -119,6 +133,6 @@ class AdamW:
         self._state = {}
         for name, entry in state["entries"].items():
             st = AdamWState(lr=float(entry["lr"]), step_count=int(entry["step_count"]))
-            st.m = np.asarray(entry["m"], dtype=np.float64)
-            st.v = np.asarray(entry["v"], dtype=np.float64)
+            st.m = np.array(entry["m"], dtype=np.float64)
+            st.v = np.array(entry["v"], dtype=np.float64)
             self._state[name] = st

@@ -126,7 +126,10 @@ class SynthSample:
 
 
 def _shape_support(kind: str, size: int, cx: int, cy: int, rx: int, ry: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    # a (size, 1) column and a (size,) row: each expression broadcasts them
+    # to the (size, size) grid, with np.mgrid's per-element arithmetic
+    yy = np.arange(size)[:, None]
+    xx = np.arange(size)
     if kind == "ellipse":
         return ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
     if kind == "rectangle":
@@ -452,6 +455,9 @@ def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(meta.shape)
     rows = dict.fromkeys(names, spec.num_images)
     if "box_counts" in arrays:
+        if (arrays["box_counts"] < 0).any():
+            raise ValueError(f"{manifest_path}: arrays.box_counts: negative count "
+                             f"{arrays['box_counts'].min()}")
         rows["boxes"] = rows["box_classes"] = int(arrays["box_counts"].sum())
     for name, n in rows.items():
         if arrays[name].shape[:1] != (n,):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,68 @@ def test_conv2d_padding_is_byte_equal_to_np_pad(n, padding):
         assert xt.grad.shape == x.shape, shape
         assert xt.grad.tobytes() == gx_ref.tobytes(), shape
         assert wt.grad.tobytes() == wt_ref.grad.tobytes(), shape
+
+
+def _padded_conv_run(x, w, b, g, padding, grads, pad_first):
+    """Forward bytes and x, w, b gradient bytes of ``sum(conv layer * g)``.
+
+    With ``pad_first`` the input goes through ``np.pad`` and an unpadded
+    conv instead, and the x gradient is the interior of the padded one.
+    """
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xt = Tensor(np.pad(x, pad) if pad_first else x, requires_grad=grads[0])
+    wt, bt = Tensor(w, requires_grad=grads[1]), Tensor(b, requires_grad=grads[2])
+    out = conv2d(xt, wt, padding=0 if pad_first else padding, bias=bt, slope=0.1)
+    tsum(mul(out, Tensor(g))).backward()
+    gx = xt.grad
+    if gx is not None and pad_first:
+        gx = gx[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    return [out.data.tobytes()] + [None if a is None else a.tobytes() for a in (gx, wt.grad, bt.grad)]
+
+
+@pytest.mark.parametrize("padding", [1, 2])
+def test_conv2d_padding_in_image_blocks_is_byte_equal_to_np_pad(monkeypatch, padding):
+    # a small block budget splits these batches into several blocks, some
+    # with a shorter last one, so the forward refills one padded block
+    # buffer per block and the backward pads the whole batch again
+    monkeypatch.setattr(autodiff, "PATCH_BLOCK_BYTES", 40_000)
+    rs = np.random.RandomState(90 + padding)
+    split = ragged = 0
+    for c, h, wid, o, k in MODEL_CONV_SHAPES:
+        w, b = rs.randn(o, c, k, k), rs.randn(o)
+        ho, wo = h + 2 * padding - k + 1, wid + 2 * padding - k + 1
+        for n in (1, 7):
+            x = rs.randn(n, c, h, wid)
+            x[-1, :, :2] = 0.0  # exact zeros reach the activation
+            g = rs.randn(n, o, ho, wo)
+            step = autodiff._block_images(n, c * k * k * ho * wo * 8)
+            split += step < n
+            ragged += step < n and n % step != 0
+            # all trainable, frozen x, frozen w
+            for grads in ((True, True, True), (False, True, True), (True, False, False)):
+                blocked = _padded_conv_run(x, w, b, g, padding, grads, pad_first=False)
+                ref = _padded_conv_run(x, w, b, g, padding, grads, pad_first=True)
+                assert blocked == ref, (x.shape, w.shape, padding, grads)
+                assert [r is not None for r in blocked[1:]] == list(grads)
+    assert split > 0 and ragged > 0
+
+
+def test_conv2d_node_keeps_no_padded_copy_of_a_batch_of_blocks():
+    rs = np.random.RandomState(95)
+    x = Tensor(rs.randn(64, 16, 32, 32), requires_grad=True)
+    w, b = Tensor(rs.randn(8, 16, 3, 3), requires_grad=True), Tensor(rs.randn(8), requires_grad=True)
+    assert autodiff._block_images(64, 16 * 9 * 32 * 32 * 8) < 64
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, w, padding=1, bias=b, slope=0.1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    masks = 2 * out.data.size  # two bool maps of the pre-activation's sign
+    padded_copy = 64 * 16 * 34 * 34 * 8
+    assert kept - out.data.nbytes - masks < padded_copy
 
 
 @pytest.mark.parametrize("padding", [0, 1])

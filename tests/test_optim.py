@@ -109,3 +109,50 @@ def test_missing_gradient_for_a_trainable_parameter_is_rejected():
     g["b"].trainable = False
     opt.step(g.parameters(), {"a": np.asarray([1.0])})  # frozen: no gradient needed
     assert "b" not in opt.export_state()["entries"]
+
+
+def test_in_place_update_is_byte_equal_to_the_array_formula():
+    # the out-of-place expressions the in-place update must reproduce bit for bit
+    rs = np.random.RandomState(12)
+    theta = rs.randn(3, 4)
+    theta[0, :2] = [0.0, -0.0]
+    g = ModelGraph()
+    g.add("p", theta.copy(), "backbone")
+    opt = AdamW(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05)
+    b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.05, 3e-3
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, scale in enumerate((1.0, 0.5, 0.25), start=1):
+        grad = rs.randn(3, 4)
+        grad[1, 0] = 0.0
+        opt.step(g.parameters(), {"p": grad}, lr_scale=scale)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * (grad * grad)
+        update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps) + wd * theta
+        theta = theta - (lr * scale) * update
+        entry = opt.export_state()["entries"]["p"]
+        assert g["p"].tensor.data.tobytes() == theta.tobytes(), t
+        assert entry["m"].tobytes() == m.tobytes(), t
+        assert entry["v"].tobytes() == v.tobytes(), t
+
+
+def test_exported_and_loaded_state_own_their_arrays():
+    g = _graph_with(value=0.5)
+    opt = AdamW(lr=1e-2)
+    opt.step(g.parameters(), {"p": np.asarray([0.3])})
+    state = opt.export_state()
+    m, v = state["entries"]["p"]["m"].copy(), state["entries"]["p"]["v"].copy()
+    opt.step(g.parameters(), {"p": np.asarray([-0.7])})
+    # a later step updates the moments in place, but not the exported copies
+    assert state["entries"]["p"]["m"].tobytes() == m.tobytes()
+    assert state["entries"]["p"]["v"].tobytes() == v.tobytes()
+
+    # moments read from a file may be read-only views; loading copies them
+    for k in "mv":
+        state["entries"]["p"][k].flags.writeable = False
+    loaded = AdamW(lr=1e-2)
+    loaded.load_state(state)
+    loaded.step(g.parameters(), {"p": np.asarray([0.1])})
+    assert state["entries"]["p"]["m"].tobytes() == m.tobytes()
+    assert state["entries"]["p"]["v"].tobytes() == v.tobytes()
+    assert loaded.export_state()["entries"]["p"]["step_count"] == 2

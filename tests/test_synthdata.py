@@ -373,3 +373,17 @@ def test_load_rejects_box_counts_that_disagree_with_the_box_rows(tmp_path):
         load_dataset(str(directory))
     assert str(info.value) == (f"{directory / 'manifest.json'}: arrays.boxes: shape "
                                f"[{rows}, 4] does not have {rows + 1} rows")
+
+
+def test_load_rejects_a_negative_box_count(tmp_path):
+    # the same sum, so the row check alone would pass and sample 0 would
+    # take boxes[0:-1]
+    directory = _saved(tmp_path)
+    counts_path = directory / "box_counts.bin"
+    counts = np.frombuffer(counts_path.read_bytes(), dtype="<i8")
+    assert counts.tolist() == [2, 2, 1, 2]
+    counts_path.write_bytes(np.array([-1, 5, 1, 2], dtype="<i8").tobytes())
+    with pytest.raises(ValueError) as info:
+        load_dataset(str(directory))
+    assert str(info.value) == (f"{directory / 'manifest.json'}: arrays.box_counts: "
+                               f"negative count -1")
