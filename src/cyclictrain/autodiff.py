@@ -5,7 +5,10 @@ input requires a gradient, records the inputs plus a backward closure on the
 output node.  The recorded nodes form an implicit tape: calling
 ``Tensor.backward()`` on a scalar walks it once in reverse topological order.
 Stale gradient buffers on every reachable node are cleared before the walk,
-so gradients never accumulate across two backward passes.
+so gradients never accumulate across two backward passes.  Intermediate
+gradients do not survive the call: each recorded node drops its ``grad``
+once its backward has run, and only the leaves and the root keep theirs.
+The tape itself stays, so it can be walked again.
 
 The op set splits in two groups:
 
@@ -23,7 +26,9 @@ bool masks of the pre-activation's sign for the backward instead of the
 pre-activation itself.  The result is byte-equal to the chain of separate
 ops, forward and gradients.  It zero-pads its input one image block at a
 time, and a recorded node keeps the padded input only when one block held
-the whole batch.
+the whole batch.  Its keyword-only ``upsample`` factor fuses a preceding
+``upsample_nearest`` the same way: each block is upsampled straight into
+its padded buffer, so the full-resolution input never exists.
 
 Inside a ``no_grad()`` block no op records anything; evaluation runs there.
 
@@ -105,6 +110,11 @@ class Tensor:
 
         Must be called on a scalar node.  Gradients of all reachable nodes
         are reset first, so repeated calls never accumulate across passes.
+        Intermediate gradients do not survive the call: a recorded node's
+        ``grad`` is set to None as soon as its backward has run, because no
+        later step adds to it.  Leaves (parameters, inputs) and this root
+        keep theirs.  Every node keeps its parents and backward closure, so
+        the same tape can be walked again.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -117,6 +127,8 @@ class Tensor:
         for node in reversed(order):
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
+                if node is not self:
+                    node.grad = None
 
     # Arithmetic sugar; every overload routes through the op functions so
     # the tape sees a uniform node vocabulary.
@@ -541,29 +553,53 @@ def _block_images(n: int, image_bytes: int) -> int:
     return max(1, -(-n // blocks))
 
 
-def _padded_blocks(x: np.ndarray, padding: int, step: int):
-    """Yield ``(start, stop, block)``: images ``start:stop`` of ``x``, zero-padded.
+def _upsample_into(dst: np.ndarray, x: np.ndarray, factor: int) -> None:
+    """Write NCHW ``x``, upsampled ``factor`` times by nearest neighbour, into ``dst``.
 
-    ``block`` holds the bytes ``np.pad`` gives for those images, ``padding``
-    zeros on each spatial side.  Every block is a view of one buffer sized
-    for ``step`` images: its border is written once and each block refills
-    its interior, so a block is valid only until the next one is drawn.
-    The last block may be shorter.  With ``padding=0`` a block is a slice
-    of ``x`` itself.
+    ``dst`` (a view of shape ``(n, c, factor*h, factor*w)``) gets the bytes
+    ``upsample_nearest`` gives: each row is repeated along the width once,
+    then copied into its ``factor`` destination rows.
+    """
+    if factor == 1:
+        dst[...] = x
+        return
+    wide = x.repeat(factor, axis=3)
+    for i in range(factor):
+        dst[:, :, i::factor] = wide
+
+
+def _upsample_grad(g: np.ndarray, factor: int) -> np.ndarray:
+    """Nearest upsampling's input gradient: each ``factor`` x ``factor`` cell of ``g`` summed."""
+    n, c, h, w = g.shape
+    return g.reshape(n, c, h // factor, factor, w // factor, factor).sum(axis=(3, 5))
+
+
+def _padded_blocks(x: np.ndarray, padding: int, step: int, factor: int = 1):
+    """Yield ``(start, stop, block)``: images ``start:stop`` of ``x``, upsampled and zero-padded.
+
+    ``block`` holds the bytes ``np.pad`` gives for those images after
+    ``upsample_nearest(x, factor)``, ``padding`` zeros on each spatial side.
+    Every block is a view of one buffer sized for ``step`` images: its
+    border is written once and each block refills its interior (see
+    :func:`_upsample_into`), so a block is valid only until the next one is
+    drawn.  The last block may be shorter.  With ``padding=0`` and
+    ``factor=1`` a block is a slice of ``x`` itself.
     """
     n, c, h, w = x.shape
-    if padding:
+    h, w = h * factor, w * factor
+    copied = padding or factor > 1
+    if copied:
         buf = np.zeros((min(step, n), c, h + 2 * padding, w + 2 * padding))
         inner = buf[:, :, padding : padding + h, padding : padding + w]
     for start in range(0, n, step):
         block = x[start : start + step]
-        if padding:
-            inner[: len(block)] = block
+        if copied:
+            _upsample_into(inner[: len(block)], block, factor)
             block = buf[: len(block)]
         yield start, start + len(block), block
 
 
-def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
+def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> Tensor:
     """2-D convolution (cross-correlation) of NCHW input with OCHW kernels.
 
     Forward and the kernel gradient are one GEMM each over the patch matrix
@@ -594,11 +630,27 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
     kept; the backward builds the leaky multiplier from them, as
     ``leaky_relu`` does, and takes the bias gradient with the sums ``add``
     uses.  ``slope`` must lie in ``[0, 1]``.
+
+    ``upsample`` (an integer factor, at least 1) convolves the input
+    upsampled by nearest neighbour: the result is ``conv2d(upsample_nearest(x,
+    upsample), w, padding, ...)`` byte for byte, forward and gradients, in
+    one node.  Each image block is upsampled straight into its zero-padded
+    block buffer, so the full-resolution input never exists; a backward
+    that pads the whole batch again does so from the low-resolution input.
+    The input gradient is the full-resolution one reduced by the cell sums
+    ``upsample_nearest``'s backward makes.  The block size follows from the
+    upsampled shape, as it would for the chain.
+
+    The backward takes the kernel gradient before the input gradient, so
+    the patch matrix is freed before the input gradient's buffer exists.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if bias is None else _as_tensor(bias)
     if slope is not None:
         _check_slope("conv2d", slope)
+    factor = 1 if upsample is None else upsample
+    if factor < 1:
+        raise ValueError(f"conv2d: upsample factor {upsample} must be >= 1")
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D operands ({x.shape} vs {w.shape})")
     n, c, h, wid = x.data.shape
@@ -609,8 +661,10 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
         )
     if b is not None and b.data.shape != (o,):
         raise ShapeError(f"conv2d: bias {b.shape} does not match kernel {w.shape}")
-    ho = h + 2 * padding - kh + 1
-    wo = wid + 2 * padding - kw + 1
+    # the size of the (upsampled) input the kernel slides over
+    hu, wu = h * factor, wid * factor
+    ho = hu + 2 * padding - kh + 1
+    wo = wu + 2 * padding - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(
             f"conv2d: kernel {w.shape} does not fit input {x.shape} "
@@ -627,8 +681,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
         below = np.empty(out.shape, dtype=bool)
         above = np.empty(out.shape, dtype=bool)
     # the whole padded input, kept for the kernel gradient when it costs no copy
-    xp = None if padding else x.data
-    for start, stop, xb in _padded_blocks(x.data, padding, step):
+    xp = None if padding or factor > 1 else x.data
+    for start, stop, xb in _padded_blocks(x.data, padding, step, factor):
         block = w2 @ _patches(xb, kh, kw, ho, wo)
         blk = out[start:stop]
         blk[...] = block.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
@@ -648,7 +702,23 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
         if b is not None and b.requires_grad:
             # the sums add's backward makes: axes of length 1 are not summed
             _accumulate(b, _unbroadcast(g, (1, o, 1, 1)).reshape(o))
-        hp, wp = h + 2 * padding, wid + 2 * padding
+        hp, wp = hu + 2 * padding, wu + 2 * padding
+        inner = np.s_[:, :, padding : padding + hu, padding : padding + wu]
+
+        def padded_input():
+            if xp is not None:
+                return xp
+            # several blocks: pad the batch again, for this call only
+            xpad = np.zeros((n, c, hp, wp))
+            _upsample_into(xpad[inner], x.data, factor)
+            return xpad
+
+        if w.requires_grad:
+            # one expression, so the patch matrix and a re-padded batch are
+            # freed before the input gradient's buffer is allocated
+            gw = (g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+                  @ _patches(padded_input(), kh, kw, ho, wo).T)
+            _accumulate(w, gw.reshape(w.data.shape))
         if x.requires_grad:
             g3 = g.reshape(n, o, ho * wo)
             gxp = np.zeros((n, c, hp, wp))
@@ -657,16 +727,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None) -> Tensor:
                     gxp[:, :, di : di + ho, dj : dj + wo] += np.matmul(
                         w.data[:, :, di, dj].T, g3
                     ).reshape(n, c, ho, wo)
-            gx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
-            _accumulate(x, gx)
-        if w.requires_grad:
-            g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-            xpad = xp
-            if xpad is None:  # several blocks: pad the batch again, for this call only
-                xpad = np.zeros((n, c, hp, wp))
-                xpad[:, :, padding : padding + h, padding : padding + wid] = x.data
-            gw = g2 @ _patches(xpad, kh, kw, ho, wo).T
-            _accumulate(w, gw.reshape(w.data.shape))
+            gx = gxp[inner] if padding else gxp
+            _accumulate(x, _upsample_grad(gx, factor) if factor > 1 else gx)
 
     return _node(out, parents, bwd)
 
@@ -731,15 +793,18 @@ def maxpool2d(x, size: int = 2) -> Tensor:
 
 
 def upsample_nearest(x, factor: int = 2) -> Tensor:
+    """Repeat every pixel ``factor`` times along height and width.
+
+    A convolution of the result is better written as ``conv2d(x, ...,
+    upsample=factor)``, which never builds the full-resolution map.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"upsample_nearest: expected 4-D input, got {x.shape}")
-    n, c, h, w = x.data.shape
     out = x.data.repeat(factor, axis=2).repeat(factor, axis=3)
 
     def bwd(g):
-        gx = g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5))
-        _accumulate(x, gx)
+        _accumulate(x, _upsample_grad(g, factor))
 
     return _node(out, (x,), bwd)
 

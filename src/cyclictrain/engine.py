@@ -91,16 +91,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, lr in (
-            ("lr_backbone", self.lr_backbone),
-            ("lr_loc", self.lr_loc),
-            ("lr_seg", self.lr_seg),
-            ("lr_cls_head", self.lr_cls_head),
-        ):
-            if lr < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {lr}")
+        # every range test is False for NaN, which json.loads reads from the literal
+        for name in ("lr_backbone", "lr_loc", "lr_seg", "lr_cls_head", "weight_decay",
+                     "consistency_weight"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not (0.0 <= self.momentum <= 1.0):
             raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
+        # a factor <= 0 flips or zeroes the learning rate from one interval to the next
+        if not (0.0 < self.step_decay_factor <= 1.0):
+            raise ValueError(f"step_decay_factor must lie in (0, 1], got {self.step_decay_factor}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs_per_task < 1:
@@ -441,6 +442,8 @@ def predict(model, spec, samples, task, weights=None, features=None,
             out, feature = model.task_branch(emb, task, spec.dataset_id, weights)
             if head_inputs is not None:
                 head_inputs[(start, task)] = emb if feature is None else feature
+            # unless the memo holds it, the branch map dies before the next chunk runs
+            del feature
         outs.append(out if isinstance(out, tuple) else (out,))
     arrays = [np.concatenate([o[k].data for o in outs]) for k in range(len(outs[0]))]
     if task == "cls":

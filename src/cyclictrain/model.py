@@ -25,7 +25,6 @@ from .autodiff import (
     permute,
     reshape,
     sigmoid,
-    upsample_nearest,
 )
 
 __all__ = [
@@ -364,13 +363,13 @@ class MultiTaskModel:
             )
         return Tensor(x)
 
-    def _conv_block(self, x, p, name, act=False):
+    def _conv_block(self, x, p, name, act=False, upsample=None):
         # one tape node: conv, bias and, with ``act``, the leaky ReLU whose
         # small negative slope keeps gradients alive when imbalanced losses
         # push a whole feature map negative early in training; padding keeps the size
         w = p(f"{name}/w")
         return conv2d(x, w, padding=w.shape[-1] // 2, bias=p(f"{name}/b"),
-                      slope=0.1 if act else None)
+                      slope=0.1 if act else None, upsample=upsample)
 
     def _linear(self, x, p, name):
         return add(matmul(x, p(f"{name}/w")), p(f"{name}/b"))
@@ -450,7 +449,8 @@ class MultiTaskModel:
     def seg_decoder_features(self, emb: Tensor, weights=None) -> Tensor:
         p = self._resolver(weights)
         h = self._conv_block(emb, p, "seg_decoder/conv1", act=True)
-        return self._conv_block(upsample_nearest(h, 2), p, "seg_decoder/conv2", act=True)
+        # 2x nearest upsampling fused into the conv: no full-resolution copy of h
+        return self._conv_block(h, p, "seg_decoder/conv2", act=True, upsample=2)
 
     def seg_logits(self, dec: Tensor, dataset_id: str, weights=None) -> Tensor:
         self._require(dataset_id, "seg")

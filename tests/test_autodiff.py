@@ -104,6 +104,11 @@ MODEL_CONV_SHAPES = [
     (1, 16, 16, 4, 3), (4, 8, 8, 6, 3), (6, 8, 8, 8, 3), (8, 8, 8, 6, 3), (8, 8, 8, 8, 1),
 ]
 
+# (C_in, H, W, C_out, k, factor): convolutions of an input upsampled by
+# ``factor`` -- seg_decoder/conv2 of ArchConfig() and of the 16-px
+# architectures, then a 1x1 kernel on a non-square map upsampled 3x
+UPSAMPLED_CONV_SHAPES = [(16, 16, 16, 8, 3, 2), (6, 8, 8, 4, 3, 2), (3, 5, 7, 4, 1, 3)]
+
 
 @pytest.mark.parametrize("n", [2, 0])  # 0: predict's forward on an empty split
 @pytest.mark.parametrize("padding", [0, 1])
@@ -192,6 +197,18 @@ def test_conv2d_node_keeps_no_padded_copy_of_a_batch_of_blocks():
     assert kept - out.data.nbytes - masks < padded_copy
 
 
+def _one_gemm_conv(x, w, padding):
+    """The whole batch's (c, di, dj) x (n, i, j) patch matrix in one GEMM, as NCHW."""
+    n, c = x.shape[:2]
+    o, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    cols = np.stack([xp[:, :, di : di + ho, dj : dj + wo].transpose(1, 0, 2, 3)
+                     for di in range(k) for dj in range(k)], axis=1)
+    ref = w.reshape(o, -1) @ cols.reshape(c * k * k, n * ho * wo)
+    return np.ascontiguousarray(ref.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+
+
 @pytest.mark.parametrize("padding", [0, 1])
 def test_conv2d_blocked_forward_is_byte_equal_to_one_gemm(padding):
     rs = np.random.RandomState(40 + padding)
@@ -201,12 +218,7 @@ def test_conv2d_blocked_forward_is_byte_equal_to_one_gemm(padding):
         ho, wo = h + 2 * padding - k + 1, wid + 2 * padding - k + 1
         for n in (0, 1, 3, 8, 64):
             x = rs.randn(n, c, h, wid)
-            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            # reference: the whole batch's (c, di, dj) x (n, i, j) patch matrix in one GEMM
-            cols = np.stack([xp[:, :, di : di + ho, dj : dj + wo].transpose(1, 0, 2, 3)
-                             for di in range(k) for dj in range(k)], axis=1)
-            ref = w.reshape(o, -1) @ cols.reshape(c * k * k, n * ho * wo)
-            ref = np.ascontiguousarray(ref.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+            ref = _one_gemm_conv(x, w, padding)
             out = conv2d(x, w, padding=padding).data
             shape = (x.shape, w.shape, padding)
             assert out.flags.c_contiguous, shape
@@ -217,6 +229,22 @@ def test_conv2d_blocked_forward_is_byte_equal_to_one_gemm(padding):
             ragged += 0 < step < n and n % step != 0
     # the budget splits some batches into blocks whose last one is smaller
     assert ragged > 0
+    # an upsampling conv: each block is upsampled into its padded buffer
+    split = whole = 0
+    for c, h, wid, o, k, f in UPSAMPLED_CONV_SHAPES:
+        w = rs.randn(o, c, k, k)
+        ho, wo = f * h + 2 * padding - k + 1, f * wid + 2 * padding - k + 1
+        for n in (0, 1, 3, 8, 64):
+            x = rs.randn(n, c, h, wid)
+            ref = _one_gemm_conv(x.repeat(f, axis=2).repeat(f, axis=3), w, padding)
+            out = conv2d(x, w, padding=padding, upsample=f).data
+            shape = (x.shape, w.shape, padding, f)
+            assert out.flags.c_contiguous, shape
+            assert out.tobytes() == ref.tobytes(), shape
+            step = autodiff._block_images(n, c * k * k * ho * wo * 8)
+            split += step < n
+            whole += 1 < n <= step
+    assert split > 0 and whole > 0
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -277,8 +305,10 @@ def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
         leaky_relu(Tensor(np.ones(3)), slope)
 
 
-def _conv_layer_chain(x, w, b, padding, slope=0.1):
-    """The four-node conv layer that ``conv2d(..., bias=b, slope=slope)`` fuses."""
+def _conv_layer_chain(x, w, b, padding, slope=0.1, upsample=None):
+    """The conv layer that ``conv2d(..., bias=b, slope=slope, upsample=upsample)`` fuses."""
+    if upsample is not None:
+        x = upsample_nearest(x, upsample)
     h = add(conv2d(x, w, padding=padding), reshape(b, (1, b.shape[0], 1, 1)))
     return h if slope is None else leaky_relu(h, slope)
 
@@ -292,7 +322,7 @@ def _conv_layer_run(layer, x, w, b, g, grads=(True, True, True)):
 
 
 @pytest.mark.parametrize("padding", [0, 1])
-def test_conv2d_fused_bias_and_leaky_relu_is_byte_equal_to_the_chain(padding):
+def test_conv2d_fused_bias_and_leaky_relu_is_byte_equal_to_the_chain(monkeypatch, padding):
     rs = np.random.RandomState(60 + padding)
     split = 0
     for c, h, wid, o, k in MODEL_CONV_SHAPES:
@@ -312,27 +342,56 @@ def test_conv2d_fused_bias_and_leaky_relu_is_byte_equal_to_the_chain(padding):
             split += autodiff._block_images(n, c * k * k * ho * wo * 8) < n
     # some batch-64 forwards run in several image blocks
     assert split > 0
+    # the layer after an upsampling, fused as ``upsample``; the small budget
+    # splits every batch above one image, so the backward pads it again
+    blocks = set()
+    for budget in (autodiff.PATCH_BLOCK_BYTES, 40_000):
+        monkeypatch.setattr(autodiff, "PATCH_BLOCK_BYTES", budget)
+        for c, h, wid, o, k, f in UPSAMPLED_CONV_SHAPES:
+            w, b = rs.randn(o, c, k, k), rs.randn(o)
+            b[0] = 0.0
+            ho, wo = f * h + 2 * padding - k + 1, f * wid + 2 * padding - k + 1
+            for n in (0, 1, 3, 8):
+                x = rs.randn(n, c, h, wid)
+                x[:1] = 0.0
+                g = rs.randn(n, o, ho, wo)
+                fused = _conv_layer_run(
+                    lambda x, w, b: conv2d(x, w, padding=padding, bias=b, slope=0.1, upsample=f),
+                    x, w, b, g)
+                chain = _conv_layer_run(
+                    lambda x, w, b: _conv_layer_chain(x, w, b, padding, upsample=f), x, w, b, g)
+                assert fused == chain, (x.shape, w.shape, padding, f, budget)
+                if n > 1:
+                    blocks.add(autodiff._block_images(n, c * k * k * ho * wo * 8) < n)
+    # one block held a whole batch, and several blocks split one
+    assert blocks == {False, True}
 
 
-def test_conv2d_fused_bias_and_leaky_relu_grads_follow_requires_grad():
+def test_conv2d_fused_bias_and_leaky_relu_grads_follow_requires_grad(monkeypatch):
     rs = np.random.RandomState(70)
-    for c, h, wid, o, k in [(8, 16, 16, 16, 3), (24, 8, 8, 4, 1)]:
-        x, w, b = rs.randn(3, c, h, wid), rs.randn(o, c, k, k), rs.randn(o)
-        g = rs.randn(3, o, h + 2 - k + 1, wid + 2 - k + 1)
-        for grads in np.ndindex(2, 2, 2):
-            grads = tuple(bool(r) for r in grads)
-            fused = _conv_layer_run(
-                lambda x, w, b: conv2d(x, w, padding=1, bias=b, slope=0.1), x, w, b, g, grads)
-            chain = _conv_layer_run(
-                lambda x, w, b: _conv_layer_chain(x, w, b, 1), x, w, b, g, grads)
-            assert fused == chain, grads
-            assert [r is not None for r in fused[1:]] == list(grads), grads
-        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        with no_grad():
-            out = conv2d(xt, wt, padding=1, bias=bt, slope=0.1)
-            ref = _conv_layer_chain(xt, wt, bt, 1)
-        assert out.data.tobytes() == ref.data.tobytes()
-        assert not out.requires_grad and out._parents == () and out._bwd is None
+    # without upsampling, then upsampled 2x in one block and in several
+    for f, budget in ((None, autodiff.PATCH_BLOCK_BYTES), (2, autodiff.PATCH_BLOCK_BYTES),
+                      (2, 40_000)):
+        monkeypatch.setattr(autodiff, "PATCH_BLOCK_BYTES", budget)
+        for c, h, wid, o, k in [(8, 16, 16, 16, 3), (24, 8, 8, 4, 1)]:
+            x, w, b = rs.randn(3, c, h, wid), rs.randn(o, c, k, k), rs.randn(o)
+            up = f or 1
+            g = rs.randn(3, o, up * h + 2 - k + 1, up * wid + 2 - k + 1)
+            for grads in np.ndindex(2, 2, 2):
+                grads = tuple(bool(r) for r in grads)
+                fused = _conv_layer_run(
+                    lambda x, w, b: conv2d(x, w, padding=1, bias=b, slope=0.1, upsample=f),
+                    x, w, b, g, grads)
+                chain = _conv_layer_run(
+                    lambda x, w, b: _conv_layer_chain(x, w, b, 1, upsample=f), x, w, b, g, grads)
+                assert fused == chain, (grads, f, budget)
+                assert [r is not None for r in fused[1:]] == list(grads), grads
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            with no_grad():
+                out = conv2d(xt, wt, padding=1, bias=bt, slope=0.1, upsample=f)
+                ref = _conv_layer_chain(xt, wt, bt, 1, upsample=f)
+            assert out.data.tobytes() == ref.data.tobytes()
+            assert not out.requires_grad and out._parents == () and out._bwd is None
 
 
 def test_conv2d_bias_without_activation_is_byte_equal_to_add():
@@ -350,6 +409,12 @@ def test_conv2d_bias_without_activation_is_byte_equal_to_add():
 def test_conv2d_rejects_slope_outside_unit_interval(slope):
     with pytest.raises(ValueError, match="slope"):
         conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), slope=slope)
+
+
+@pytest.mark.parametrize("factor", [0, -2])
+def test_conv2d_rejects_an_upsample_factor_below_one(factor):
+    with pytest.raises(ValueError, match="upsample factor"):
+        conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), upsample=factor)
 
 
 def _maxpool_oracle(x, size, g):
@@ -499,6 +564,20 @@ def test_backward_resets_between_calls():
     assert float(x.grad) == first  # no accumulation across passes
 
 
+def test_backward_frees_intermediate_grads_and_the_tape_walks_again():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    c = Tensor([0.5, 0.5, 0.5])
+    h = leaky_relu(mul(x, c))
+    loss = tsum(mul(h, h))
+    loss.backward()
+    first = x.grad.tobytes()
+    # leaves and the root keep their gradients; intermediate nodes do not
+    assert h.grad is None and h._parents[0].grad is None and c.grad is None
+    assert loss.grad is not None
+    loss.backward()
+    assert x.grad.tobytes() == first and h.grad is None
+
+
 def test_two_layer_perceptron_matches_finite_differences(rs):
     # <= 200 parameters: 6x8 + 8 + 8x4 + 4 = 92
     w1 = Tensor(rs.randn(6, 8) * 0.5, requires_grad=True)
@@ -576,6 +655,9 @@ def _primitive_cases(rs):
     cases["conv2d_bias_act_x"] = (x44, lambda t: mean(mul(conv_layer(t, kt, bt), c2244)))
     cases["conv2d_bias_act_w"] = (k, lambda t: mean(mul(conv_layer(xt, t, bt), c2244)))
     cases["conv2d_bias_act_b"] = (b2, lambda t: mean(mul(conv_layer(xt, kt, t), c2244)))
+    c2288 = Tensor(rs.randn(2, 2, 8, 8))
+    cases["conv2d_upsample_bias_act_x"] = (x44, lambda t: mean(mul(
+        conv2d(t, kt, padding=1, bias=bt, slope=0.1, upsample=2), c2288)))
     return cases
 
 

@@ -136,6 +136,51 @@ def test_bad_lock_release_is_a_config_error(flags, message):
         run_config_from_dict(_base_config("out", lock_release=flags))
 
 
+BAD_TRAINING_NUMBERS = [
+    ("lr_backbone", float("nan"), "lr_backbone must be finite and non-negative"),
+    ("lr_seg", float("inf"), "lr_seg must be finite and non-negative"),
+    ("lr_cls_head", -1e-4, "lr_cls_head must be finite and non-negative"),
+    ("weight_decay", -0.1, "weight_decay must be finite and non-negative"),
+    ("weight_decay", float("inf"), "weight_decay must be finite and non-negative"),
+    ("consistency_weight", -1.0, "consistency_weight must be finite and non-negative"),
+    ("consistency_weight", float("nan"), "consistency_weight must be finite and non-negative"),
+    ("momentum", float("nan"), r"momentum must lie in \[0, 1\]"),
+    ("step_decay_factor", -0.5, r"step_decay_factor must lie in \(0, 1\]"),
+    ("step_decay_factor", 0.0, r"step_decay_factor must lie in \(0, 1\]"),
+    ("step_decay_factor", 1.5, r"step_decay_factor must lie in \(0, 1\]"),
+    ("step_decay_factor", float("nan"), r"step_decay_factor must lie in \(0, 1\]"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_TRAINING_NUMBERS,
+                         ids=[f"{n}={v}" for n, v, _ in BAD_TRAINING_NUMBERS])
+def test_train_config_rejects_non_finite_and_out_of_range_numbers(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_numbers_are_a_config_error(tmp_path, capsys, literal):
+    # json.loads reads these literals as floats, so only the range checks stop them
+    text = json.dumps(_base_config(str(tmp_path / "out"), lr_loc=123.25))
+    assert text.count("123.25") == 1
+    text = text.replace("123.25", literal)
+    with pytest.raises(ConfigError, match="train: lr_loc must be finite and non-negative"):
+        run_config_from_dict(json.loads(text))
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert cli.main(["pretrain", "--config", str(path)]) == 2
+    assert "train: lr_loc must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_config_accepts_the_edges_of_each_range():
+    cfg = TrainConfig(lr_backbone=0.0, weight_decay=0.0, consistency_weight=0.0,
+                      momentum=1.0, step_decay_factor=1.0)
+    assert cfg.lr_backbone == 0.0 and cfg.step_decay_factor == 1.0
+    assert TrainConfig(step_decay_factor=1e-9, step_decay_interval=1).lr_scale_at(1) == 1e-9
+
+
 def test_config_hash_stable_and_out_dir_independent():
     a = run_config_from_dict(_base_config("out1"))
     b = run_config_from_dict(_base_config("out2"))

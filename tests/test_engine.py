@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cyclictrain import engine
+from cyclictrain import engine, synthdata
 from cyclictrain.engine import (
     DatasetBundle,
     TeacherState,
@@ -520,6 +522,26 @@ def test_task_branches_leave_the_shared_features_unchanged(three_task_eval):
     for task in ("loc", "seg", "cls"):
         predict(model, bundle.spec, bundle.test, task, None, features)
     assert {start: emb.data.tobytes() for start, emb in features.items()} == before
+
+
+def test_predict_holds_one_chunk_decoder_map_at_a_time():
+    spec = preset_cls_loc_seg(num_images=128)  # two 64-image chunks at 32 px
+    samples = synthdata.generate_dataset(spec)
+    arch = ArchConfig()
+    model = build_model(arch, [spec.model_spec()])
+    features: dict = {}
+    predict(model, spec, samples, "cls", None, features)  # backbone maps, made untraced
+    peaks = []
+    for n in (64, 128):
+        tracemalloc.start()
+        try:
+            predict(model, spec, samples[:n], "seg", None, features)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the second chunk adds its input and output rows, not the first chunk's decoder map
+    decoder_map = 64 * arch.seg_channels[1] * arch.image_size ** 2 * 8
+    assert peaks[1] - peaks[0] < decoder_map
 
 
 def _backbone_passes_per_evaluation(monkeypatch) -> list:

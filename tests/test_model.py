@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -160,20 +161,61 @@ def test_forward_deterministic_given_seed():
     assert np.array_equal(m1.forward_seg(x, "d").data, m2.forward_seg(x, "d").data)
 
 
+def _tape_nodes(root) -> list:
+    """Every node reachable from ``root`` through the recorded parents."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _recorded_ops(root, below=None) -> list:
+    """The op name of every recorded node from ``root`` down, stopping at ``below``."""
+    skip = set() if below is None else {id(n) for n in _tape_nodes(below)}
+    return sorted(n._bwd.__qualname__.split(".")[0] for n in _tape_nodes(root)
+                  if n._bwd is not None and id(n) not in skip)
+
+
 def test_backbone_tape_holds_one_node_per_conv_layer():
     model = _model([DatasetModelSpec("d", cls_classes=2)])
     out = model.backbone_features(_images(2))
-    ops, seen, stack = [], set(), [out]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._bwd is not None:
-            ops.append(node._bwd.__qualname__.split(".")[0])
-        stack.extend(node._parents)
     # bias and leaky ReLU ride inside each conv2d node
-    assert sorted(ops) == ["conv2d", "conv2d", "conv2d", "maxpool2d"]
+    assert _recorded_ops(out) == ["conv2d", "conv2d", "conv2d", "maxpool2d"]
+
+
+def test_seg_decoder_upsamples_inside_its_second_conv_node():
+    model = _model([DatasetModelSpec("d", seg_classes=2)])
+    emb = model.backbone_features(_images(2))
+    dec = model.seg_decoder_features(emb)
+    assert _recorded_ops(dec, below=emb) == ["conv2d", "conv2d"]
+    assert dec.shape == (2, ARCH.seg_channels[1], ARCH.image_size, ARCH.image_size)
+
+
+def test_seg_backward_keeps_no_intermediate_gradient():
+    # one seg-task step of the default architecture at batch 8
+    model = build_model(ArchConfig(), [DatasetModelSpec("d", seg_classes=2)])
+    model.graph.set_trainable_components(set(trainable_components("seg", "release", "d")))
+    rs = np.random.RandomState(0)
+    logits, _ = model.task_branch(model.backbone_features(rs.rand(8, 1, 32, 32)), "seg", "d")
+    loss = seg_loss(logits, (rs.rand(8, 2, 32, 32) > 0.5).astype(float))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = model.graph.backward(loss)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    intermediate = [n for n in _tape_nodes(loss) if n._bwd is not None and n is not loss]
+    assert len(intermediate) > 10
+    assert all(n.grad is None for n in intermediate)
+    trainable = [p for p in model.graph.parameters() if p.trainable]
+    assert trainable and all(p.tensor.grad is not None for p in trainable)
+    # what the call leaves behind is the returned parameter gradients
+    assert held - sum(g.nbytes for g in grads.values()) < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
