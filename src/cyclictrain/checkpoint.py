@@ -9,9 +9,10 @@ component; the optimizer's moments are the arrays ``<param>/m`` and
 reproduces the directory byte for byte.  Next to each list sits the
 SHA-256 of the blob's bytes (``sha256``, ``teacher.sha256``,
 ``optimizer.sha256``); loading verifies it, so a damaged blob of the right
-length is rejected rather than loaded.  The manifest's one schema is the
-private records below: saving writes them, and loading decodes them by the
-config file's rules (:func:`cyclictrain.config._from_dict`).
+length is rejected rather than loaded.  Every teacher array and optimizer
+moment must match a student entry's name and shape.  The manifest's one
+schema is the private records below: saving writes them, and loading
+decodes them by the config rules (:func:`cyclictrain.config._from_dict`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .config import _from_dict
 from .engine import TeacherState
 from .model import MultiTaskModel
-from .optim import AdamW
+from .optim import AdamW, AdamWState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -50,7 +51,7 @@ class Checkpoint:
     weights_kind: str
     teacher_momentum: float | None = None
     teacher_arrays: dict[str, np.ndarray] | None = None
-    optimizer_state: dict | None = None
+    optimizer: AdamW | None = None  # the stored state records, no ``lr_for``
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,12 @@ class _OptimizerEntry:
     name: str
     lr: float
     step_count: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"lr {self.lr!r} is not a finite number >= 0")
+        if self.step_count < 1:
+            raise ValueError(f"step_count {self.step_count!r} is not >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,17 @@ def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np
     return out
 
 
+def _match_student(label, arrays, student, param=lambda name: name) -> None:
+    """Every array must have the shape of the student entry ``param(name)`` names."""
+    for name, a in arrays.items():
+        entry = student.get(param(name))
+        if entry is None:
+            raise CheckpointError(f"{label}: '{name}' matches no student entry")
+        if a.shape != entry.shape:
+            raise CheckpointError(f"{label}: '{name}' has shape {list(a.shape)}, its student "
+                                  f"entry {list(entry.shape)}")
+
+
 def save_checkpoint(
     directory: str,
     model: MultiTaskModel,
@@ -179,31 +197,22 @@ def save_checkpoint(
     """Write a checkpoint directory.
 
     ``weights`` overrides the stored parameter arrays (used for teacher
-    export); names and shapes must match the model's registry exactly.
+    export); :meth:`ModelGraph.conform` admits it, so a missing parameter or
+    one of another shape is a ``ValueError`` and nothing is written.
     """
+    arrays = model.graph.arrays() if weights is None else model.graph.conform(weights)
+    components = {p.name: p.component for p in model.graph.parameters()}
     os.makedirs(directory, exist_ok=True)
-    arrays = {}
-    components = {}
-    for p in model.graph.parameters():
-        data = weights[p.name] if weights is not None else p.tensor.data
-        if data.shape != p.tensor.data.shape:
-            raise CheckpointError(
-                f"weights override for '{p.name}' has shape {data.shape}, "
-                f"expected {p.tensor.data.shape}"
-            )
-        arrays[p.name] = np.asarray(data, dtype=np.float64)
-        components[p.name] = p.component
     teacher_section = optimizer_section = None
     if teacher is not None:
         teacher_section = _Teacher(teacher.momentum, _blob_entries(teacher.params),
                                    _write_blob(directory, "teacher.bin", teacher.params))
     if optimizer is not None:
-        state = optimizer.export_state()
-        moments = {f"{name}/{k}": e[k] for name, e in state["entries"].items() for k in "mv"}
+        state = optimizer.state
+        moments = {f"{name}/{k}": getattr(st, k) for name, st in state.items() for k in "mv"}
         optimizer_section = _Optimizer(
-            betas=tuple(state["betas"]), eps=state["eps"], weight_decay=state["weight_decay"],
-            entries=tuple(_OptimizerEntry(name, e["lr"], e["step_count"])
-                          for name, e in state["entries"].items()),
+            betas=optimizer.betas, eps=optimizer.eps, weight_decay=optimizer.weight_decay,
+            entries=tuple(_OptimizerEntry(n, st.lr, st.step_count) for n, st in state.items()),
             params=_blob_entries(moments), sha256=_write_blob(directory, "optim.bin", moments))
     manifest = _Manifest(
         format_version=FORMAT_VERSION, config_hash=config_hash, weights_kind=weights_kind,
@@ -244,17 +253,26 @@ def load_checkpoint(directory: str) -> Checkpoint:
         cp.teacher_momentum = m.teacher.momentum
         cp.teacher_arrays = _read_blob(directory, "teacher.bin", m.teacher.params,
                                        m.teacher.sha256)
+        _match_student("teacher.bin", cp.teacher_arrays, arrays)
     if m.optimizer is not None:
         o = m.optimizer
         moments = _read_blob(directory, "optim.bin", o.params, o.sha256)
-        for e in o.entries:
+        _match_student("optim.bin", moments, arrays, lambda name: name.rpartition("/")[0])
+        try:
+            cp.optimizer = AdamW(betas=o.betas, eps=o.eps, weight_decay=o.weight_decay)
+        except ValueError as e:
+            raise CheckpointError(f"manifest.json: optimizer: {e}") from None
+        for i, e in enumerate(o.entries):
+            if e.name in cp.optimizer.state:
+                raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{e.name}' "
+                                      "is listed twice")
             for k in ("m", "v"):
                 if f"{e.name}/{k}" not in moments:
                     raise CheckpointError(f"optim.bin: optimizer entry '{e.name}' has no "
                                           f"'{e.name}/{k}' array")
-        entries = {e.name: {"lr": e.lr, "step_count": e.step_count,
-                            "m": moments[f"{e.name}/m"], "v": moments[f"{e.name}/v"]}
-                   for e in o.entries}
-        cp.optimizer_state = {"betas": list(o.betas), "eps": o.eps,
-                              "weight_decay": o.weight_decay, "entries": entries}
+            cp.optimizer.state[e.name] = AdamWState(e.lr, e.step_count, moments.pop(f"{e.name}/m"),
+                                                    moments.pop(f"{e.name}/v"))
+        if moments:
+            raise CheckpointError(
+                f"optim.bin: '{next(iter(moments))}' belongs to no optimizer entry")
     return cp

@@ -132,7 +132,7 @@ def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str):
     The finetune dataset's heads join the model only when the checkpoint
     holds their parameters (a finetuned checkpoint); fresh heads are
     :func:`engine.finetune`'s to make.  Every parameter must come from the
-    checkpoint, in the model's shape.
+    checkpoint, in the model's shape; stored arrays the model lacks are ignored.
     """
     cp = load_checkpoint(checkpoint_path)
     chash = config_hash(cfg)
@@ -147,8 +147,8 @@ def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str):
         model.add_dataset(target.model_spec())  # every value comes from the checkpoint
     try:
         model.graph.load_arrays(cp.arrays)
-    except (KeyError, ValueError) as e:  # a missing parameter, or one of another shape
-        raise CheckpointError(e.args[0]) from None
+    except ValueError as e:  # a missing parameter, or one of another shape
+        raise CheckpointError(str(e)) from None
     return model, cp
 
 

@@ -131,9 +131,6 @@ class ModelGraph:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
 
@@ -171,19 +168,29 @@ class ModelGraph:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: p.tensor.data.copy() for name, p in self._params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy in every parameter's values; nothing is loaded if one is missing."""
+    def conform(self, arrays: dict, complete: bool = True) -> dict[str, np.ndarray]:
+        """C-ordered float64 copies of ``arrays``' parameters, in registry order.
+
+        The one rule for every name -> array weight set: a name the registry
+        lacks is ignored, a parameter of another shape is a ``ValueError``
+        naming it, and so, when ``complete``, is a missing parameter.
+        """
         missing = sorted(set(self._params) - set(arrays))
-        if missing:
-            raise KeyError(f"missing parameters in checkpoint: {missing}")
-        for name, p in self._params.items():
-            a = np.asarray(arrays[name], dtype=np.float64)
-            if a.shape != p.tensor.data.shape:
-                raise ValueError(
-                    f"parameter '{name}': stored shape {a.shape} != model shape "
-                    f"{p.tensor.data.shape}"
-                )
-            p.tensor.data = a.copy()
+        if complete and missing:
+            raise ValueError(f"missing parameters: {missing}")
+        out = {name: np.array(arrays[name], dtype=np.float64, order="C")
+               for name in self._params if name in arrays}
+        for name, a in out.items():
+            if a.shape != self._params[name].tensor.data.shape:
+                raise ValueError(f"parameter '{name}': stored shape {a.shape} != model "
+                                 f"shape {self._params[name].tensor.data.shape}")
+        return out
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy in every parameter's values, admitted by :meth:`conform`;
+        nothing is loaded if one is missing or of another shape."""
+        for name, a in self.conform(arrays).items():
+            self._params[name].tensor.data = a
 
     def count_by_component(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -514,13 +521,12 @@ class MultiTaskModel:
     # introspection helpers
 
     def merged_weights(self, overrides: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Full weight set with ``overrides`` (e.g. teacher arrays) patched in."""
-        out = self.graph.arrays()
-        for name, arr in overrides.items():
-            if name not in out:
-                raise KeyError(f"override for unknown parameter '{name}'")
-            out[name] = np.asarray(arr, dtype=np.float64).copy()
-        return out
+        """Full weight set with ``overrides`` (e.g. teacher arrays) patched in.
+
+        Overrides pass :meth:`ModelGraph.conform`, so names the model lacks
+        (another dataset's heads) are ignored.
+        """
+        return {**self.graph.arrays(), **self.graph.conform(overrides, complete=False)}
 
 
 def build_model(arch: ArchConfig, dataset_specs) -> MultiTaskModel:

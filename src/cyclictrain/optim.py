@@ -1,6 +1,7 @@
 """AdamW with decoupled weight decay, per-parameter state and freezing.
 
-The optimizer keeps one state record per parameter name.  Frozen parameters
+``AdamW.state`` maps each parameter name to its :class:`AdamWState`
+record; checkpoints store these records as they are.  Frozen parameters
 (``trainable=False``) are skipped entirely: no data change, no moment update,
 no step-count advance, so a freeze leaves both the weights and the optimizer
 state bit-identical.
@@ -18,12 +19,12 @@ __all__ = ["AdamWState", "AdamW"]
 
 @dataclass
 class AdamWState:
-    """Moments and counters for one parameter."""
+    """Learning rate, applied steps and moments of one parameter."""
 
     lr: float
-    step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    step_count: int
+    m: np.ndarray
+    v: np.ndarray
 
 
 class AdamW:
@@ -33,7 +34,8 @@ class AdamW:
     ``data``), ``component`` and ``trainable`` works.  ``lr_for``
     lets the caller resolve a per-parameter learning rate (e.g. a smaller one
     for a shared backbone); it is sampled once, when the parameter's state is
-    first created.
+    first created.  ``step`` updates the moments of ``state`` in place; a
+    resume assigns ``state`` from a loaded checkpoint's optimizer.
     """
 
     def __init__(
@@ -46,14 +48,18 @@ class AdamW:
     ):
         if not (0.0 < betas[0] < 1.0 and 0.0 < betas[1] < 1.0):
             raise ValueError(f"betas must lie in (0, 1), got {betas}")
-        if lr < 0.0:
-            raise ValueError(f"lr must be non-negative, got {lr}")
+        if not (np.isfinite(lr) and lr >= 0.0):
+            raise ValueError(f"lr must be finite and non-negative, got {lr}")
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        if not (np.isfinite(weight_decay) and weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and non-negative, got {weight_decay}")
         self.lr = float(lr)
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.lr_for = lr_for
-        self._state: dict[str, AdamWState] = {}
+        self.state: dict[str, AdamWState] = {}
 
     def step(
         self,
@@ -76,20 +82,17 @@ class AdamW:
             g = grads[p.name]
             if not np.all(np.isfinite(g)):
                 raise ValueError(f"non-finite gradient for parameter '{p.name}'")
-            st = self._state.get(p.name)
+            st = self.state.get(p.name)
             if st is None:
                 lr = self.lr_for(p) if self.lr_for is not None else self.lr
-                if lr < 0.0:
-                    raise ValueError(f"negative learning rate for '{p.name}'")
-                st = AdamWState(lr=lr)
-                st.m = np.zeros_like(p.tensor.data)
-                st.v = np.zeros_like(p.tensor.data)
-                self._state[p.name] = st
+                if not (np.isfinite(lr) and lr >= 0.0):
+                    raise ValueError(f"learning rate {lr} for '{p.name}' is not finite and >= 0")
+                st = AdamWState(lr, 0, np.zeros_like(p.tensor.data), np.zeros_like(p.tensor.data))
+                self.state[p.name] = st
             st.step_count += 1
             # in place, through two scratch arrays, each element takes the
             # operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
             # p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), in that order.
-            # m and v are updated in place, so export_state and load_state copy
             tmp = np.multiply(g, 1.0 - b1)
             st.m *= b1
             st.m += tmp
@@ -106,33 +109,3 @@ class AdamW:
             update += tmp
             update *= st.lr * lr_scale
             p.tensor.data -= update
-
-    # ------------------------------------------------------------------
-    # serialization support for checkpoints
-
-    def export_state(self) -> dict:
-        entries = {}
-        for name, st in self._state.items():
-            entries[name] = {
-                "lr": st.lr,
-                "step_count": st.step_count,
-                "m": st.m.copy(),
-                "v": st.v.copy(),
-            }
-        return {
-            "betas": list(self.betas),
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "entries": entries,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.betas = (float(state["betas"][0]), float(state["betas"][1]))
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        self._state = {}
-        for name, entry in state["entries"].items():
-            st = AdamWState(lr=float(entry["lr"]), step_count=int(entry["step_count"]))
-            st.m = np.array(entry["m"], dtype=np.float64)
-            st.v = np.array(entry["v"], dtype=np.float64)
-            self._state[name] = st

@@ -55,9 +55,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     model2 = build_model(ARCH, [SPEC.model_spec()])
     model2.graph.load_arrays(cp.arrays)
     teacher2 = TeacherState(params=cp.teacher_arrays, momentum=cp.teacher_momentum)
-    opt2 = make_optimizer(TrainConfig())
-    opt2.load_state(cp.optimizer_state)
-    save_checkpoint(str(second), model2, teacher=teacher2, optimizer=opt2,
+    save_checkpoint(str(second), model2, teacher=teacher2, optimizer=cp.optimizer,
                     counters=cp.counters, config_hash=cp.config_hash)
     assert _dir_bytes(first) == _dir_bytes(second)
 
@@ -183,6 +181,35 @@ def _orphan(moment):
     return edit
 
 
+def _set(path, value):
+    """Set one optimizer field, ``entries.0.lr`` style, to ``value``."""
+
+    def edit(manifest):
+        *parents, key = path.split(".")
+        section = manifest["optimizer"]
+        for parent in parents:
+            section = section[int(parent) if isinstance(section, list) else parent]
+        section[key] = value
+
+    return edit
+
+
+def _reshape_first_moment(manifest):
+    """Reverse the shape of the first moment whose reversed shape differs."""
+    e = next(e for e in manifest["optimizer"]["params"] if e["shape"] != e["shape"][::-1])
+    e["shape"] = e["shape"][::-1]
+
+
+def _rename_first_entry(manifest):
+    """Rename the first optimizer entry and both its moments to a name the student lacks."""
+    o = manifest["optimizer"]
+    name = o["entries"][0]["name"]
+    o["entries"][0]["name"] = f"{name}~"
+    for e in o["params"]:
+        if e["name"] in (f"{name}/m", f"{name}/v"):
+            e["name"] = f"{name}~/{e['name'][-1]}"
+
+
 # manifest edit (in place, or returning the manifest to write) -> what the error must name;
 # the manifest is decoded by the config file's rules, so each message is theirs
 MISSING_KEYS = {
@@ -251,6 +278,33 @@ MISSING_KEYS = {
     "unknown-key": (lambda manifest: manifest.update(epoch=3), "epoch: unknown key"),
     "entry-without-component": (_drop("params.0.component"),
                                 r"params\[0\]\.component: required key missing"),
+    "lr-nan": (_set("entries.0.lr", float("nan")),
+               r"optimizer\.entries\[0\]: lr nan is not a finite number >= 0"),
+    "lr-negative": (_set("entries.0.lr", -1),
+                    r"optimizer\.entries\[0\]: lr -1\.0 is not a finite number >= 0"),
+    "step-count-negative": (_set("entries.0.step_count", -3),
+                            r"optimizer\.entries\[0\]: step_count -3 is not >= 1"),
+    "eps-negative": (_set("eps", -1), r"optimizer: eps must be finite and positive, got -1\.0"),
+    "weight-decay-nan": (_set("weight_decay", float("nan")),
+                         r"optimizer: weight_decay must be finite and non-negative, got nan"),
+    "beta-above-one": (_set("betas", [2, 0.5]),
+                       r"optimizer: betas must lie in \(0, 1\), got \(2\.0, 0\.5\)"),
+    "teacher-entry-reshaped": (
+        lambda manifest: manifest["teacher"]["params"][0].update(shape=[1, 4, 3, 3]),
+        r"teacher\.bin: 'backbone/conv1/w' has shape \[1, 4, 3, 3\], its student entry "
+        r"\[4, 1, 3, 3\]"),
+    "teacher-entry-renamed": (
+        lambda manifest: manifest["teacher"]["params"][0].update(name="backbone/conv9/w"),
+        r"teacher\.bin: 'backbone/conv9/w' matches no student entry"),
+    "moment-reshaped": (_reshape_first_moment,
+                        r"optim\.bin: '.+/[mv]' has shape \[.+\], its student entry \[.+\]"),
+    "entry-renamed": (_rename_first_entry, r"optim\.bin: '.+~/m' matches no student entry"),
+    "entry-twice": (lambda manifest: manifest["optimizer"]["entries"].append(
+                        manifest["optimizer"]["entries"][0]),
+                    r"manifest\.json: optimizer\.entries\[\d+\]: '.+' is listed twice"),
+    "moments-without-entry": (lambda manifest: manifest["optimizer"].update(
+                                  entries=manifest["optimizer"]["entries"][1:]),
+                              r"optim\.bin: '.+/m' belongs to no optimizer entry"),
     "teacher-entry-with-component": (
         lambda manifest: manifest["teacher"]["params"][0].update(component="backbone"),
         r"teacher\.params\[0\]\.component: unknown key"),
@@ -311,7 +365,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert digests == PINNED_FILES
 
 
-def test_optimizer_state_roundtrip_resumes_identically(tmp_path):
+def test_optimizer_roundtrip_resumes_identically(tmp_path):
     cfg = TrainConfig(num_cycles=1, batch_size=8)
     model, teacher, opt = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
@@ -324,7 +378,7 @@ def test_optimizer_state_roundtrip_resumes_identically(tmp_path):
     model2.graph.load_arrays(cp.arrays)
     teacher2 = TeacherState(params=cp.teacher_arrays, momentum=cp.teacher_momentum)
     opt2 = make_optimizer(cfg)
-    opt2.load_state(cp.optimizer_state)
+    opt2.state = cp.optimizer.state
 
     run_epoch(model, teacher, entry, bundles["d"], opt, cfg, epoch_in_cycle=9)
     run_epoch(model2, teacher2, entry, bundles["d"], opt2, cfg, epoch_in_cycle=9)
@@ -346,6 +400,22 @@ def test_teacher_export_roundtrip_forward_equality(tmp_path):
     assert np.array_equal(model2.forward_cls(x, "d").data, expected.data)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda weights: weights.pop("seg_head/d/conv/b"),
+     r"missing parameters: \['seg_head/d/conv/b'\]"),
+    (lambda weights: weights.update({"loc_encoder/conv/b": np.zeros(3)}),
+     r"parameter 'loc_encoder/conv/b': stored shape \(3,\) != model shape \(8,\)"),
+], ids=["missing", "reshaped"])
+def test_save_rejects_a_weight_set_the_model_does_not_admit(tmp_path, edit, message):
+    model, teacher, _ = _trained_model()
+    weights = export_teacher(model, teacher)
+    edit(weights)
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, weights=weights,
+                        weights_kind="teacher_export")
+    assert not (tmp_path / "cp").exists()
+
+
 def test_load_rejects_missing_parameters(tmp_path):
     model, _, _ = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model)
@@ -353,5 +423,5 @@ def test_load_rejects_missing_parameters(tmp_path):
     bigger = build_model(ARCH, [SPEC.model_spec(),
                                 SynthDatasetSpec("extra", num_images=5, tasks=("cls",),
                                                  image_size=16).model_spec()])
-    with pytest.raises(KeyError, match="missing parameters"):
+    with pytest.raises(ValueError, match="missing parameters"):
         bigger.graph.load_arrays(cp.arrays)

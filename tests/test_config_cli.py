@@ -681,7 +681,47 @@ def test_cmd_eval_rejects_a_checkpoint_of_another_shape(tmp_path, capsys):
     path = _write(tmp_path, cfg, "more.json")
     assert cli.main(["eval", "--checkpoint", ckpt, "--config", path,
                      "--dataset", "boxesmasks"]) == 2
-    assert "missing parameters in checkpoint: ['cls_head/extra/fc/b'" in capsys.readouterr().err
+    assert "missing parameters: ['cls_head/extra/fc/b'" in capsys.readouterr().err
+
+
+# a teacher entry edited in the manifest only (blob and SHA-256 untouched) -> what the error names
+TEACHER_EDITS = {
+    "reshaped": ({"shape": [1, 6, 3, 3]},
+                 "teacher.bin: 'backbone/conv1/w' has shape [1, 6, 3, 3], its student entry "
+                 "[6, 1, 3, 3]"),
+    "renamed": ({"name": "backbone/conv9/w"},
+                "teacher.bin: 'backbone/conv9/w' matches no student entry"),
+}
+
+
+@pytest.mark.parametrize("case", list(TEACHER_EDITS))
+def test_cmd_eval_teacher_rejects_an_entry_unlike_the_students(tmp_path, capsys, case):
+    edit, message = TEACHER_EDITS[case]
+    out, cfg = _pretrained(tmp_path)
+    ckpt = out / "checkpoints" / "final"
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    assert manifest["teacher"]["params"][0]["name"] == "backbone/conv1/w"
+    manifest["teacher"]["params"][0].update(edit)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", path,
+                     "--dataset", "boxesmasks", "--weights", "teacher"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cmd_eval_teacher_ignores_mirrored_heads_the_config_lacks(tmp_path, capsys):
+    out, cfg = _pretrained(tmp_path, {"train": {"num_cycles": 1, "batch_size": 8, "seed": 5,
+                                                "mirror_heads": True}})
+    ckpt = str(out / "checkpoints" / "final")
+    cfg["datasets"] = cfg["datasets"][:1]
+    path = _write(tmp_path, cfg, "first_only.json")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", ckpt, "--config", path,
+                     "--dataset", "boxesmasks", "--weights", "teacher"]) == 0
+    printed = capsys.readouterr().out
+    for line in ("boxesmasks cls AUC: ", "boxesmasks loc mAP40: ", "boxesmasks seg Dice: "):
+        assert line in printed
 
 
 def test_cmd_eval_scores_a_finetuned_checkpoint_on_its_dataset(tmp_path, capsys):

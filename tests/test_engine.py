@@ -200,6 +200,15 @@ def test_ema_rejects_structural_mismatch():
         ema_update(teacher, model)
 
 
+def test_ema_rejects_a_teacher_array_of_another_shape():
+    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    teacher = TeacherState.init_from(model, momentum=0.8)
+    teacher.params["backbone/conv1/w"] = teacher.params["backbone/conv1/w"].reshape(1, 4, 3, 3)
+    with pytest.raises(ValueError, match=r"'backbone/conv1/w' shape \(1, 4, 3, 3\) != student "
+                                         r"shape \(4, 1, 3, 3\)"):
+        ema_update(teacher, model)
+
+
 def test_teacher_initializes_bit_equal_and_never_aliases():
     model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)
@@ -298,8 +307,8 @@ def _record_backbone_calls(monkeypatch) -> list:
 
 def _state_bytes(model, opt) -> tuple[dict, dict]:
     params = {name: a.tobytes() for name, a in model.graph.arrays().items()}
-    moments = {name: (e["lr"], e["step_count"], e["m"].tobytes(), e["v"].tobytes())
-               for name, e in opt.export_state()["entries"].items()}
+    moments = {name: (st.lr, st.step_count, st.m.tobytes(), st.v.tobytes())
+               for name, st in opt.state.items()}
     return params, moments
 
 

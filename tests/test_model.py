@@ -339,8 +339,8 @@ def test_backward_returns_no_gradient_for_a_frozen_component():
     weights = {p.name: p.tensor.data.tobytes() for p in backbone}
 
     def adam_state(name):
-        st = opt.export_state()["entries"][name]
-        return st["step_count"], st["m"].tobytes(), st["v"].tobytes()
+        st = opt.state[name]
+        return st.step_count, st.m.tobytes(), st.v.tobytes()
 
     state = {p.name: adam_state(p.name) for p in backbone}
     grads = model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2))))
@@ -399,3 +399,37 @@ def test_checksums_change_only_when_data_changes():
     after = model.graph.component_checksums()
     assert after[BACKBONE] != before[BACKBONE]
     assert after[LOC_ENCODER] == before[LOC_ENCODER]
+
+
+# ---------------------------------------------------------------------------
+# weight sets
+
+
+def test_conform_ignores_unknown_names_and_names_a_wrong_shape():
+    model = _model([DatasetModelSpec("d", cls_classes=2)])
+    arrays = model.graph.arrays()
+    conformed = model.graph.conform({**arrays, "cls_head/other/fc/w": np.zeros(3)})
+    assert list(conformed) == [p.name for p in model.graph.parameters()]
+    assert all(np.array_equal(conformed[k], arrays[k]) and conformed[k] is not arrays[k]
+               for k in arrays)
+    arrays["backbone/conv1/w"] = arrays["backbone/conv1/w"].reshape(1, 4, 3, 3)
+    with pytest.raises(ValueError, match=r"parameter 'backbone/conv1/w': stored shape \(1, 4"):
+        model.graph.conform(arrays, complete=False)
+
+
+def test_conform_requires_every_parameter_of_a_complete_set_only():
+    model = _model([DatasetModelSpec("d", cls_classes=2)])
+    partial = {"cls_head/d/fc/b": np.ones(2)}
+    with pytest.raises(ValueError, match=r"missing parameters: \['backbone/conv1/b'"):
+        model.graph.conform(partial)
+    assert list(model.graph.conform(partial, complete=False)) == ["cls_head/d/fc/b"]
+
+
+def test_merged_weights_ignores_heads_the_model_lacks():
+    """A teacher mirroring another dataset's heads merges over a one-dataset model."""
+    model = _model([DatasetModelSpec("d", cls_classes=2)])
+    teacher = {"backbone/conv1/b": np.full(4, 0.5), "cls_head/other/fc/b": np.ones(3)}
+    merged = model.merged_weights(teacher)
+    assert list(merged) == [p.name for p in model.graph.parameters()]
+    assert np.array_equal(merged["backbone/conv1/b"], teacher["backbone/conv1/b"])
+    assert np.array_equal(merged["cls_head/d/fc/w"], model.graph["cls_head/d/fc/w"].tensor.data)

@@ -67,7 +67,7 @@ def test_frozen_parameter_bit_identical_under_any_gradient():
     opt = AdamW(lr=10.0, weight_decay=0.5)
     opt.step(g.parameters(), {"p": np.asarray([1e9])})
     assert g["p"].tensor.data.tobytes() == before
-    assert "p" not in opt.export_state()["entries"]  # no state created either
+    assert "p" not in opt.state  # no state created either
 
 
 def test_non_finite_gradient_rejected_with_name():
@@ -82,7 +82,7 @@ def test_step_count_increments_per_applied_step():
     opt = AdamW()
     for expected in (1, 2, 3):
         opt.step(g.parameters(), {"p": np.asarray([0.1])})
-        assert opt.export_state()["entries"]["p"]["step_count"] == expected
+        assert opt.state["p"].step_count == expected
 
 
 def test_per_parameter_learning_rates():
@@ -91,9 +91,8 @@ def test_per_parameter_learning_rates():
     g.add("b", np.asarray([1.0]), "cls_head/x")
     opt = AdamW(lr=1.0, lr_for=lambda p: 1e-5 if p.component == "backbone" else 1e-1)
     opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
-    entries = opt.export_state()["entries"]
-    assert entries["a"]["lr"] == 1e-5
-    assert entries["b"]["lr"] == 1e-1
+    assert opt.state["a"].lr == 1e-5
+    assert opt.state["b"].lr == 1e-1
     moved_a = abs(1.0 - g["a"].tensor.data[0])
     moved_b = abs(1.0 - g["b"].tensor.data[0])
     assert moved_a < moved_b
@@ -108,7 +107,7 @@ def test_missing_gradient_for_a_trainable_parameter_is_rejected():
         opt.step(g.parameters(), {"a": np.asarray([1.0])})
     g["b"].trainable = False
     opt.step(g.parameters(), {"a": np.asarray([1.0])})  # frozen: no gradient needed
-    assert "b" not in opt.export_state()["entries"]
+    assert "b" not in opt.state
 
 
 def test_in_place_update_is_byte_equal_to_the_array_formula():
@@ -130,29 +129,29 @@ def test_in_place_update_is_byte_equal_to_the_array_formula():
         v = b2 * v + (1.0 - b2) * (grad * grad)
         update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps) + wd * theta
         theta = theta - (lr * scale) * update
-        entry = opt.export_state()["entries"]["p"]
+        entry = opt.state["p"]
         assert g["p"].tensor.data.tobytes() == theta.tobytes(), t
-        assert entry["m"].tobytes() == m.tobytes(), t
-        assert entry["v"].tobytes() == v.tobytes(), t
+        assert entry.m.tobytes() == m.tobytes(), t
+        assert entry.v.tobytes() == v.tobytes(), t
 
 
-def test_exported_and_loaded_state_own_their_arrays():
-    g = _graph_with(value=0.5)
-    opt = AdamW(lr=1e-2)
-    opt.step(g.parameters(), {"p": np.asarray([0.3])})
-    state = opt.export_state()
-    m, v = state["entries"]["p"]["m"].copy(), state["entries"]["p"]["v"].copy()
-    opt.step(g.parameters(), {"p": np.asarray([-0.7])})
-    # a later step updates the moments in place, but not the exported copies
-    assert state["entries"]["p"]["m"].tobytes() == m.tobytes()
-    assert state["entries"]["p"]["v"].tobytes() == v.tobytes()
+@pytest.mark.parametrize("kwargs,message", [
+    ({"lr": float("nan")}, "lr must be finite and non-negative, got nan"),
+    ({"lr": -1.0}, "lr must be finite and non-negative, got -1.0"),
+    ({"eps": 0.0}, "eps must be finite and positive, got 0.0"),
+    ({"eps": float("inf")}, "eps must be finite and positive, got inf"),
+    ({"weight_decay": -0.1}, "weight_decay must be finite and non-negative, got -0.1"),
+    ({"weight_decay": float("nan")}, "weight_decay must be finite and non-negative, got nan"),
+    ({"betas": (0.9, 1.0)}, r"betas must lie in \(0, 1\), got \(0\.9, 1\.0\)"),
+])
+def test_constructor_rejects_hyperparameters_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        AdamW(**kwargs)
 
-    # moments read from a file may be read-only views; loading copies them
-    for k in "mv":
-        state["entries"]["p"][k].flags.writeable = False
-    loaded = AdamW(lr=1e-2)
-    loaded.load_state(state)
-    loaded.step(g.parameters(), {"p": np.asarray([0.1])})
-    assert state["entries"]["p"]["m"].tobytes() == m.tobytes()
-    assert state["entries"]["p"]["v"].tobytes() == v.tobytes()
-    assert loaded.export_state()["entries"]["p"]["step_count"] == 2
+
+def test_learning_rate_from_lr_for_must_be_finite_and_non_negative():
+    g = _graph_with()
+    for lr in (float("nan"), -1e-3):
+        with pytest.raises(ValueError, match="learning rate .* for 'p' is not finite and >= 0"):
+            AdamW(lr_for=lambda p: lr).step(g.parameters(), {"p": np.asarray([0.1])})
+    assert np.array_equal(g["p"].tensor.data, [1.0])
