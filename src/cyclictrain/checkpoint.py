@@ -10,9 +10,11 @@ reproduces the directory byte for byte.  Next to each list sits the
 SHA-256 of the blob's bytes (``sha256``, ``teacher.sha256``,
 ``optimizer.sha256``); loading verifies it, so a damaged blob of the right
 length is rejected rather than loaded.  Every teacher array and optimizer
-moment must match a student entry's name and shape.  The manifest's one
-schema is the private records below: saving writes them, and loading
-decodes them by the config rules (:func:`cyclictrain.config._from_dict`).
+moment must match a student entry's name and shape, and the optimizer
+entries must form one state per component (all of its parameters or none,
+with one ``lr`` and one ``step_count``).  The manifest's one schema is the
+private records below: saving writes them, and loading decodes them by the
+config rules (:func:`cyclictrain.config._from_dict`).
 """
 
 from __future__ import annotations
@@ -275,4 +277,12 @@ def load_checkpoint(directory: str) -> Checkpoint:
         if moments:
             raise CheckpointError(
                 f"optim.bin: '{next(iter(moments))}' belongs to no optimizer entry")
+        members: dict[str, list[str]] = {}
+        for e in m.params:
+            members.setdefault(e.component, []).append(e.name)
+        for component, names in members.items():
+            try:
+                cp.optimizer.component_records(component, names)
+            except ValueError as e:
+                raise CheckpointError(f"manifest.json: optimizer.entries: {e}") from None
     return cp

@@ -214,18 +214,36 @@ class TeacherState:
 
 
 def ema_update(teacher: TeacherState, model: MultiTaskModel) -> None:
-    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise."""
-    lam = teacher.momentum
-    for name in teacher.params:
-        if name not in model.graph:
+    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise.
+
+    Every entry is checked before any is averaged: it must name a student
+    parameter of its shape, and the teacher must mirror whole components.
+    Each component's entries are packed into one flat array, averaged in
+    place, and then viewed by the entries.
+    """
+    graph = model.graph
+    mirrored: dict[str, list] = {}
+    for name, a in teacher.params.items():
+        if name not in graph:
             raise ValueError(f"teacher parameter '{name}' missing from student")
-        student = model.graph[name].tensor.data
-        if student.shape != teacher.params[name].shape:
-            raise ValueError(
-                f"teacher parameter '{name}' shape {teacher.params[name].shape} "
-                f"!= student shape {student.shape}"
-            )
-        teacher.params[name] = lam * teacher.params[name] + (1.0 - lam) * student
+        p = graph[name]
+        if a.shape != p.tensor.shape:
+            raise ValueError(f"teacher parameter '{name}' shape {a.shape} != student shape "
+                             f"{p.tensor.shape}")
+        mirrored.setdefault(p.component, []).append(p)
+    for component, ps in mirrored.items():
+        if sum(p.tensor.size for p in ps) != ps[0].component_data.size:
+            missing = next(q.name for q in graph.parameters()
+                           if q.component == component and q.name not in teacher.params)
+            raise ValueError(f"teacher mirrors part of component '{component}': "
+                             f"'{missing}' is missing")
+        ps.sort(key=lambda p: p.offset)
+    lam = teacher.momentum
+    for ps in mirrored.values():
+        t = np.concatenate([teacher.params[p.name] for p in ps], axis=None, dtype=np.float64)
+        t *= lam
+        t += (1.0 - lam) * ps[0].component_data
+        teacher.params.update((p.name, p.within(t)) for p in ps)
 
 
 def export_teacher(model: MultiTaskModel, teacher: TeacherState) -> dict[str, np.ndarray]:

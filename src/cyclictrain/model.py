@@ -6,7 +6,10 @@ Every parameter belongs to exactly one component.  Components are plain
 strings: the shared ones are ``backbone``, ``loc_encoder`` and
 ``seg_decoder``; per-dataset ones are ``cls_head/<id>``, ``loc_decoder/<id>``
 and ``seg_head/<id>``.  Freeze scheduling and parameter accounting both key
-off this partition.
+off this partition.  The registry keeps every parameter value in one
+float64 buffer, in which each component is one contiguous slice, so the
+optimizer, the EMA teacher and the checksums each handle a component as
+one flat array.
 """
 
 from __future__ import annotations
@@ -86,14 +89,19 @@ class Parameter:
 
     ``trainable`` is stored on the tensor itself (as ``requires_grad``) so a
     frozen parameter builds no gradient path at all; a new one is trainable.
+    In a :class:`ModelGraph`, ``tensor.data`` is a view ``offset`` elements
+    into ``component_data``, the flat slice of the graph's buffer that every
+    parameter of the component shares.
     """
 
-    __slots__ = ("name", "tensor", "component")
+    __slots__ = ("name", "tensor", "component", "offset", "component_data")
 
     def __init__(self, name: str, data: np.ndarray, component: str):
         self.name = name
         self.tensor = Tensor(data, requires_grad=True)
         self.component = component
+        self.offset = 0
+        self.component_data = self.tensor.data.reshape(-1)
 
     @property
     def trainable(self) -> bool:
@@ -105,6 +113,11 @@ class Parameter:
         if not value:
             self.tensor.grad = None
 
+    def within(self, flat: np.ndarray) -> np.ndarray:
+        """This parameter's view of ``flat``, an array laid out like its component."""
+        data = self.tensor.data
+        return flat[self.offset:self.offset + data.size].reshape(data.shape)
+
     def __repr__(self):
         return (
             f"Parameter({self.name!r}, shape={self.tensor.shape}, "
@@ -113,17 +126,51 @@ class Parameter:
 
 
 class ModelGraph:
-    """Ordered registry of parameters, partitioned by component."""
+    """Ordered registry of parameters, partitioned by component.
+
+    All parameter values live in one float64 buffer in registry order, each
+    component one contiguous slice of it.  Adding a parameter may reallocate
+    the buffer and re-point every parameter's views, and so does copying or
+    unpickling the graph; nothing else rebinds them.
+    """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self._data = np.empty(0)  # its first _size elements hold the parameters
+        self._size = 0
+        self._spans: dict[str, slice] = {}  # component -> its slice of _data
 
     def add(self, name: str, data: np.ndarray, component: str) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name '{name}'")
+        if component in self._spans and component != next(reversed(self._spans)):
+            raise ValueError(f"'{name}': component '{component}' must be added in one run")
         p = Parameter(name, data, component)
+        start = self._spans[component].start if component in self._spans else self._size
+        p.offset = self._size - start
+        end = self._size + p.tensor.data.size
+        if end > self._data.size:  # grow geometrically, so that the views seldom move
+            self._data = np.concatenate([self._data[:self._size], np.empty(end)])
+            moved = list(self._params.values())
+        else:
+            moved = [q for q in self._params.values() if q.component == component]
+        self._data[self._size:end] = p.tensor.data.reshape(-1)
+        self._size = end
+        self._spans[component] = slice(start, end)
         self._params[name] = p
+        self._point(moved + [p])
         return p
+
+    def __setstate__(self, state: dict) -> None:
+        # a copied or unpickled graph holds its arrays as separate copies
+        self.__dict__.update(state)
+        self._point(self._params.values())
+
+    def _point(self, params) -> None:
+        """Point these parameters' views at the buffer."""
+        for p in params:
+            p.component_data = self._data[self._spans[p.component]]
+            p.tensor.data = p.within(p.component_data)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -135,10 +182,7 @@ class ModelGraph:
         return list(self._params.values())
 
     def components(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self._params.values():
-            seen.setdefault(p.component, None)
-        return list(seen)
+        return list(self._spans)
 
     def set_trainable_components(self, components: set[str]) -> None:
         for p in self._params.values():
@@ -190,21 +234,14 @@ class ModelGraph:
         """Copy in every parameter's values, admitted by :meth:`conform`;
         nothing is loaded if one is missing or of another shape."""
         for name, a in self.conform(arrays).items():
-            self._params[name].tensor.data = a
+            self._params[name].tensor.data[...] = a
 
     def count_by_component(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for p in self._params.values():
-            counts[p.component] = counts.get(p.component, 0) + p.tensor.data.size
-        return counts
+        return {c: s.stop - s.start for c, s in self._spans.items()}
 
     def component_checksums(self) -> dict[str, str]:
         """SHA-256 over the raw bytes of each component, in registry order."""
-        hashers: dict[str, hashlib._hashlib.HASH] = {}
-        for p in self._params.values():
-            h = hashers.setdefault(p.component, hashlib.sha256())
-            h.update(p.tensor.data.tobytes())
-        return {comp: h.hexdigest() for comp, h in hashers.items()}
+        return {c: hashlib.sha256(self._data[s]).hexdigest() for c, s in self._spans.items()}
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,15 @@ MISSING_KEYS = {
     "moments-without-entry": (lambda manifest: manifest["optimizer"].update(
                                   entries=manifest["optimizer"]["entries"][1:]),
                               r"optim\.bin: '.+/m' belongs to no optimizer entry"),
+    "entry-lr-unlike-its-component": (
+        _set("entries.1.lr", 0.5),
+        r"manifest\.json: optimizer\.entries: 'backbone/conv1/b' has lr 0\.5 and step_count 2, "
+        r"but 'backbone/conv1/w' of the same component 'backbone' has lr 1e-05 and step_count 2"),
+    "entry-step-count-unlike-its-component": (
+        _set("entries.7.step_count", 4),
+        r"manifest\.json: optimizer\.entries: 'cls_head/d/fc/b' has lr 0\.0001 and step_count 4, "
+        r"but 'cls_head/d/fc/w' of the same component 'cls_head/d' has lr 0\.0001 and "
+        r"step_count 1"),
     "teacher-entry-with-component": (
         lambda manifest: manifest["teacher"]["params"][0].update(component="backbone"),
         r"teacher\.params\[0\]\.component: unknown key"),
@@ -321,6 +330,21 @@ def test_manifest_missing_key_rejected(tmp_path, capsys, full_checkpoint, case):
     edited = edit(manifest)
     mpath.write_text(json.dumps(manifest if edited is None else edited))
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(str(path))
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+    assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_optimizer_entries_covering_part_of_a_component_rejected(tmp_path, capsys):
+    model, teacher, opt = _trained_model()
+    del opt.state["loc_decoder/d/mix/w"]
+    path = tmp_path / "cp"
+    save_checkpoint(str(path), model, teacher=teacher, optimizer=opt)
+    entries = json.loads((path / "manifest.json").read_text())["optimizer"]["entries"]
+    assert "loc_decoder/d/mix/w" not in {e["name"] for e in entries}
+    with pytest.raises(CheckpointError, match=r"manifest\.json: optimizer\.entries: "
+                       r"'loc_decoder/d/mix/w' has no entry, but 'loc_decoder/d/queries' of "
+                       r"the same component 'loc_decoder/d' has one"):
         load_checkpoint(str(path))
     assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
     assert "checkpoint error" in capsys.readouterr().err

@@ -209,6 +209,43 @@ def test_ema_rejects_a_teacher_array_of_another_shape():
         ema_update(teacher, model)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda params: params.update(zzz=np.zeros(3)), "teacher parameter 'zzz' missing from student"),
+    (lambda params: params.update({"seg_decoder/conv2/b": params["seg_decoder/conv2/b"][:-1]}),
+     r"teacher parameter 'seg_decoder/conv2/b' shape \(3,\) != student shape \(4,\)"),
+    (lambda params: params.pop("seg_decoder/conv2/b"),
+     "teacher mirrors part of component 'seg_decoder': 'seg_decoder/conv2/b' is missing"),
+])
+def test_ema_checks_every_teacher_entry_before_averaging_any(edit, message):
+    """Each mismatch sits after the registry's first names, which stay unmoved."""
+    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    teacher = TeacherState.init_from(model, momentum=0.5)
+    model.graph["backbone/conv1/w"].tensor.data += 1.0
+    edit(teacher.params)
+    before = {k: v.tobytes() for k, v in teacher.params.items()}
+    with pytest.raises(ValueError, match=message):
+        ema_update(teacher, model)
+    assert {k: v.tobytes() for k, v in teacher.params.items()} == before
+
+
+def test_ema_matches_the_per_entry_formula_when_an_entry_is_replaced():
+    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    teacher = TeacherState.init_from(model, momentum=0.7)
+    student = model.graph["backbone/conv1/w"].tensor.data
+    ema_update(teacher, model)
+    teacher.params["backbone/conv1/w"] = np.full(student.shape, 2.0)  # no longer a packed view
+    student += 1.0
+    expected = {k: 0.7 * v + (1.0 - 0.7) * model.graph[k].tensor.data
+                for k, v in teacher.params.items()}
+    ema_update(teacher, model)
+    ema_update(teacher, model)
+    for k, v in expected.items():
+        assert teacher.params[k].tobytes() == (
+            0.7 * v + (1.0 - 0.7) * model.graph[k].tensor.data).tobytes(), k
+    backbone = [k for k in teacher.params if k.startswith("backbone/")]
+    assert len({id(teacher.params[k].base) for k in backbone}) == 1
+
+
 def test_teacher_initializes_bit_equal_and_never_aliases():
     model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)

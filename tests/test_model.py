@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -433,3 +434,60 @@ def test_merged_weights_ignores_heads_the_model_lacks():
     assert list(merged) == [p.name for p in model.graph.parameters()]
     assert np.array_equal(merged["backbone/conv1/b"], teacher["backbone/conv1/b"])
     assert np.array_equal(merged["cls_head/d/fc/w"], model.graph["cls_head/d/fc/w"].tensor.data)
+
+
+# ---------------------------------------------------------------------------
+# the parameter buffer
+
+
+def _assert_views_of_one_buffer(graph):
+    params = graph.parameters()
+    assert len({id(p.component_data.base) for p in params}) == 1
+    for p in params:
+        assert np.shares_memory(p.tensor.data, p.component_data), p.name
+        assert np.array_equal(p.within(p.component_data), p.tensor.data), p.name
+    assert {p.component: p.component_data.size for p in params} == graph.count_by_component()
+
+
+def test_parameters_are_views_of_one_buffer_through_build_add_and_load():
+    model = _model([DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
+    _assert_views_of_one_buffer(model.graph)
+
+    # a trained model: one release step moves the shared weights in place
+    model.graph.set_trainable_components(trainable_components("cls", "release", "d0"))
+    loss = cls_loss(model.forward_cls(_images(2), "d0"), np.ones((2, 2)))
+    AdamW(lr=1e-2).step(model.graph.parameters(), model.graph.backward(loss))
+    before = model.graph.arrays()
+    tensors = {p.name: p.tensor for p in model.graph.parameters()}
+    model.add_dataset(DatasetModelSpec("d1", cls_classes=3, loc_classes=2))
+    _assert_views_of_one_buffer(model.graph)
+    for name, a in before.items():
+        assert model.graph[name].tensor is tensors[name]
+        assert model.graph[name].tensor.data.tobytes() == a.tobytes(), name
+
+    other = _model([DatasetModelSpec("d0", cls_classes=2, seg_classes=2),
+                    DatasetModelSpec("d1", cls_classes=3, loc_classes=2)], seed=5)
+    model.graph.load_arrays(other.graph.arrays())
+    _assert_views_of_one_buffer(model.graph)
+    assert model.graph.component_checksums() == other.graph.component_checksums()
+
+
+def test_a_component_is_added_in_one_run():
+    model = _model([DatasetModelSpec("d", cls_classes=2)])
+    with pytest.raises(ValueError, match="component 'backbone' must be added in one run"):
+        model.graph.add("backbone/extra/w", np.zeros(3), BACKBONE)
+    model.graph.add("cls_head/d/extra", np.ones(2), cls_head_component("d"))
+    _assert_views_of_one_buffer(model.graph)
+
+
+def test_a_copied_model_steps_its_own_buffer():
+    model = _model([DatasetModelSpec("d", cls_classes=2)])
+    trial = copy.deepcopy(model)
+    _assert_views_of_one_buffer(trial.graph)
+    before = model.graph.arrays()
+    params = trial.graph.parameters()
+    AdamW(lr=0.1).step(params, {p.name: np.ones(p.tensor.shape) for p in params})
+    for p in params:
+        assert not np.array_equal(p.tensor.data, before[p.name]), p.name
+        assert model.graph[p.name].tensor.data.tobytes() == before[p.name].tobytes(), p.name
+    assert trial.graph.component_checksums() != model.graph.component_checksums()

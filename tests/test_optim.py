@@ -1,7 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
-from cyclictrain.model import ModelGraph
+from cyclictrain.engine import TeacherState, ema_update
+from cyclictrain.losses import BoxTarget, cls_loss, loc_loss, seg_loss
+from cyclictrain.model import (
+    BACKBONE,
+    ArchConfig,
+    DatasetModelSpec,
+    ModelGraph,
+    build_model,
+    trainable_components,
+)
 from cyclictrain.optim import AdamW
 
 
@@ -155,3 +166,164 @@ def test_learning_rate_from_lr_for_must_be_finite_and_non_negative():
         with pytest.raises(ValueError, match="learning rate .* for 'p' is not finite and >= 0"):
             AdamW(lr_for=lambda p: lr).step(g.parameters(), {"p": np.asarray([0.1])})
     assert np.array_equal(g["p"].tensor.data, [1.0])
+
+
+@pytest.mark.parametrize("bad_grad,message", [
+    (np.asarray([np.nan]), "non-finite gradient for parameter 'b'"),
+    (np.asarray([1.0, 2.0]), r"gradient for parameter 'b' has shape \(2,\), the parameter \(1,\)"),
+    (None, "no gradient for trainable parameter 'b'"),
+])
+def test_a_rejected_step_changes_nothing(bad_grad, message):
+    g = ModelGraph()
+    g.add("a", np.asarray([1.0]), "backbone")
+    g.add("b", np.asarray([1.0]), "cls_head/x")
+    opt = AdamW(lr=0.1)
+    grads = {"a": np.asarray([1.0])}
+    if bad_grad is not None:
+        grads["b"] = bad_grad
+    with pytest.raises(ValueError, match=message):
+        opt.step(g.parameters(), grads)
+    assert g["a"].tensor.data.tobytes() == np.asarray([1.0]).tobytes()
+    assert opt.state == {}
+    # after a good step, a rejected one leaves parameters, moments and counts as they were
+    opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    before = {p.name: (p.tensor.data.tobytes(), opt.state[p.name].m.tobytes(),
+                       opt.state[p.name].v.tobytes(), opt.state[p.name].step_count)
+              for p in g.parameters()}
+    with pytest.raises(ValueError, match=message):
+        opt.step(g.parameters(), grads)
+    assert before == {p.name: (p.tensor.data.tobytes(), opt.state[p.name].m.tobytes(),
+                               opt.state[p.name].v.tobytes(), opt.state[p.name].step_count)
+                      for p in g.parameters()}
+
+
+def test_a_component_is_stepped_whole():
+    g = ModelGraph()
+    g.add("a", np.asarray([1.0]), "backbone")
+    g.add("b", np.asarray([1.0]), "backbone")
+    g["b"].trainable = False
+    with pytest.raises(ValueError, match="component 'backbone' is not trainable and listed whole"):
+        AdamW().step(g.parameters(), {"a": np.asarray([1.0])})
+    g["b"].trainable = True
+    with pytest.raises(ValueError, match="component 'backbone' is not trainable and listed whole"):
+        AdamW().step(g.parameters()[::-1], {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+
+
+def test_assigned_state_must_form_one_state_per_component():
+    g = ModelGraph()
+    g.add("a", np.asarray([1.0]), "backbone")
+    g.add("b", np.asarray([1.0]), "backbone")
+    opt = AdamW()
+    opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    records = dict(opt.state)
+    records["b"].step_count = 5
+    opt2 = AdamW()
+    opt2.state = records
+    with pytest.raises(ValueError, match="'b' has lr .* and step_count 5, but 'a'"):
+        opt2.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    del records["b"]
+    opt2.state = records
+    with pytest.raises(ValueError, match="'b' has no entry, but 'a' of the same component"):
+        opt2.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+
+
+# ---------------------------------------------------------------------------
+# the per-component step against the per-array loop it replaced
+
+_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
+                   query_dim=8, loc_grid=4, seg_channels=(6, 4))
+
+
+def _per_array_adamw(params, grads, data, state, lr_of, lr_scale, b1, b2, eps, wd):
+    """The optimizer's earlier update: one pass of in-place ufuncs per array."""
+    for p in params:
+        if not p.trainable:
+            continue
+        g = grads[p.name]
+        st = state.get(p.name)
+        if st is None:
+            st = state[p.name] = {"lr": lr_of(p), "t": 0, "m": np.zeros_like(g),
+                                  "v": np.zeros_like(g)}
+        st["t"] += 1
+        tmp = np.multiply(g, 1.0 - b1)
+        st["m"] *= b1
+        st["m"] += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        st["v"] *= b2
+        st["v"] += tmp
+        update = st["m"] / (1.0 - b1 ** st["t"])
+        np.divide(st["v"], 1.0 - b2 ** st["t"], out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        update /= tmp
+        np.multiply(data[p.name], wd, out=tmp)
+        update += tmp
+        update *= st["lr"] * lr_scale
+        data[p.name] -= update
+
+
+def _task_loss(model, task, dataset_id, rs):
+    emb = model.backbone_features(rs.rand(2, 1, 16, 16))
+    out, _ = model.task_branch(emb, task, dataset_id)
+    if task == "cls":
+        return cls_loss(out, (rs.rand(*out.shape) > 0.5).astype(float))
+    if task == "seg":
+        return seg_loss(out, (rs.rand(*out.shape) > 0.5).astype(float))
+    target = BoxTarget(boxes=rs.uniform(0.2, 0.8, (1, 4)), class_ids=np.array([1]))
+    return loc_loss(*out, [target, target])
+
+
+def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
+    model = build_model(_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
+    lr_of = lambda p: 1e-2 if p.component == BACKBONE else 3e-2  # noqa: E731
+    opt = AdamW(betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05, lr_for=lr_of)
+    teacher = TeacherState.init_from(model, momentum=0.8)
+    data = model.graph.arrays()
+    ref_state: dict = {}
+    ref_teacher = {k: v.copy() for k, v in teacher.params.items()}
+    rs = np.random.RandomState(4)
+    # lock, release, then a fresh dataset's lock and release, and a lock of the first again
+    schedule = [("cls", "lock", "d0"), ("seg", "release", "d0"), "add d1",
+                ("loc", "lock", "d1"), ("loc", "release", "d1"), ("cls", "lock", "d0")]
+    for phase in schedule:
+        if phase == "add d1":
+            model.add_dataset(DatasetModelSpec("d1", cls_classes=2, loc_classes=2))
+            data.update({k: v for k, v in model.graph.arrays().items() if k not in data})
+            continue
+        task, mode, ds = phase
+        model.graph.set_trainable_components(trainable_components(task, mode, ds))
+        for lr_scale in (1.0, 0.7, 0.3):
+            grads = model.graph.backward(_task_loss(model, task, ds, rs))
+            opt.step(model.graph.parameters(), grads, lr_scale=lr_scale)
+            _per_array_adamw(model.graph.parameters(), grads, data, ref_state, lr_of, lr_scale,
+                             0.8, 0.99, 1e-6, 0.05)
+            for p in model.graph.parameters():
+                assert p.tensor.data.tobytes() == data[p.name].tobytes(), (phase, p.name)
+            assert set(opt.state) == set(ref_state)
+            for name, st in opt.state.items():
+                ref = ref_state[name]
+                assert (st.lr, st.step_count) == (ref["lr"], ref["t"]), (phase, name)
+                assert st.m.tobytes() == ref["m"].tobytes(), (phase, name)
+                assert st.v.tobytes() == ref["v"].tobytes(), (phase, name)
+        ema_update(teacher, model)
+        for name in ref_teacher:
+            ref_teacher[name] = 0.8 * ref_teacher[name] + (1.0 - 0.8) * data[name]
+            assert teacher.params[name].tobytes() == ref_teacher[name].tobytes(), (phase, name)
+
+
+def test_a_copied_optimizer_steps_like_the_original():
+    model = build_model(_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
+    model.graph.set_trainable_components(trainable_components("seg", "release", "d0"))
+    opt = AdamW(lr=1e-2, weight_decay=0.05)
+    rs = np.random.RandomState(5)
+    opt.step(model.graph.parameters(), model.graph.backward(_task_loss(model, "seg", "d0", rs)))
+    twin, twin_opt = copy.deepcopy((model, opt))
+    grads = model.graph.backward(_task_loss(model, "seg", "d0", rs))
+    for m, o in ((model, opt), (twin, twin_opt)):
+        o.step(m.graph.parameters(), grads, lr_scale=0.7)
+    assert twin.graph.component_checksums() == model.graph.component_checksums()
+    for name, st in opt.state.items():
+        other = twin_opt.state[name]
+        assert (other.lr, other.step_count) == (st.lr, st.step_count), name
+        assert other.m.tobytes() == st.m.tobytes() and other.v.tobytes() == st.v.tobytes(), name
