@@ -10,9 +10,12 @@ reproduces the directory byte for byte.  Next to each list sits the
 SHA-256 of the blob's bytes (``sha256``, ``teacher.sha256``,
 ``optimizer.sha256``); loading verifies it, so a damaged blob of the right
 length is rejected rather than loaded.  Every teacher array and optimizer
-moment must match a student entry's name and shape, and the optimizer
-entries must form one state per component (all of its parameters or none,
-with one ``lr`` and one ``step_count``).  The manifest's one schema is the
+moment must match a student entry's name and shape.  In memory the
+optimizer holds one state per component; on disk each of its parameters
+has an entry, and loading accepts only the order saving writes: a
+component's entries together and in registry order, all of its parameters
+or none, with one ``lr`` and one ``step_count``, and the moments in entry
+order, each ``m`` before its ``v``.  The manifest's one schema is the
 private records below: saving writes them, and loading decodes them by the
 config rules (:func:`cyclictrain.config._from_dict`).
 """
@@ -53,7 +56,7 @@ class Checkpoint:
     weights_kind: str
     teacher_momentum: float | None = None
     teacher_arrays: dict[str, np.ndarray] | None = None
-    optimizer: AdamW | None = None  # the stored state records, no ``lr_for``
+    optimizer: AdamW | None = None  # the stored per-component states, no ``lr_for``
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,55 @@ def _match_student(label, arrays, student, param=lambda name: name) -> None:
                                   f"entry {list(entry.shape)}")
 
 
+def _optimizer_state(entries, moments: dict[str, np.ndarray], params) -> dict[str, AdamWState]:
+    """One :class:`AdamWState` per component from per-parameter entries and moments."""
+    members: dict[str, list[str]] = {}  # component -> its parameter names, in registry order
+    for e in params:
+        members.setdefault(e.component, []).append(e.name)
+    component = {name: c for c, names in members.items() for name in names}
+    blob_order = list(moments)
+    held: dict[str, tuple] = {}  # entry name -> (entry, m, v)
+    for i, e in enumerate(entries):
+        if e.name in held:
+            raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{e.name}' is "
+                                  "listed twice")
+        for k in ("m", "v"):
+            if f"{e.name}/{k}" not in moments:
+                raise CheckpointError(f"optim.bin: optimizer entry '{e.name}' has no "
+                                      f"'{e.name}/{k}' array")
+        held[e.name] = (e, moments.pop(f"{e.name}/m"), moments.pop(f"{e.name}/v"))
+    if moments:
+        raise CheckpointError(f"optim.bin: '{next(iter(moments))}' belongs to no optimizer entry")
+    listed = list(held)
+    stepped = list(dict.fromkeys(component[name] for name in listed))
+    for i, want in enumerate(name for c in stepped for name in members[c]):
+        c = component[want]
+        if want not in held:
+            first = next(name for name in listed if component[name] == c)
+            raise CheckpointError(f"manifest.json: optimizer.entries: '{want}' has no entry, but "
+                                  f"'{first}' of the same component '{c}' has one")
+        if listed[i] != want:
+            raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{listed[i]}' is "
+                                  f"listed where '{want}' belongs: a component's entries are "
+                                  "listed together, in registry order")
+        e, ref = held[want][0], held[members[c][0]][0]
+        if (e.lr, e.step_count) != (ref.lr, ref.step_count):
+            raise CheckpointError(
+                f"manifest.json: optimizer.entries: '{e.name}' has lr {e.lr} and step_count "
+                f"{e.step_count}, but '{ref.name}' of the same component '{c}' has lr "
+                f"{ref.lr} and step_count {ref.step_count}")
+    for i, (have, want) in enumerate(zip(blob_order, (f"{n}/{k}" for n in held for k in "mv"))):
+        if have != want:
+            raise CheckpointError(f"manifest.json: optimizer.params[{i}]: '{have}' is listed "
+                                  f"where '{want}' belongs: moments follow the entries, m first")
+    state: dict[str, AdamWState] = {}
+    for c in stepped:
+        es, m, v = zip(*(held[name] for name in members[c]))
+        state[c] = AdamWState(es[0].lr, es[0].step_count, np.concatenate(m, axis=None),
+                              np.concatenate(v, axis=None))
+    return state
+
+
 def save_checkpoint(
     directory: str,
     model: MultiTaskModel,
@@ -200,10 +252,25 @@ def save_checkpoint(
 
     ``weights`` overrides the stored parameter arrays (used for teacher
     export); :meth:`ModelGraph.conform` admits it, so a missing parameter or
-    one of another shape is a ``ValueError`` and nothing is written.
+    one of another shape is a ``ValueError`` and nothing is written.  So is
+    a teacher entry unlike its student parameter (:meth:`TeacherState.check`),
+    and an optimizer state for a component the model lacks or of another
+    size.  Each component's moments are written per parameter, components
+    in ``state`` order and parameters in registry order.
     """
     arrays = model.graph.arrays() if weights is None else model.graph.conform(weights)
     components = {p.name: p.component for p in model.graph.parameters()}
+    members: dict[str, list] = {}  # component -> its parameters, in registry order
+    for p in model.graph.parameters():
+        members.setdefault(p.component, []).append(p)
+    if teacher is not None:
+        teacher.check(model)
+    if optimizer is not None:
+        for component, st in optimizer.state.items():
+            if component not in members:
+                raise ValueError(f"optimizer state for component '{component}', which the "
+                                 "model lacks")
+            st.check_size(component, members[component][0].component_data.size)
     os.makedirs(directory, exist_ok=True)
     teacher_section = optimizer_section = None
     if teacher is not None:
@@ -211,10 +278,12 @@ def save_checkpoint(
                                    _write_blob(directory, "teacher.bin", teacher.params))
     if optimizer is not None:
         state = optimizer.state
-        moments = {f"{name}/{k}": getattr(st, k) for name, st in state.items() for k in "mv"}
+        moments = {f"{p.name}/{k}": p.within(getattr(st, k))
+                   for c, st in state.items() for p in members[c] for k in "mv"}
         optimizer_section = _Optimizer(
             betas=optimizer.betas, eps=optimizer.eps, weight_decay=optimizer.weight_decay,
-            entries=tuple(_OptimizerEntry(n, st.lr, st.step_count) for n, st in state.items()),
+            entries=tuple(_OptimizerEntry(p.name, st.lr, st.step_count)
+                          for c, st in state.items() for p in members[c]),
             params=_blob_entries(moments), sha256=_write_blob(directory, "optim.bin", moments))
     manifest = _Manifest(
         format_version=FORMAT_VERSION, config_hash=config_hash, weights_kind=weights_kind,
@@ -264,25 +333,5 @@ def load_checkpoint(directory: str) -> Checkpoint:
             cp.optimizer = AdamW(betas=o.betas, eps=o.eps, weight_decay=o.weight_decay)
         except ValueError as e:
             raise CheckpointError(f"manifest.json: optimizer: {e}") from None
-        for i, e in enumerate(o.entries):
-            if e.name in cp.optimizer.state:
-                raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{e.name}' "
-                                      "is listed twice")
-            for k in ("m", "v"):
-                if f"{e.name}/{k}" not in moments:
-                    raise CheckpointError(f"optim.bin: optimizer entry '{e.name}' has no "
-                                          f"'{e.name}/{k}' array")
-            cp.optimizer.state[e.name] = AdamWState(e.lr, e.step_count, moments.pop(f"{e.name}/m"),
-                                                    moments.pop(f"{e.name}/v"))
-        if moments:
-            raise CheckpointError(
-                f"optim.bin: '{next(iter(moments))}' belongs to no optimizer entry")
-        members: dict[str, list[str]] = {}
-        for e in m.params:
-            members.setdefault(e.component, []).append(e.name)
-        for component, names in members.items():
-            try:
-                cp.optimizer.component_records(component, names)
-            except ValueError as e:
-                raise CheckpointError(f"manifest.json: optimizer.entries: {e}") from None
+        cp.optimizer.state = _optimizer_state(o.entries, moments, m.params)
     return cp

@@ -212,38 +212,25 @@ class TeacherState:
                   if mirror_heads or p.component in SHARED_COMPONENTS}
         return TeacherState(params=params, momentum=float(momentum))
 
+    def check(self, model: MultiTaskModel) -> None:
+        """A ``ValueError`` unless every entry names a student parameter of its shape."""
+        for name, a in self.params.items():
+            if name not in model.graph:
+                raise ValueError(f"teacher parameter '{name}' missing from student")
+            if a.shape != model.graph[name].tensor.shape:
+                raise ValueError(f"teacher parameter '{name}' shape {a.shape} != student shape "
+                                 f"{model.graph[name].tensor.shape}")
+
 
 def ema_update(teacher: TeacherState, model: MultiTaskModel) -> None:
     """teacher <- momentum * teacher + (1 - momentum) * student, elementwise.
 
-    Every entry is checked before any is averaged: it must name a student
-    parameter of its shape, and the teacher must mirror whole components.
-    Each component's entries are packed into one flat array, averaged in
-    place, and then viewed by the entries.
+    Every entry is checked (:meth:`TeacherState.check`) before any is averaged.
     """
-    graph = model.graph
-    mirrored: dict[str, list] = {}
-    for name, a in teacher.params.items():
-        if name not in graph:
-            raise ValueError(f"teacher parameter '{name}' missing from student")
-        p = graph[name]
-        if a.shape != p.tensor.shape:
-            raise ValueError(f"teacher parameter '{name}' shape {a.shape} != student shape "
-                             f"{p.tensor.shape}")
-        mirrored.setdefault(p.component, []).append(p)
-    for component, ps in mirrored.items():
-        if sum(p.tensor.size for p in ps) != ps[0].component_data.size:
-            missing = next(q.name for q in graph.parameters()
-                           if q.component == component and q.name not in teacher.params)
-            raise ValueError(f"teacher mirrors part of component '{component}': "
-                             f"'{missing}' is missing")
-        ps.sort(key=lambda p: p.offset)
+    teacher.check(model)
     lam = teacher.momentum
-    for ps in mirrored.values():
-        t = np.concatenate([teacher.params[p.name] for p in ps], axis=None, dtype=np.float64)
-        t *= lam
-        t += (1.0 - lam) * ps[0].component_data
-        teacher.params.update((p.name, p.within(t)) for p in ps)
+    for name, t in teacher.params.items():
+        teacher.params[name] = lam * t + (1.0 - lam) * model.graph[name].tensor.data
 
 
 def export_teacher(model: MultiTaskModel, teacher: TeacherState) -> dict[str, np.ndarray]:
@@ -278,7 +265,7 @@ def prepare_bundles(dataset_specs, config: TrainConfig) -> dict[str, DatasetBund
 def make_optimizer(config: TrainConfig) -> AdamW:
     return AdamW(
         weight_decay=config.weight_decay,
-        lr_for=lambda p: config.lr_for_component(p.component),
+        lr_for=config.lr_for_component,
     )
 
 

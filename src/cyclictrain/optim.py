@@ -2,13 +2,12 @@
 
 A component is one contiguous slice of its graph's parameter buffer, so
 ``AdamW.step`` updates each trainable one as a flat array: its gradients are
-concatenated, and it has one ``m`` and one ``v`` buffer, one learning rate
-and one step count.  ``AdamW.state`` maps each parameter name to its
-:class:`AdamWState` record, whose ``m`` and ``v`` view those buffers;
-checkpoints store these records as they are.  Frozen parameters
-(``trainable=False``) are skipped entirely: no data change, no moment
-update, no step-count advance, so a freeze leaves both the weights and the
-optimizer state bit-identical.
+concatenated, and its :class:`AdamWState` holds one learning rate, one step
+count and one flat ``m`` and ``v``, laid out like that slice.
+``AdamW.state`` maps each stepped component to its state.  Frozen
+parameters (``trainable=False``) are skipped entirely: no data change, no
+moment update, no step-count advance, so a freeze leaves both the weights
+and the optimizer state bit-identical.
 """
 
 from __future__ import annotations
@@ -23,12 +22,17 @@ __all__ = ["AdamWState", "AdamW"]
 
 @dataclass
 class AdamWState:
-    """Learning rate, applied steps and moments of one parameter."""
+    """Learning rate, applied steps and flat moments of one component."""
 
     lr: float
     step_count: int
     m: np.ndarray
     v: np.ndarray
+
+    def check_size(self, component: str, size: int) -> None:
+        """A ``ValueError`` unless ``m`` and ``v`` are flat, of ``size`` elements each."""
+        if self.m.shape != (size,) or self.v.shape != (size,):
+            raise ValueError(f"moments of component '{component}' are not of its size {size}")
 
 
 class AdamW:
@@ -36,12 +40,10 @@ class AdamW:
 
     Parameters are :class:`~cyclictrain.model.Parameter` records of one
     ``ModelGraph``, in registry order.  ``lr_for`` lets the caller resolve a
-    per-component learning rate (e.g. a smaller one for a shared backbone);
-    it is sampled once, from a component's first parameter, when the
-    component's state is first created.  ``step`` updates the moments in
-    place; a resume assigns ``state`` from a loaded checkpoint's optimizer,
-    and the records are adopted at the next step.  Replace ``state`` by
-    assignment, not entry by entry.
+    per-component learning rate (e.g. a smaller one for a shared backbone)
+    from the component's name; it is sampled once, when the component's
+    state is first created.  ``step`` updates the moments in place; a resume
+    assigns ``state`` from a loaded checkpoint's optimizer.
     """
 
     def __init__(
@@ -50,7 +52,7 @@ class AdamW:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        lr_for: Callable[[object], float] | None = None,
+        lr_for: Callable[[str], float] | None = None,
     ):
         if not (0.0 < betas[0] < 1.0 and 0.0 < betas[1] < 1.0):
             raise ValueError(f"betas must lie in (0, 1), got {betas}")
@@ -65,44 +67,7 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.lr_for = lr_for
-        self.state = {}
-
-    @property
-    def state(self) -> dict[str, AdamWState]:
-        return self._state
-
-    @state.setter
-    def state(self, records: Mapping[str, AdamWState]) -> None:
-        self._state = dict(records)
-        self._moments: dict[str, tuple] = {}  # component -> (its records, m, v), once stepped
-
-    def __setstate__(self, state: dict) -> None:
-        # a copied or unpickled optimizer's records no longer view its moment
-        # buffers, so the next step adopts them again
-        self.__dict__.update(state)
-        self._moments = {}
-
-    def component_records(self, component: str, names: list[str]) -> list[AdamWState] | None:
-        """The records of one component's parameters ``names``; None if it has none.
-
-        Either every parameter of a component has a record, all with one
-        ``lr`` and one ``step_count``, or none does; anything else is a
-        ``ValueError`` naming the entry.
-        """
-        records = [self._state.get(name) for name in names]
-        held = [(name, st) for name, st in zip(names, records) if st is not None]
-        if not held:
-            return None
-        ref_name, ref = held[0]
-        for name, st in zip(names, records):
-            if st is None:
-                raise ValueError(f"'{name}' has no entry, but '{ref_name}' of the same "
-                                 f"component '{component}' has one")
-            if (st.lr, st.step_count) != (ref.lr, ref.step_count):
-                raise ValueError(f"'{name}' has lr {st.lr} and step_count {st.step_count}, but "
-                                 f"'{ref_name}' of the same component '{component}' has lr "
-                                 f"{ref.lr} and step_count {ref.step_count}")
-        return records
+        self.state: dict[str, AdamWState] = {}
 
     def step(
         self,
@@ -115,25 +80,22 @@ class AdamW:
         ``grads`` holds one gradient per trainable parameter, as
         ``ModelGraph.backward`` returns them.  Everything is checked before
         any parameter or moment changes: a trainable component must be
-        listed whole, and each gradient must be present, of its parameter's
-        shape and finite; a failure is a ``ValueError`` naming the parameter.
+        listed whole, each gradient must be present, of its parameter's
+        shape and finite (a failure is a ``ValueError`` naming the
+        parameter), and a component's state must be of its size.
         """
         groups: dict[str, list] = {}
         for p in params:
             if p.trainable:
                 groups.setdefault(p.component, []).append(p)
-        plan = [(ps, self._gradient(ps, grads), self._moments.get(ps[0].component)
-                 or self._adopt(ps)) for ps in groups.values()]
+        plan = [(c, ps[0].component_data, self._gradient(ps, grads), self._state_for(ps[0]))
+                for c, ps in groups.items()]
         b1, b2 = self.betas
-        for ps, g, moments in plan:
-            if ps[0].component not in self._moments:
-                self._moments[ps[0].component] = moments
-                self._state.update(zip((p.name for p in ps), moments[0]))
-            records, m, v = moments
-            t = records[0].step_count + 1
-            for st in records:
-                st.step_count = t
-            data = ps[0].component_data
+        for component, data, g, st in plan:
+            self.state[component] = st
+            st.step_count += 1
+            t = st.step_count
+            m, v = st.m, st.v
             # in place, through two scratch arrays (g is one), each element
             # takes the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g)
             # and p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), in that order.
@@ -151,7 +113,7 @@ class AdamW:
             update /= tmp
             np.multiply(data, self.weight_decay, out=tmp)
             update += tmp
-            update *= records[0].lr * lr_scale
+            update *= st.lr * lr_scale
             data -= update
 
     def _gradient(self, ps: list, grads: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -174,22 +136,15 @@ class AdamW:
             raise ValueError(f"non-finite gradient for parameter '{bad}'")
         return g
 
-    def _adopt(self, ps: list) -> tuple[list[AdamWState], np.ndarray, np.ndarray]:
-        """Records and moment buffers of a component's first step: from its
-        records in ``state``, or new.  Nothing is stored here."""
-        first = ps[0]
-        old = self.component_records(first.component, [p.name for p in ps])
-        if old is None:
-            lr = self.lr_for(first) if self.lr_for is not None else self.lr
+    def _state_for(self, p) -> AdamWState:
+        """The state of ``p``'s component, or a zero one; nothing is stored here."""
+        component, size = p.component, p.component_data.size
+        st = self.state.get(component)
+        if st is None:
+            lr = self.lr_for(component) if self.lr_for is not None else self.lr
             if not (np.isfinite(lr) and lr >= 0.0):
-                raise ValueError(f"learning rate {lr} for '{first.name}' is not finite and >= 0")
-            old = [AdamWState(lr, 0, np.zeros(p.tensor.shape), np.zeros(p.tensor.shape))
-                   for p in ps]
-        for p, st in zip(ps, old):
-            if st.m.shape != p.tensor.shape or st.v.shape != p.tensor.shape:
-                raise ValueError(f"moments of '{p.name}' are not of its shape {p.tensor.shape}")
-        m = np.concatenate([st.m for st in old], axis=None, dtype=np.float64)
-        v = np.concatenate([st.v for st in old], axis=None, dtype=np.float64)
-        records = [AdamWState(st.lr, st.step_count, p.within(m), p.within(v))
-                   for p, st in zip(ps, old)]
-        return records, m, v
+                raise ValueError(f"learning rate {lr} for component '{component}' is not "
+                                 "finite and >= 0")
+            return AdamWState(lr, 0, np.zeros(size), np.zeros(size))
+        st.check_size(component, size)
+        return st

@@ -18,6 +18,7 @@ from cyclictrain.engine import (
     run_epoch,
 )
 from cyclictrain.model import ArchConfig, build_model, count_params
+from cyclictrain.optim import AdamWState
 from cyclictrain.synthdata import SynthDatasetSpec
 
 ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
@@ -210,6 +211,12 @@ def _rename_first_entry(manifest):
             e["name"] = f"{name}~/{e['name'][-1]}"
 
 
+def _swap_first_moments(manifest):
+    """Swap the names of the first two moments, the first entry's m and v."""
+    first, second = manifest["optimizer"]["params"][:2]
+    first["name"], second["name"] = second["name"], first["name"]
+
+
 # manifest edit (in place, or returning the manifest to write) -> what the error must name;
 # the manifest is decoded by the config file's rules, so each message is theirs
 MISSING_KEYS = {
@@ -314,6 +321,21 @@ MISSING_KEYS = {
         r"manifest\.json: optimizer\.entries: 'cls_head/d/fc/b' has lr 0\.0001 and step_count 4, "
         r"but 'cls_head/d/fc/w' of the same component 'cls_head/d' has lr 0\.0001 and "
         r"step_count 1"),
+    "entries-of-a-component-swapped": (
+        lambda manifest: manifest["optimizer"]["entries"].insert(
+            0, manifest["optimizer"]["entries"].pop(1)),
+        r"manifest\.json: optimizer\.entries\[0\]: 'backbone/conv1/b' is listed where "
+        r"'backbone/conv1/w' belongs: a component's entries are listed together, in registry "
+        r"order"),
+    "entries-of-a-component-apart": (
+        lambda manifest: manifest["optimizer"]["entries"].append(
+            manifest["optimizer"]["entries"].pop(5)),
+        r"manifest\.json: optimizer\.entries\[5\]: 'cls_head/d/fc/w' is listed where "
+        r"'backbone/conv3/b' belongs"),
+    "moments-out-of-entry-order": (
+        _swap_first_moments,
+        r"manifest\.json: optimizer\.params\[0\]: 'backbone/conv1/w/v' is listed where "
+        r"'backbone/conv1/w/m' belongs"),
     "teacher-entry-with-component": (
         lambda manifest: manifest["teacher"]["params"][0].update(component="backbone"),
         r"teacher\.params\[0\]\.component: unknown key"),
@@ -335,19 +357,40 @@ def test_manifest_missing_key_rejected(tmp_path, capsys, full_checkpoint, case):
     assert "checkpoint error" in capsys.readouterr().err
 
 
-def test_optimizer_entries_covering_part_of_a_component_rejected(tmp_path, capsys):
-    model, teacher, opt = _trained_model()
-    del opt.state["loc_decoder/d/mix/w"]
+def test_optimizer_entries_covering_part_of_a_component_rejected(tmp_path, capsys,
+                                                                 full_checkpoint):
+    # the manifest moves a parameter the optimizer never stepped into a stepped component
     path = tmp_path / "cp"
-    save_checkpoint(str(path), model, teacher=teacher, optimizer=opt)
-    entries = json.loads((path / "manifest.json").read_text())["optimizer"]["entries"]
-    assert "loc_decoder/d/mix/w" not in {e["name"] for e in entries}
+    shutil.copytree(full_checkpoint, path)
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    entry = next(e for e in manifest["params"] if e["name"] == "seg_head/d/conv/w")
+    entry["component"] = "loc_decoder/d"
+    mpath.write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match=r"manifest\.json: optimizer\.entries: "
-                       r"'loc_decoder/d/mix/w' has no entry, but 'loc_decoder/d/queries' of "
+                       r"'seg_head/d/conv/w' has no entry, but 'loc_decoder/d/queries' of "
                        r"the same component 'loc_decoder/d' has one"):
         load_checkpoint(str(path))
     assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
     assert "checkpoint error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda teacher, opt: teacher.params.update(zzz=np.zeros(3)),
+     "teacher parameter 'zzz' missing from student"),
+    (lambda teacher, opt: teacher.params.update({"backbone/conv1/b": np.zeros(7)}),
+     r"teacher parameter 'backbone/conv1/b' shape \(7,\) != student shape \(4,\)"),
+    (lambda teacher, opt: opt.state.update(ghost=AdamWState(1e-3, 1, np.zeros(1), np.zeros(1))),
+     "optimizer state for component 'ghost', which the model lacks"),
+    (lambda teacher, opt: setattr(opt.state["backbone"], "v", opt.state["backbone"].v[:-1]),
+     "moments of component 'backbone' are not of its size 702"),
+], ids=["teacher-name", "teacher-shape", "optimizer-component", "optimizer-size"])
+def test_save_refuses_what_load_would_refuse(tmp_path, edit, message):
+    model, teacher, opt = _trained_model()
+    edit(teacher, opt)
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
+    assert not (tmp_path / "cp").exists()
 
 
 def test_checkpoint_without_parameters_rejected(tmp_path, capsys):

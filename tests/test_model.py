@@ -340,8 +340,9 @@ def test_backward_returns_no_gradient_for_a_frozen_component():
     weights = {p.name: p.tensor.data.tobytes() for p in backbone}
 
     def adam_state(name):
-        st = opt.state[name]
-        return st.step_count, st.m.tobytes(), st.v.tobytes()
+        p = model.graph[name]
+        st = opt.state[p.component]
+        return st.step_count, p.within(st.m).tobytes(), p.within(st.v).tobytes()
 
     state = {p.name: adam_state(p.name) for p in backbone}
     grads = model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2))))

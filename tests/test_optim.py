@@ -13,7 +13,7 @@ from cyclictrain.model import (
     build_model,
     trainable_components,
 )
-from cyclictrain.optim import AdamW
+from cyclictrain.optim import AdamW, AdamWState
 
 
 def _graph_with(name="p", value=1.0, component="backbone"):
@@ -78,7 +78,7 @@ def test_frozen_parameter_bit_identical_under_any_gradient():
     opt = AdamW(lr=10.0, weight_decay=0.5)
     opt.step(g.parameters(), {"p": np.asarray([1e9])})
     assert g["p"].tensor.data.tobytes() == before
-    assert "p" not in opt.state  # no state created either
+    assert opt.state == {}  # no state created either
 
 
 def test_non_finite_gradient_rejected_with_name():
@@ -93,17 +93,17 @@ def test_step_count_increments_per_applied_step():
     opt = AdamW()
     for expected in (1, 2, 3):
         opt.step(g.parameters(), {"p": np.asarray([0.1])})
-        assert opt.state["p"].step_count == expected
+        assert opt.state["backbone"].step_count == expected
 
 
 def test_per_parameter_learning_rates():
     g = ModelGraph()
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "cls_head/x")
-    opt = AdamW(lr=1.0, lr_for=lambda p: 1e-5 if p.component == "backbone" else 1e-1)
+    opt = AdamW(lr=1.0, lr_for=lambda component: 1e-5 if component == "backbone" else 1e-1)
     opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
-    assert opt.state["a"].lr == 1e-5
-    assert opt.state["b"].lr == 1e-1
+    assert opt.state["backbone"].lr == 1e-5
+    assert opt.state["cls_head/x"].lr == 1e-1
     moved_a = abs(1.0 - g["a"].tensor.data[0])
     moved_b = abs(1.0 - g["b"].tensor.data[0])
     assert moved_a < moved_b
@@ -118,7 +118,7 @@ def test_missing_gradient_for_a_trainable_parameter_is_rejected():
         opt.step(g.parameters(), {"a": np.asarray([1.0])})
     g["b"].trainable = False
     opt.step(g.parameters(), {"a": np.asarray([1.0])})  # frozen: no gradient needed
-    assert "b" not in opt.state
+    assert "cls_head/x" not in opt.state
 
 
 def test_in_place_update_is_byte_equal_to_the_array_formula():
@@ -140,10 +140,10 @@ def test_in_place_update_is_byte_equal_to_the_array_formula():
         v = b2 * v + (1.0 - b2) * (grad * grad)
         update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps) + wd * theta
         theta = theta - (lr * scale) * update
-        entry = opt.state["p"]
+        entry = opt.state["backbone"]
         assert g["p"].tensor.data.tobytes() == theta.tobytes(), t
-        assert entry.m.tobytes() == m.tobytes(), t
-        assert entry.v.tobytes() == v.tobytes(), t
+        assert g["p"].within(entry.m).tobytes() == m.tobytes(), t
+        assert g["p"].within(entry.v).tobytes() == v.tobytes(), t
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -163,9 +163,17 @@ def test_constructor_rejects_hyperparameters_out_of_range(kwargs, message):
 def test_learning_rate_from_lr_for_must_be_finite_and_non_negative():
     g = _graph_with()
     for lr in (float("nan"), -1e-3):
-        with pytest.raises(ValueError, match="learning rate .* for 'p' is not finite and >= 0"):
-            AdamW(lr_for=lambda p: lr).step(g.parameters(), {"p": np.asarray([0.1])})
+        with pytest.raises(ValueError, match="learning rate .* for component 'backbone' is not "
+                                             "finite and >= 0"):
+            AdamW(lr_for=lambda component: lr).step(g.parameters(), {"p": np.asarray([0.1])})
     assert np.array_equal(g["p"].tensor.data, [1.0])
+
+
+def _state_bytes(g, opt):
+    """Every parameter's bytes, and every component's moments and counts."""
+    return ({p.name: p.tensor.data.tobytes() for p in g.parameters()},
+            {c: (st.lr, st.step_count, st.m.tobytes(), st.v.tobytes())
+             for c, st in opt.state.items()})
 
 
 @pytest.mark.parametrize("bad_grad,message", [
@@ -187,14 +195,10 @@ def test_a_rejected_step_changes_nothing(bad_grad, message):
     assert opt.state == {}
     # after a good step, a rejected one leaves parameters, moments and counts as they were
     opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
-    before = {p.name: (p.tensor.data.tobytes(), opt.state[p.name].m.tobytes(),
-                       opt.state[p.name].v.tobytes(), opt.state[p.name].step_count)
-              for p in g.parameters()}
+    before = _state_bytes(g, opt)
     with pytest.raises(ValueError, match=message):
         opt.step(g.parameters(), grads)
-    assert before == {p.name: (p.tensor.data.tobytes(), opt.state[p.name].m.tobytes(),
-                               opt.state[p.name].v.tobytes(), opt.state[p.name].step_count)
-                      for p in g.parameters()}
+    assert _state_bytes(g, opt) == before
 
 
 def test_a_component_is_stepped_whole():
@@ -209,22 +213,21 @@ def test_a_component_is_stepped_whole():
         AdamW().step(g.parameters()[::-1], {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
 
 
-def test_assigned_state_must_form_one_state_per_component():
+def test_an_assigned_state_of_another_size_is_rejected_with_nothing_changed():
     g = ModelGraph()
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "backbone")
+    g.add("c", np.asarray([1.0]), "cls_head/x")
+    grads = {name: np.asarray([1.0]) for name in "abc"}
     opt = AdamW()
-    opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
-    records = dict(opt.state)
-    records["b"].step_count = 5
-    opt2 = AdamW()
-    opt2.state = records
-    with pytest.raises(ValueError, match="'b' has lr .* and step_count 5, but 'a'"):
-        opt2.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
-    del records["b"]
-    opt2.state = records
-    with pytest.raises(ValueError, match="'b' has no entry, but 'a' of the same component"):
-        opt2.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    opt.step(g.parameters(), grads)
+    # the component stepped after the backbone gets moments of two sizes
+    opt.state["cls_head/x"] = AdamWState(1e-3, 1, np.zeros(1), np.zeros(2))
+    before = _state_bytes(g, opt)
+    with pytest.raises(ValueError, match="moments of component 'cls_head/x' are not of its "
+                                         "size 1"):
+        opt.step(g.parameters(), grads)
+    assert _state_bytes(g, opt) == before
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def _per_array_adamw(params, grads, data, state, lr_of, lr_scale, b1, b2, eps, w
         g = grads[p.name]
         st = state.get(p.name)
         if st is None:
-            st = state[p.name] = {"lr": lr_of(p), "t": 0, "m": np.zeros_like(g),
+            st = state[p.name] = {"lr": lr_of(p.component), "t": 0, "m": np.zeros_like(g),
                                   "v": np.zeros_like(g)}
         st["t"] += 1
         tmp = np.multiply(g, 1.0 - b1)
@@ -276,7 +279,7 @@ def _task_loss(model, task, dataset_id, rs):
 
 def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
     model = build_model(_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
-    lr_of = lambda p: 1e-2 if p.component == BACKBONE else 3e-2  # noqa: E731
+    lr_of = lambda component: 1e-2 if component == BACKBONE else 3e-2  # noqa: E731
     opt = AdamW(betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05, lr_for=lr_of)
     teacher = TeacherState.init_from(model, momentum=0.8)
     data = model.graph.arrays()
@@ -300,12 +303,13 @@ def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
                              0.8, 0.99, 1e-6, 0.05)
             for p in model.graph.parameters():
                 assert p.tensor.data.tobytes() == data[p.name].tobytes(), (phase, p.name)
-            assert set(opt.state) == set(ref_state)
-            for name, st in opt.state.items():
-                ref = ref_state[name]
+            assert set(opt.state) == {model.graph[name].component for name in ref_state}
+            for name, ref in ref_state.items():
+                p = model.graph[name]
+                st = opt.state[p.component]
                 assert (st.lr, st.step_count) == (ref["lr"], ref["t"]), (phase, name)
-                assert st.m.tobytes() == ref["m"].tobytes(), (phase, name)
-                assert st.v.tobytes() == ref["v"].tobytes(), (phase, name)
+                assert p.within(st.m).tobytes() == ref["m"].tobytes(), (phase, name)
+                assert p.within(st.v).tobytes() == ref["v"].tobytes(), (phase, name)
         ema_update(teacher, model)
         for name in ref_teacher:
             ref_teacher[name] = 0.8 * ref_teacher[name] + (1.0 - 0.8) * data[name]
