@@ -13,7 +13,7 @@ from cyclictrain.engine import (
     prepare_bundles,
     run_pretraining,
 )
-from cyclictrain.model import ArchConfig, build_model, count_params
+from cyclictrain.model import ArchConfig, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
 
 
@@ -30,8 +30,8 @@ def main():
         num_cycles=2, batch_size=8, seed=0,
     )
     model = build_model(ArchConfig(), [s.model_spec() for s in specs])
-    counts, total = count_params(model)
-    print(f"model: {total} parameters across {len(counts)} components")
+    counts = model.graph.count_by_component()
+    print(f"model: {sum(counts.values())} parameters across {len(counts)} components")
     for comp, n in counts.items():
         print(f"  {comp:32} {n}")
 

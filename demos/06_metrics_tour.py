@@ -7,8 +7,8 @@ of the precision-recall curve.
 
 import numpy as np
 
-from cyclictrain.losses import iou
-from cyclictrain.metrics import Detection, GroundTruth, auc, dice, map_at_iou
+from cyclictrain.losses import iou_matrix
+from cyclictrain.metrics import Detections, GroundTruth, auc, dice, map_at_iou
 
 
 def main():
@@ -29,19 +29,23 @@ def main():
     print(f"  both empty: {dice(np.zeros(4), np.zeros(4))}")
 
     print("\nIoU")
-    print("  identical boxes:", iou((0.5, 0.5, 0.2, 0.2), (0.5, 0.5, 0.2, 0.2)))
-    print("  offset by half a width:", iou((0.3, 0.5, 0.2, 0.2), (0.4, 0.5, 0.2, 0.2)))
+    boxes = [(0.5, 0.5, 0.2, 0.2), (0.3, 0.5, 0.2, 0.2), (0.4, 0.5, 0.2, 0.2)]
+    ious = iou_matrix(boxes, boxes)
+    print("  identical boxes:", ious[0, 0])
+    print("  offset by half a width:", ious[1, 2])
 
     print("\nmAP at IoU 0.40")
     gts = [
         GroundTruth(0, (0.3, 0.3, 0.2, 0.2), class_id=0),
         GroundTruth(1, (0.6, 0.6, 0.2, 0.2), class_id=0),
     ]
-    dets = [
-        Detection(0, (0.3, 0.3, 0.2, 0.2), class_id=0, confidence=0.9),
-        Detection(1, (0.75, 0.6, 0.2, 0.2), class_id=0, confidence=0.8),
-        Detection(1, (0.61, 0.6, 0.2, 0.2), class_id=0, confidence=0.7),
-    ]
+    # one row per detection: a hit, a near miss and a late hit
+    dets = Detections(
+        image_ids=np.array([0, 1, 1]),
+        boxes=np.array([(0.3, 0.3, 0.2, 0.2), (0.75, 0.6, 0.2, 0.2), (0.61, 0.6, 0.2, 0.2)]),
+        class_ids=np.array([0, 0, 0]),
+        confidences=np.array([0.9, 0.8, 0.7]),
+    )
     print("  hit, near miss, late hit ->", map_at_iou(dets, gts, 0.40))
     print("  tighter threshold 0.9  ->", map_at_iou(dets, gts, 0.90))
     print("  no ground truth at all ->", map_at_iou(dets, []))

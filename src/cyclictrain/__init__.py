@@ -29,17 +29,15 @@ from .losses import (
     cls_loss,
     consistency_loss,
     hungarian_match,
-    iou,
     loc_loss,
     seg_loss,
 )
-from .metrics import Detection, Detections, GroundTruth, MetricsRecord, auc, dice, map_at_iou
+from .metrics import Detections, GroundTruth, MetricsRecord, auc, dice, map_at_iou
 from .model import (
     ArchConfig,
     DatasetModelSpec,
     MultiTaskModel,
     build_model,
-    count_params,
     trainable_components,
 )
 from .optim import AdamW, AdamWState

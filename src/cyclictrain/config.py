@@ -5,7 +5,10 @@ classes its fields name.  Unknown keys are fatal, values are checked
 against the field annotations, and a field without a default is required.
 Every field, defaults materialized, enters the config hash recorded in
 checkpoints.  Parsing failures report the JSON line/column; validation
-failures report the dotted field path.
+failures report the dotted field path.  A dataset the model cannot take
+(an ``image_size`` other than ``arch.image_size``, or ``arch.in_channels``
+other than 1) fails validation.  Checkpoint manifests are decoded by the
+same rules.
 """
 
 from __future__ import annotations
@@ -127,6 +130,17 @@ def run_config_from_dict(d: dict) -> RunConfig:
     cfg = _from_dict(RunConfig, d, "")
     if not cfg.datasets:
         raise ConfigError("datasets: at least one dataset is required")
+    # the model takes the generated images as they are: one channel, arch.image_size wide
+    if cfg.arch.in_channels != 1:
+        raise ConfigError(f"arch.in_channels: generated images have 1 channel, "
+                          f"got {cfg.arch.in_channels}")
+    specs = [(f"datasets[{i}]", spec) for i, spec in enumerate(cfg.datasets)]
+    if cfg.finetune is not None:
+        specs.append(("finetune.dataset", cfg.finetune.dataset))
+    for where, spec in specs:
+        if spec.image_size != cfg.arch.image_size:
+            raise ConfigError(f"{where}.image_size: {spec.image_size} differs from "
+                              f"arch.image_size {cfg.arch.image_size}")
     seen_ids = set()
     for i, spec in enumerate(cfg.datasets):
         if spec.dataset_id in seen_ids:

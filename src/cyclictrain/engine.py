@@ -698,11 +698,11 @@ def finetune(
         # only after that check may the memo's head inputs be read again
         records.extend(_metric_records(model, dataset_spec, bundle.test, dataset_spec.tasks,
                                        "eval", 0, epoch, head_inputs))
-    params = model.graph.parameters()
+    counts = model.graph.count_by_component()
     return FinetuneResult(
         model=model,
         records=records,
-        trainable_params=sum(p.tensor.data.size for p in params if p.trainable),
-        total_params=sum(p.tensor.data.size for p in params),
+        trainable_params=sum(counts[c] for c in trainable),
+        total_params=sum(counts.values()),
         train_size=len(train),
     )

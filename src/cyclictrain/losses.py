@@ -42,11 +42,9 @@ __all__ = [
     "LossBreakdown",
     "cls_loss",
     "hungarian_match",
-    "iou",
     "iou_matrix",
     "loc_loss",
     "seg_loss",
-    "seg_loss_terms",
     "consistency_loss",
 ]
 
@@ -143,12 +141,6 @@ def hungarian_match(cost_matrix) -> np.ndarray:
     assignment = np.empty(t, dtype=np.int64)
     assignment[cols] = rows
     return assignment
-
-
-def iou(box_a, box_b) -> float:
-    """Intersection over union of two (cx, cy, w, h) boxes."""
-    m = iou_matrix(np.asarray(box_a).reshape(1, 4), np.asarray(box_b).reshape(1, 4))
-    return float(m[0, 0])
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
@@ -285,8 +277,8 @@ def loc_loss(pred_boxes: Tensor, pred_logits: Tensor, targets) -> Tensor:
 # segmentation
 
 
-def seg_loss_terms(logits: Tensor, mask) -> tuple[Tensor, Tensor]:
-    """(pixel BCE, soft-Dice score) for (N, K, H, W) logits and binary mask."""
+def seg_loss(logits: Tensor, mask) -> Tensor:
+    """Pixel BCE plus (1 - soft Dice), equally weighted, for (N, K, H, W) logits."""
     m = np.asarray(mask, dtype=np.float64)
     if m.shape != logits.shape:
         raise ValueError(f"mask shape {m.shape} != logits shape {logits.shape}")
@@ -295,12 +287,6 @@ def seg_loss_terms(logits: Tensor, mask) -> tuple[Tensor, Tensor]:
     inter = tsum(mul(p, Tensor(m)), axis=(2, 3))
     denom = add(tsum(p, axis=(2, 3)), Tensor(m.sum(axis=(2, 3))))
     dice = mean(div(add(mul(Tensor(2.0), inter), Tensor(1.0)), add(denom, Tensor(1.0))))
-    return bce, dice
-
-
-def seg_loss(logits: Tensor, mask) -> Tensor:
-    """Pixel BCE plus (1 - soft Dice), equally weighted."""
-    bce, dice = seg_loss_terms(logits, mask)
     return add(bce, sub(Tensor(1.0), dice))
 
 

@@ -3,11 +3,10 @@
 AUC is the normalized Mann-Whitney U statistic (ties count half), macro
 averaged over classes that contain both a positive and a negative; classes
 that do not are skipped, and if nothing is evaluable the result is ``None``
-rather than zero.  mAP scores a columnar ``Detections`` set (a list of
-``Detection`` records is converted on entry): per class and image,
-detections in descending confidence greedily take the unmatched ground
-truth of highest IoU at the threshold, and each class's precision-recall
-curve is integrated with all-point interpolation.
+rather than zero.  mAP scores a columnar ``Detections`` set: per class and
+image, detections in descending confidence greedily take the unmatched
+ground truth of highest IoU at the threshold, and each class's
+precision-recall curve is integrated with all-point interpolation.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 from .losses import iou_matrix
 
 __all__ = [
-    "Detection",
     "Detections",
     "GroundTruth",
     "MetricsRecord",
@@ -30,26 +28,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One predicted box with its class and confidence."""
-
-    image_id: int
-    box: tuple[float, float, float, float]
-    class_id: int
-    confidence: float
-
-    def __post_init__(self):
-        _check_detections(np.asarray(self.box, dtype=np.float64).reshape(1, -1),
-                          np.asarray([self.confidence], dtype=np.float64))
-
-
-@dataclass(frozen=True)
 class Detections:
     """Predicted boxes as columns, one row per detection.
 
     ``image_ids`` and ``class_ids`` are (n,) integers, ``boxes`` is (n, 4)
-    center-format float64 and ``confidences`` is (n,) float64.  Every row
-    obeys ``Detection``'s rules.
+    center-format float64 and ``confidences`` is (n,) float64.  Every
+    confidence and box entry is finite, and every width and height positive.
     """
 
     image_ids: np.ndarray
@@ -72,7 +56,12 @@ class Detections:
             )
         if n and (image_ids.dtype.kind not in "iu" or class_ids.dtype.kind not in "iu"):
             raise ValueError("detection image and class ids must be integers")
-        _check_detections(boxes, confidences)
+        if not np.isfinite(confidences).all():
+            raise ValueError("detection confidence must be finite")
+        if not np.isfinite(boxes).all():
+            raise ValueError("detection box center and width/height must be finite")
+        if not (boxes[:, 2:4] > 0).all():
+            raise ValueError("detection width/height must be positive")
         object.__setattr__(self, "image_ids", image_ids.astype(np.int64))
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "class_ids", class_ids.astype(np.int64))
@@ -80,27 +69,6 @@ class Detections:
 
     def __len__(self) -> int:
         return len(self.image_ids)
-
-    @classmethod
-    def of(cls, records) -> "Detections":
-        """Columns of a sequence of ``Detection`` records, in their order."""
-        records = list(records)
-        return cls(
-            image_ids=np.array([d.image_id for d in records], dtype=np.int64),
-            boxes=np.array([d.box for d in records], dtype=np.float64).reshape(len(records), 4),
-            class_ids=np.array([d.class_id for d in records], dtype=np.int64),
-            confidences=np.array([d.confidence for d in records], dtype=np.float64),
-        )
-
-
-def _check_detections(boxes: np.ndarray, confidences: np.ndarray) -> None:
-    """``Detection``'s rules on (n, 4) boxes and (n,) confidences."""
-    if not np.isfinite(confidences).all():
-        raise ValueError("detection confidence must be finite")
-    if not np.isfinite(boxes).all():
-        raise ValueError("detection box center and width/height must be finite")
-    if not (boxes[:, 2:4] > 0).all():
-        raise ValueError("detection width/height must be positive")
 
 
 @dataclass(frozen=True)
@@ -214,20 +182,17 @@ def _greedy_matches(ious: np.ndarray, iou_threshold: float) -> np.ndarray:
     return np.array(matched, dtype=np.intp)
 
 
-def map_at_iou(detections, ground_truths, iou_threshold: float = 0.40) -> float | None:
+def map_at_iou(detections: Detections, ground_truths, iou_threshold: float = 0.40) -> float | None:
     """Mean AP across classes at one IoU threshold.
 
-    ``detections`` is a ``Detections`` set or a sequence of ``Detection``
-    records, which is converted on entry.  Within each class, detections are
-    ranked by descending confidence (stable within ties).  In each image with
-    ground truth of that class, they are greedily matched in rank order to
-    the unmatched ground truth of highest IoU, counting a true positive only
-    when that IoU reaches the threshold; a detection in an image without
-    such ground truth is a false positive.  Classes without any ground truth
-    are skipped; if no class has ground truth the result is ``None``.
+    Within each class, detections are ranked by descending confidence
+    (stable within ties).  In each image with ground truth of that class,
+    they are greedily matched in rank order to the unmatched ground truth of
+    highest IoU, counting a true positive only when that IoU reaches the
+    threshold; a detection in an image without such ground truth is a false
+    positive.  Classes without any ground truth are skipped; if no class has
+    ground truth the result is ``None``.
     """
-    if not isinstance(detections, Detections):
-        detections = Detections.of(detections)
     gts = list(ground_truths)
     classes = sorted({g.class_id for g in gts})
     if not classes:

@@ -49,7 +49,6 @@ __all__ = [
     "MultiTaskModel",
     "build_model",
     "trainable_components",
-    "count_params",
 ]
 
 TASKS = ("cls", "loc", "seg")
@@ -237,6 +236,7 @@ class ModelGraph:
             self._params[name].tensor.data[...] = a
 
     def count_by_component(self) -> dict[str, int]:
+        """Parameter values per component, in registry order."""
         return {c: s.stop - s.start for c, s in self._spans.items()}
 
     def component_checksums(self) -> dict[str, str]:
@@ -265,10 +265,13 @@ class ArchConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        for name in ("image_size", "in_channels", "stage_channels", "loc_channels",
+                     "query_dim", "loc_grid", "seg_channels"):
+            value = getattr(self, name)
+            if np.min(value) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.image_size % 4 != 0:
             raise ValueError("image_size must be a multiple of 4")
-        if self.loc_grid < 1:
-            raise ValueError("loc_grid must be positive")
         if self.fmap_size % self.loc_grid != 0:
             raise ValueError(
                 f"loc_grid {self.loc_grid} must divide the feature map size "
@@ -596,9 +599,3 @@ def trainable_components(task: str, mode: str, dataset_id: str) -> frozenset[str
     if mode == "lock":
         return frozenset((head,))
     return frozenset({head, BACKBONE, BRANCHES[task]} - {None})
-
-
-def count_params(model: MultiTaskModel) -> tuple[dict[str, int], int]:
-    """Per-component parameter counts and their total."""
-    counts = model.graph.count_by_component()
-    return counts, sum(counts.values())

@@ -5,7 +5,8 @@ Images are grayscale squares with background noise and 0-3 bright shapes
 carries; samples then hold exactly those: a multi-hot label vector, tight
 bounding boxes, and/or per-class binary masks.  Everything is seeded, and
 every sample derives its own child seed, so regeneration is bit-identical
-and per-image generation could run in parallel.
+and per-image generation could run in parallel.  :func:`save_dataset` is a
+write-only export (``gen-data``): the program regenerates, never reloads.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "subtask_samples",
     "annotation_arrays",
     "save_dataset",
-    "load_dataset",
     "preset_cls_only",
     "preset_cls_loc",
     "preset_cls_loc_seg",
@@ -95,6 +95,8 @@ class SynthDatasetSpec:
         repeated = sorted({s for s in self.shape_classes if self.shape_classes.count(s) > 1})
         if repeated:
             raise ValueError(f"shape_classes repeats {repeated}: each class needs its own shape")
+        if not 0.0 <= self.noise_level < math.inf:  # False for NaN too
+            raise ValueError(f"noise_level must be finite and non-negative, got {self.noise_level}")
         if not (0 <= self.min_instances <= self.max_instances <= 3):
             raise ValueError("instance counts must satisfy 0 <= min <= max <= 3")
         if set(self.subtasks) - set(self.shape_classes):
@@ -374,6 +376,11 @@ def annotation_arrays(spec: SynthDatasetSpec, samples) -> dict[str, np.ndarray]:
 
 
 def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
+    """Export ``images`` ``(n, H, W)`` ``<f8`` and :func:`annotation_arrays`.
+
+    Each array is written raw to ``<name>.bin``; ``manifest.json`` holds the
+    spec and each array's ``file``, ``dtype`` and ``shape``.
+    """
     os.makedirs(directory, exist_ok=True)
     arrays = {
         "images": np.stack([s.image for s in samples]).astype("<f8"),
@@ -393,99 +400,6 @@ def save_dataset(directory: str, spec: SynthDatasetSpec, samples) -> None:
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-@dataclass(frozen=True)
-class _ArrayFile:
-    """One ``arrays`` entry of a dataset manifest."""
-
-    file: str
-    dtype: str
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        try:
-            np.dtype(self.dtype)
-        except TypeError:
-            raise ValueError(f"dtype {self.dtype!r} is not a numpy dtype") from None
-
-
-@dataclass(frozen=True)
-class _Manifest:
-    format_version: int
-    spec: SynthDatasetSpec
-    arrays: dict[str, _ArrayFile]
-
-
-def load_dataset(directory: str) -> tuple[SynthDatasetSpec, list[SynthSample]]:
-    """Read a :func:`save_dataset` directory; ValueError, naming the file, on bad input.
-
-    The manifest is decoded by the config file's rules (:mod:`cyclictrain.config`).
-    It lists exactly ``images`` and the spec's :func:`annotation_arrays`; each
-    has ``num_images`` rows, except ``boxes`` and ``box_classes``, which have
-    ``sum(box_counts)``.
-    """
-    from .config import _from_dict  # config imports this module, so not at load time
-
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if isinstance(manifest, dict) and manifest.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"{manifest_path}: unsupported format version "
-                         f"{manifest.get('format_version')!r}")
-    try:
-        decoded = _from_dict(_Manifest, manifest, "")
-    except ValueError as e:
-        raise ValueError(f"{manifest_path}: {e}") from None
-    spec = decoded.spec
-    names = ["images", *annotation_arrays(spec, [])]
-    if sorted(decoded.arrays) != sorted(names):
-        raise ValueError(f"{manifest_path}: arrays: expected {sorted(names)}, "
-                         f"got {sorted(decoded.arrays)}")
-    arrays: dict[str, np.ndarray] = {}
-    for name, meta in decoded.arrays.items():
-        path = os.path.join(directory, meta.file)
-        with open(path, "rb") as f:
-            raw = f.read()
-        dtype = np.dtype(meta.dtype)
-        expected = math.prod(meta.shape) * dtype.itemsize
-        if len(raw) != expected:
-            raise ValueError(f"{path}: {len(raw)} bytes, but shape {list(meta.shape)} "
-                             f"of {dtype} needs {expected}")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(meta.shape)
-    rows = dict.fromkeys(names, spec.num_images)
-    if "box_counts" in arrays:
-        if (arrays["box_counts"] < 0).any():
-            raise ValueError(f"{manifest_path}: arrays.box_counts: negative count "
-                             f"{arrays['box_counts'].min()}")
-        rows["boxes"] = rows["box_classes"] = int(arrays["box_counts"].sum())
-    for name, n in rows.items():
-        if arrays[name].shape[:1] != (n,):
-            raise ValueError(f"{manifest_path}: arrays.{name}: shape "
-                             f"{list(arrays[name].shape)} does not have {n} rows")
-    samples = []
-    at = 0
-    for i in range(spec.num_images):
-        labels = arrays["labels"][i].copy() if "labels" in arrays else None
-        mask = arrays["masks"][i].astype(np.uint8) if "masks" in arrays else None
-        boxes = None
-        if "box_counts" in arrays:
-            t = int(arrays["box_counts"][i])
-            boxes = BoxTarget(
-                boxes=arrays["boxes"][at : at + t].astype(np.float64),
-                class_ids=arrays["box_classes"][at : at + t].astype(np.int64),
-            )
-            at += t
-        samples.append(
-            SynthSample(
-                sample_id=i,
-                image=arrays["images"][i].astype(np.float64),
-                labels=labels,
-                boxes=boxes,
-                mask=mask,
-            )
-        )
-    return spec, samples
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,11 @@ from cyclictrain.engine import (
 from cyclictrain.engine import _batch_losses
 from cyclictrain.checkpoint import load_checkpoint, save_checkpoint
 from cyclictrain.losses import BoxTarget, cls_loss, hungarian_match, loc_loss, seg_loss
-from cyclictrain.metrics import Detection, GroundTruth, auc, dice, map_at_iou
+from cyclictrain.metrics import GroundTruth, auc, dice, map_at_iou
 from cyclictrain.model import ArchConfig, DatasetModelSpec, build_model
 from cyclictrain.synthdata import SynthDatasetSpec, preset_cls_loc, preset_cls_loc_seg, preset_cls_only, preset_loc_only, preset_organ_pairs
 
+from conftest import Det, columns
 from test_losses import brute_force_assignment
 from test_metrics import auc_pairwise_oracle, map_exhaustive_oracle
 
@@ -259,10 +260,10 @@ def test_criterion_05_metric_oracles():
                                              rs.uniform(0.1, 0.3), rs.uniform(0.1, 0.3)),
                                        int(rs.randint(0, 2))))
             for _ in range(int(rs.randint(0, 4))):
-                dets.append(Detection(img, (rs.uniform(0.3, 0.7), rs.uniform(0.3, 0.7),
-                                            rs.uniform(0.1, 0.3), rs.uniform(0.1, 0.3)),
-                                      int(rs.randint(0, 2)), float(rs.rand())))
-        got = map_at_iou(dets, gts, 0.40)
+                dets.append(Det(img, (rs.uniform(0.3, 0.7), rs.uniform(0.3, 0.7),
+                                      rs.uniform(0.1, 0.3), rs.uniform(0.1, 0.3)),
+                                int(rs.randint(0, 2)), float(rs.rand())))
+        got = map_at_iou(columns(dets), gts, 0.40)
         want = map_exhaustive_oracle(dets, gts, 0.40)
         if want is None:
             if got is not None:

@@ -17,7 +17,7 @@ from cyclictrain.engine import (
     prepare_bundles,
     run_epoch,
 )
-from cyclictrain.model import ArchConfig, build_model, count_params
+from cyclictrain.model import ArchConfig, build_model
 from cyclictrain.optim import AdamWState
 from cyclictrain.synthdata import SynthDatasetSpec
 
@@ -84,8 +84,8 @@ def test_manifest_counts_match_parameter_accounting(tmp_path):
     model, _, _ = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model)
     cp = load_checkpoint(str(tmp_path / "cp"))
-    counts, total = count_params(model)
-    assert sum(a.size for a in cp.arrays.values()) == total
+    counts = model.graph.count_by_component()
+    assert sum(a.size for a in cp.arrays.values()) == sum(counts.values())
     by_comp = {}
     for name, arr in cp.arrays.items():
         by_comp[cp.components[name]] = by_comp.get(cp.components[name], 0) + arr.size

@@ -14,9 +14,11 @@ from cyclictrain.config import (
     run_config_from_dict,
 )
 from cyclictrain.engine import TrainConfig, build_cycle_plan, predict, prepare_bundles
-from cyclictrain.metrics import auc, dice, map_at_iou, Detection, GroundTruth
+from cyclictrain.metrics import auc, dice, map_at_iou, GroundTruth
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
+
+from conftest import Det, columns, read_export
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -115,7 +117,8 @@ def test_repeated_shape_class_is_a_config_error():
 
 def test_partial_lock_release_keeps_the_defaults_from_json_and_python():
     cfg = _base_config("out", lock_release={"cls": True})
-    cfg["datasets"] = [json.loads(json.dumps(dataclasses.asdict(synthdata.preset_organ_pairs())))]
+    organ_pairs = dataclasses.replace(synthdata.preset_organ_pairs(), image_size=16)
+    cfg["datasets"] = [json.loads(json.dumps(dataclasses.asdict(organ_pairs)))]
     from_json = run_config_from_dict(cfg)
     from_python = TrainConfig(**{**cfg["train"], "lock_release": {"cls": True}})
     assert from_python == from_json.train
@@ -171,6 +174,42 @@ def test_non_finite_json_numbers_are_a_config_error(tmp_path, capsys, literal):
     path.write_text(text)
     assert cli.main(["pretrain", "--config", str(path)]) == 2
     assert "train: lr_loc must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _setting(*keys, value):
+    def edit(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+def _finetune_image_size(cfg):
+    cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "dataset_id": "new", "image_size": 32}}
+
+
+# rejected as the config loads, so no data is generated and nothing is written
+@pytest.mark.parametrize("edit, message", [
+    (_setting("datasets", 1, "image_size", value=32),
+     "datasets[1].image_size: 32 differs from arch.image_size 16"),
+    (_finetune_image_size, "finetune.dataset.image_size: 32 differs from arch.image_size 16"),
+    (_setting("arch", "in_channels", value=2), "arch.in_channels: generated images have 1 channel"),
+    (_setting("arch", "query_dim", value=0), "arch: query_dim must be >= 1, got 0"),
+    (_setting("arch", "loc_channels", value=-1), "arch: loc_channels must be >= 1, got -1"),
+    (_setting("arch", "seg_channels", value=[6, 0]), "arch: seg_channels must be >= 1, got (6, 0)"),
+    (_setting("datasets", 0, "noise_level", value=-0.5),
+     "datasets[0]: noise_level must be finite and non-negative, got -0.5"),
+    (_setting("datasets", 0, "noise_level", value=float("nan")),
+     "datasets[0]: noise_level must be finite and non-negative, got nan"),
+], ids=["dataset-image-size", "finetune-image-size", "in-channels", "query-dim-zero",
+        "loc-channels-negative", "seg-channels-zero", "noise-negative", "noise-nan"])
+def test_a_config_the_model_cannot_run_exits_2_naming_its_field(tmp_path, capsys, edit, message):
+    cfg = _base_config(str(tmp_path / "out"))
+    edit(cfg)
+    assert cli.main(["pretrain", "--config", _write(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -542,12 +581,12 @@ def test_cmd_eval_matches_direct_metric_invocation(tmp_path):
         for q in range(boxes.shape[1]):
             cp = probs[i, q, :-1]
             c = int(np.argmax(cp))
-            dets.append(Detection(int(sid), tuple(boxes[i, q]), c, float(cp[c])))
+            dets.append(Det(int(sid), tuple(boxes[i, q]), c, float(cp[c])))
         for _ in range(int(data["gt_box_counts"][i])):
             gts.append(GroundTruth(int(sid), tuple(data["gt_boxes"][at]),
                                    int(data["gt_box_classes"][at])))
             at += 1
-    assert map_at_iou(dets, gts, 0.40) == reported["loc"]["value"]
+    assert map_at_iou(columns(dets), gts, 0.40) == reported["loc"]["value"]
 
 
 def test_dumped_predictions_equal_a_plain_forward(tmp_path):
@@ -797,9 +836,10 @@ def test_cmd_gen_data_roundtrip(tmp_path):
     cfg = _base_config(str(out), num_cycles=0)
     path = _write(tmp_path, cfg)
     assert cli.main(["gen-data", "--config", path]) == 0
-    from cyclictrain.synthdata import generate_dataset, load_dataset
-
-    spec, samples = load_dataset(str(out / "data" / "boxesmasks"))
-    direct = generate_dataset(spec)
-    assert len(samples) == len(direct)
-    assert all(np.array_equal(a.image, b.image) for a, b in zip(samples, direct))
+    manifest, arrays = read_export(out / "data" / "boxesmasks")
+    spec = SynthDatasetSpec(**manifest["spec"])
+    assert spec == load_run_config(path).datasets[0]
+    direct = synthdata.generate_dataset(spec)
+    assert np.array_equal(arrays["images"], np.stack([s.image for s in direct]))
+    for name, a in synthdata.annotation_arrays(spec, direct).items():
+        assert np.array_equal(arrays[name], a), name

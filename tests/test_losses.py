@@ -11,10 +11,9 @@ from cyclictrain.losses import (
     cls_loss,
     consistency_loss,
     hungarian_match,
-    iou,
+    iou_matrix,
     loc_loss,
     seg_loss,
-    seg_loss_terms,
 )
 
 from conftest import max_rel_error, numeric_gradient
@@ -144,27 +143,27 @@ def test_matching_equals_exhaustive_minimum_all_small_sizes(seed):
 
 
 def test_iou_identical_boxes():
-    assert iou((0.5, 0.5, 0.2, 0.3), (0.5, 0.5, 0.2, 0.3)) == 1.0
+    assert iou_matrix((0.5, 0.5, 0.2, 0.3), (0.5, 0.5, 0.2, 0.3))[0, 0] == 1.0
 
 
 def test_iou_disjoint_boxes():
-    assert iou((0.2, 0.2, 0.1, 0.1), (0.8, 0.8, 0.1, 0.1)) == 0.0
+    assert iou_matrix((0.2, 0.2, 0.1, 0.1), (0.8, 0.8, 0.1, 0.1))[0, 0] == 0.0
 
 
 def test_iou_offset_by_half_width_is_one_third():
     # overlap 0.1x0.2 = 0.02, union 0.04 + 0.04 - 0.02 = 0.06
     a = (0.3, 0.5, 0.2, 0.2)
     b = (0.4, 0.5, 0.2, 0.2)
-    assert abs(iou(a, b) - 1.0 / 3.0) < 1e-12
+    assert abs(iou_matrix(a, b)[0, 0] - 1.0 / 3.0) < 1e-12
 
 
 def test_iou_symmetric_and_self_unit(rs):
     for _ in range(50):
         a = np.concatenate([rs.rand(2), rs.rand(2) * 0.4 + 0.05])
         b = np.concatenate([rs.rand(2), rs.rand(2) * 0.4 + 0.05])
-        assert iou(a, b) == iou(b, a)
-        assert iou(a, a) == 1.0
-        assert abs(iou(a, b) - iou_arithmetic(a, b)) < 1e-12
+        assert iou_matrix(a, b)[0, 0] == iou_matrix(b, a)[0, 0]
+        assert iou_matrix(a, a)[0, 0] == 1.0
+        assert abs(iou_matrix(a, b)[0, 0] - iou_arithmetic(a, b)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +303,9 @@ def test_seg_loss_saturated_prediction_is_near_zero():
 def test_seg_loss_bce_term_at_zero_logits_is_ln2():
     mask = np.zeros((1, 1, 2, 4))
     mask[0, 0, :, :2] = 1.0  # half ones
-    bce, _ = seg_loss_terms(Tensor(np.zeros((1, 1, 2, 4))), mask)
-    assert abs(bce.item() - math.log(2.0)) < 1e-12
+    # p = 1/2 everywhere: BCE ln 2; soft Dice (2 * 2 + 1) / (4 + 4 + 1) = 5/9
+    loss = seg_loss(Tensor(np.zeros((1, 1, 2, 4))), mask)
+    assert abs(loss.item() - (math.log(2.0) + 1.0 - 5.0 / 9.0)) < 1e-12
 
 
 def _seg_loss_oracle(logits, mask):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclictrain.losses import iou, iou_matrix
+from cyclictrain.losses import iou_matrix
 from cyclictrain.metrics import (
-    Detection,
     Detections,
     GroundTruth,
     MetricsRecord,
@@ -11,6 +10,8 @@ from cyclictrain.metrics import (
     dice,
     map_at_iou,
 )
+
+from conftest import Det, columns
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def map_exhaustive_oracle(detections, ground_truths, threshold):
             for j, g in enumerate(gts):
                 if matched[j] or g.image_id != d.image_id:
                     continue
-                ov = iou(d.box, g.box)
+                ov = iou_matrix(d.box, g.box)[0, 0]
                 if ov > best_iou:
                     best_iou, best_j = ov, j
             if best_j >= 0 and best_iou >= threshold:
@@ -180,18 +181,18 @@ def test_dice_shape_mismatch_rejected():
 
 def test_map_single_exact_detection():
     box = (0.5, 0.5, 0.2, 0.2)
-    dets = [Detection(image_id=0, box=box, class_id=0, confidence=0.9)]
+    dets = [Det(image_id=0, box=box, class_id=0, confidence=0.9)]
     gts = [GroundTruth(image_id=0, box=box, class_id=0)]
-    assert map_at_iou(dets, gts) == 1.0
+    assert map_at_iou(columns(dets), gts) == 1.0
 
 
 def test_map_below_threshold_scores_zero():
     gt_box = (0.5, 0.5, 0.2, 0.2)
     det_box = (0.62, 0.5, 0.2, 0.2)  # IoU 0.25 < 0.40
-    assert iou(det_box, gt_box) < 0.40
-    dets = [Detection(image_id=0, box=det_box, class_id=0, confidence=0.9)]
+    assert iou_matrix(det_box, gt_box)[0, 0] < 0.40
+    dets = [Det(image_id=0, box=det_box, class_id=0, confidence=0.9)]
     gts = [GroundTruth(image_id=0, box=gt_box, class_id=0)]
-    assert map_at_iou(dets, gts) == 0.0
+    assert map_at_iou(columns(dets), gts) == 0.0
 
 
 def test_map_mixed_scenario_matches_oracle():
@@ -202,13 +203,13 @@ def test_map_mixed_scenario_matches_oracle():
         GroundTruth(2, (0.5, 0.5, 0.3, 0.3), 1),
     ]
     dets = [
-        Detection(0, (0.3, 0.3, 0.2, 0.2), 0, 0.95),   # exact hit
-        Detection(0, (0.31, 0.3, 0.2, 0.2), 0, 0.90),  # duplicate -> FP
-        Detection(1, (0.75, 0.6, 0.2, 0.2), 0, 0.80),  # IoU below threshold
-        Detection(2, (0.52, 0.5, 0.3, 0.3), 1, 0.70),  # hit
-        Detection(1, (0.62, 0.6, 0.2, 0.2), 0, 0.60),  # late hit
+        Det(0, (0.3, 0.3, 0.2, 0.2), 0, 0.95),   # exact hit
+        Det(0, (0.31, 0.3, 0.2, 0.2), 0, 0.90),  # duplicate -> FP
+        Det(1, (0.75, 0.6, 0.2, 0.2), 0, 0.80),  # IoU below threshold
+        Det(2, (0.52, 0.5, 0.3, 0.3), 1, 0.70),  # hit
+        Det(1, (0.62, 0.6, 0.2, 0.2), 0, 0.60),  # late hit
     ]
-    got = map_at_iou(dets, gts, 0.40)
+    got = map_at_iou(columns(dets), gts, 0.40)
     expected = map_exhaustive_oracle(dets, gts, 0.40)
     assert abs(got - expected) < 1e-12
 
@@ -230,7 +231,7 @@ def test_map_randomized_scenarios_match_oracle():
                 )
             for _ in range(rs.randint(0, 4)):
                 dets.append(
-                    Detection(
+                    Det(
                         img,
                         (rs.uniform(0.3, 0.7), rs.uniform(0.3, 0.7),
                          rs.uniform(0.1, 0.3), rs.uniform(0.1, 0.3)),
@@ -238,7 +239,7 @@ def test_map_randomized_scenarios_match_oracle():
                         float(rs.rand()),
                     )
                 )
-        got = map_at_iou(dets, gts, 0.40)
+        got = map_at_iou(columns(dets), gts, 0.40)
         expected = map_exhaustive_oracle(dets, gts, 0.40)
         if expected is None:
             assert got is None
@@ -248,16 +249,16 @@ def test_map_randomized_scenarios_match_oracle():
 
 def test_map_invariant_under_empty_image_duplication():
     gts = [GroundTruth(0, (0.5, 0.5, 0.2, 0.2), 0)]
-    dets = [Detection(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
-    base = map_at_iou(dets, gts)
+    dets = [Det(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
+    base = map_at_iou(columns(dets), gts)
     # image 99 contributes no detections and no ground truths
-    assert map_at_iou(dets, gts) == base
-    assert map_at_iou(dets + [], gts + []) == base
+    assert map_at_iou(columns(dets), gts) == base
+    assert map_at_iou(columns(dets + []), gts + []) == base
 
 
 def test_map_undefined_without_ground_truth():
-    dets = [Detection(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
-    assert map_at_iou(dets, []) is None
+    dets = [Det(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
+    assert map_at_iou(columns(dets), []) is None
 
 
 def test_map_class_without_detections_counts_zero():
@@ -265,8 +266,8 @@ def test_map_class_without_detections_counts_zero():
         GroundTruth(0, (0.5, 0.5, 0.2, 0.2), 0),
         GroundTruth(0, (0.2, 0.2, 0.2, 0.2), 1),
     ]
-    dets = [Detection(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
-    assert map_at_iou(dets, gts) == 0.5  # AP 1.0 for class 0, 0.0 for class 1
+    dets = [Det(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
+    assert map_at_iou(columns(dets), gts) == 0.5  # AP 1.0 for class 0, 0.0 for class 1
 
 
 def test_all_metric_values_stay_in_unit_interval():
@@ -279,7 +280,7 @@ def test_all_metric_values_stay_in_unit_interval():
         if a is not None:
             assert 0.0 <= a <= 1.0
         assert 0.0 <= dice(rs.rand(5, 5) > 0.5, rs.rand(5, 5) > 0.5) <= 1.0
-        dets = [Detection(0, (rs.uniform(0.2, 0.8), rs.uniform(0.2, 0.8),
+        dets = [Det(0, (rs.uniform(0.2, 0.8), rs.uniform(0.2, 0.8),
                               rs.uniform(0.05, 0.3), rs.uniform(0.05, 0.3)),
                           int(rs.randint(0, 2)), float(rs.rand()))
                 for _ in range(int(rs.randint(1, 6)))]
@@ -287,7 +288,7 @@ def test_all_metric_values_stay_in_unit_interval():
                                rs.uniform(0.05, 0.3), rs.uniform(0.05, 0.3)),
                            int(rs.randint(0, 2)))
                for _ in range(int(rs.randint(1, 4)))]
-        m = map_at_iou(dets, gts, 0.40)
+        m = map_at_iou(columns(dets), gts, 0.40)
         assert m is None or 0.0 <= m <= 1.0
 
 
@@ -305,16 +306,6 @@ NON_FINITE_BOXES = [(0.5, 0.5, float("nan"), 0.2), (0.5, 0.5, 0.2, float("inf"))
                     (float("nan"), 0.5, 0.2, 0.2)]
 
 
-def test_detection_validation():
-    with pytest.raises(ValueError, match="finite"):
-        Detection(0, (0.5, 0.5, 0.1, 0.1), 0, float("nan"))
-    with pytest.raises(ValueError, match="positive"):
-        Detection(0, (0.5, 0.5, 0.0, 0.1), 0, 0.5)
-    for box in NON_FINITE_BOXES:
-        with pytest.raises(ValueError, match="finite"):
-            Detection(0, box, 0, 0.9)
-
-
 def test_detections_validation():
     ok = dict(image_ids=np.array([0, 1]), boxes=np.full((2, 4), 0.2),
               class_ids=np.array([0, 0]), confidences=np.array([0.5, 0.4]))
@@ -328,19 +319,6 @@ def test_detections_validation():
     ] + [("boxes", np.array([(0.5, 0.5, 0.2, 0.2), box]), "finite") for box in NON_FINITE_BOXES]:
         with pytest.raises(ValueError, match=match):
             Detections(**{**ok, name: bad})
-
-
-def test_detections_of_keeps_record_order_and_handles_empty():
-    records = [Detection(3, (0.5, 0.4, 0.2, 0.1), 1, 0.25),
-               Detection(1, (0.2, 0.3, 0.1, 0.3), 0, 0.75)]
-    cols = Detections.of(records)
-    assert len(cols) == 2
-    assert cols.image_ids.tolist() == [3, 1]
-    assert cols.class_ids.tolist() == [1, 0]
-    assert cols.confidences.tolist() == [0.25, 0.75]
-    assert cols.boxes.tolist() == [list(r.box) for r in records]
-    empty = Detections.of([])
-    assert len(empty) == 0 and empty.boxes.shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +388,7 @@ def _crowded_scenario(rs):
             a = anchors[rs.randint(3)]
             box = a if rs.rand() < 0.3 else tuple(np.add(a, rs.uniform(-0.08, 0.08, 4)))
             conf = float(rs.choice([0.0, -0.0, 0.25, 0.5, 0.9])) if rs.rand() < 0.5 else rs.rand()
-            dets.append(Detection(img, box, int(rs.randint(n_classes + 1)), conf))
+            dets.append(Det(img, box, int(rs.randint(n_classes + 1)), conf))
         if dets and rs.rand() < 0.2:
             dets.append(dets[rs.randint(len(dets))])  # an exact duplicate
     return dets, gts
@@ -426,8 +404,7 @@ def test_columnar_map_equals_the_per_detection_greedy_loop():
             dets = []
         threshold = float(rs.choice([0.0, 0.25, 0.40, 0.5, 0.75]))
         expected = map_per_detection_reference(dets, gts, threshold)
-        assert map_at_iou(dets, gts, threshold) == expected, f"scenario {scenario}"
-        assert map_at_iou(Detections.of(dets), gts, threshold) == expected, f"scenario {scenario}"
+        assert map_at_iou(columns(dets), gts, threshold) == expected, f"scenario {scenario}"
         slots = [(g.image_id, g.class_id) for g in gts]
         seen["none"] += expected is None
         seen["no_detections"] += not dets
@@ -443,12 +420,12 @@ def test_map_iou_tie_takes_the_first_unused_ground_truth():
     # second for the later detection, which overlaps only that one
     gts = [GroundTruth(0, (0.375, 0.5, 0.25, 0.25), 0),
            GroundTruth(0, (0.625, 0.5, 0.25, 0.25), 0)]
-    dets = [Detection(0, (0.5, 0.5, 0.25, 0.25), 0, 0.9),
-            Detection(0, (0.625, 0.5, 0.25, 0.25), 0, 0.8)]
+    dets = [Det(0, (0.5, 0.5, 0.25, 0.25), 0, 0.9),
+            Det(0, (0.625, 0.5, 0.25, 0.25), 0, 0.8)]
     tied = iou_matrix(np.asarray(dets[0].box), np.asarray([g.box for g in gts]))[0]
     assert tied[0] == tied[1] >= 1 / 3
-    assert map_at_iou(dets, gts, 1 / 3) == map_per_detection_reference(dets, gts, 1 / 3) == 1.0
-    assert map_at_iou(dets, gts[::-1], 1 / 3) == 0.5
+    assert map_at_iou(columns(dets), gts, 1 / 3) == map_per_detection_reference(dets, gts, 1 / 3) == 1.0
+    assert map_at_iou(columns(dets), gts[::-1], 1 / 3) == 0.5
 
 def test_engine_loc_eval_equals_the_per_query_detection_records():
     from cyclictrain.engine import evaluate_task, predict
@@ -466,7 +443,7 @@ def test_engine_loc_eval_equals_the_per_query_detection_records():
         for q in range(out["boxes"].shape[1]):
             class_probs = probs[i, q, :-1]
             c = int(np.argmax(class_probs))
-            dets.append(Detection(s.sample_id, tuple(out["boxes"][i, q]), c,
+            dets.append(Det(s.sample_id, tuple(out["boxes"][i, q]), c,
                                   float(class_probs[c])))
         for b, c in zip(s.boxes.boxes, s.boxes.class_ids):
             gts.append(GroundTruth(s.sample_id, tuple(b), int(c)))

@@ -16,7 +16,6 @@ from cyclictrain.model import (
     cls_head_component,
     component_dataset,
     component_kind,
-    count_params,
     loc_decoder_component,
     seg_head_component,
     trainable_components,
@@ -368,20 +367,19 @@ def test_linear_head_parameter_count():
     arch = ArchConfig(image_size=16, stage_channels=(4, 4, 4), loc_channels=4,
                       query_dim=4, loc_grid=2, seg_channels=(4, 4))
     model = build_model(arch, [DatasetModelSpec("d", cls_classes=3)])
-    counts, _ = count_params(model)
+    counts = model.graph.count_by_component()
     assert counts["cls_head/d"] == 4 * 3 + 3  # weights + bias
 
 
 def test_component_counts_sum_to_total():
     model = _census_model()
-    counts, total = count_params(model)
-    assert sum(counts.values()) == total
-    assert total == sum(p.tensor.data.size for p in model.graph.parameters())
+    counts = model.graph.count_by_component()
+    assert sum(counts.values()) == sum(p.tensor.data.size for p in model.graph.parameters())
 
 
 def test_equal_config_loc_decoders_have_equal_counts():
     model = _census_model()
-    counts, _ = count_params(model)
+    counts = model.graph.count_by_component()
     assert counts["loc_decoder/d0"] == counts["loc_decoder/d1"]
 
 

@@ -1,16 +1,15 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
 from cyclictrain.synthdata import (
     SynthDatasetSpec,
+    annotation_arrays,
     augment,
     few_shot_subset,
     flip_sample,
     generate_dataset,
-    load_dataset,
     preset_cls_loc_seg,
     preset_organ_pairs,
     sample_classes,
@@ -18,6 +17,8 @@ from cyclictrain.synthdata import (
     split,
     subtask_samples,
 )
+
+from conftest import read_export
 
 
 def _spec(**kw):
@@ -261,129 +262,16 @@ def test_sample_classes_from_any_annotation():
 
 
 def test_save_load_round_trip(tmp_path):
-    spec = preset_cls_loc_seg(num_images=12)
-    samples = generate_dataset(spec)
-    save_dataset(str(tmp_path / "ds"), spec, samples)
-    loaded_spec, loaded = load_dataset(str(tmp_path / "ds"))
-    assert loaded_spec == spec
-    assert len(loaded) == len(samples)
-    assert all(_images_equal(a, b) for a, b in zip(samples, loaded))
-
-
-def _saved(tmp_path):
-    spec = preset_cls_loc_seg(num_images=4)
-    directory = tmp_path / "ds"
-    save_dataset(str(directory), spec, generate_dataset(spec))
-    return directory
-
-
-def test_load_rejects_an_unknown_format_version(tmp_path):
-    directory = _saved(tmp_path)
-    mpath = directory / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    manifest["format_version"] = 99
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"manifest\.json: unsupported format version 99"):
-        load_dataset(str(directory))
-
-
-def test_load_rejects_a_truncated_array_file(tmp_path):
-    directory = _saved(tmp_path)
-    path = directory / "images.bin"
-    path.write_bytes(path.read_bytes()[:-8])  # one float64 short
-    with pytest.raises(ValueError, match=r"images\.bin: 32760 bytes, but shape \[4, 32, 32\]"):
-        load_dataset(str(directory))
-
-
-def _drop(key):
-    def edit(manifest):
-        del manifest[key]
-    return edit
-
-
-def _set_spec(key, value):
-    def edit(manifest):
-        manifest["spec"][key] = value
-    return edit
-
-
-def _set_array(name, value):
-    def edit(manifest):
-        manifest["arrays"][name] = value
-    return edit
-
-
-def _drop_array(name):
-    def edit(manifest):
-        del manifest["arrays"][name]
-    return edit
-
-
-ALL_ARRAYS = ["box_classes", "box_counts", "boxes", "images", "labels", "masks"]
-
-
-def _set_image_entry(key, value):
-    def edit(manifest):
-        manifest["arrays"]["images"][key] = value
-    return edit
-
-
-@pytest.mark.parametrize("edit, where", [
-    (_drop("spec"), "spec: required key missing"),
-    (_drop("arrays"), "arrays: required key missing"),
-    (_set_spec("colour", "red"), "spec.colour: unknown key"),
-    (_set_spec("num_images", "4"), "spec.num_images: expected int, got str"),
-    (_set_spec("tasks", "loc"), "spec.tasks: expected list, got str"),
-    (_set_spec("tasks", ["loc", "box"]), "spec: unknown tasks ['box']"),
-    (_set_array("images", "images.bin"), "arrays.images: expected an object"),
-    (_set_image_entry("dtype", "float99"), "arrays.images: dtype 'float99' is not a numpy dtype"),
-    (_set_image_entry("dtype", 8), "arrays.images.dtype: expected str, got int"),
-    (_set_image_entry("file", None), "arrays.images.file: expected str, got NoneType"),
-    (_set_image_entry("shape", [4, "32", 32]), "arrays.images.shape[1]: expected int, got str"),
-    (lambda manifest: [manifest], "top level: expected an object"),
-    (_drop_array("images"), f"arrays: expected {ALL_ARRAYS}, got {ALL_ARRAYS[:3] + ALL_ARRAYS[4:]}"),
-    (_drop_array("box_counts"), f"arrays: expected {ALL_ARRAYS}, got {ALL_ARRAYS[:1] + ALL_ARRAYS[2:]}"),
-    (_drop_array("labels"), f"arrays: expected {ALL_ARRAYS}, got {ALL_ARRAYS[:4] + ALL_ARRAYS[5:]}"),
-    (_set_array("extra", {"file": "images.bin", "dtype": "<f8", "shape": [4, 32, 32]}),
-     f"arrays: expected {ALL_ARRAYS}, got {sorted(ALL_ARRAYS + ['extra'])}"),
-    (_set_spec("num_images", 9), "arrays.images: shape [4, 32, 32] does not have 9 rows"),
-], ids=["no-spec", "no-arrays", "unknown-spec-key", "num-images-a-string", "tasks-a-string",
-        "unknown-task", "entry-a-string", "bad-dtype", "dtype-a-number", "file-null",
-        "shape-of-a-string", "manifest-a-list", "no-images", "no-box-counts", "no-labels",
-        "extra-array", "more-images-than-rows"])
-def test_load_rejects_a_bad_manifest_naming_its_path(tmp_path, edit, where):
-    directory = _saved(tmp_path)
-    mpath = directory / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    manifest = edit(manifest) or manifest  # an edit may return a whole new manifest
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError) as info:
-        load_dataset(str(directory))
-    assert str(info.value) == f"{mpath}: {where}"
-
-
-def test_load_rejects_box_counts_that_disagree_with_the_box_rows(tmp_path):
-    directory = _saved(tmp_path)
-    counts_path = directory / "box_counts.bin"
-    counts = np.frombuffer(counts_path.read_bytes(), dtype="<i8").copy()
-    rows = int(counts.sum())
-    counts[0] += 1
-    counts_path.write_bytes(counts.tobytes())
-    with pytest.raises(ValueError) as info:
-        load_dataset(str(directory))
-    assert str(info.value) == (f"{directory / 'manifest.json'}: arrays.boxes: shape "
-                               f"[{rows}, 4] does not have {rows + 1} rows")
-
-
-def test_load_rejects_a_negative_box_count(tmp_path):
-    # the same sum, so the row check alone would pass and sample 0 would
-    # take boxes[0:-1]
-    directory = _saved(tmp_path)
-    counts_path = directory / "box_counts.bin"
-    counts = np.frombuffer(counts_path.read_bytes(), dtype="<i8")
-    assert counts.tolist() == [2, 2, 1, 2]
-    counts_path.write_bytes(np.array([-1, 5, 1, 2], dtype="<i8").tobytes())
-    with pytest.raises(ValueError) as info:
-        load_dataset(str(directory))
-    assert str(info.value) == (f"{directory / 'manifest.json'}: arrays.box_counts: "
-                               f"negative count -1")
+    # read back as README documents the export, with no loader in the package
+    for spec in (preset_cls_loc_seg(num_images=12), preset_organ_pairs(num_images=6)):
+        samples = generate_dataset(spec)
+        save_dataset(str(tmp_path / spec.dataset_id), spec, samples)
+        manifest, arrays = read_export(tmp_path / spec.dataset_id)
+        assert SynthDatasetSpec(**manifest["spec"]) == spec
+        expected = {"images": np.stack([s.image for s in samples]),
+                    **annotation_arrays(spec, samples)}
+        assert sorted(arrays) == sorted(expected)
+        for name, a in expected.items():
+            assert manifest["arrays"][name]["file"] == f"{name}.bin"
+            assert arrays[name].dtype == a.dtype and np.array_equal(arrays[name], a), name
+        assert arrays["box_counts"].sum() == len(arrays["boxes"]) == len(arrays["box_classes"])

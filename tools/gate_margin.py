@@ -9,6 +9,7 @@ moved by one ulp (``np.nextafter``) in a direction drawn from
 ``RandomState(1000 + k)``, plus the unperturbed run.  Each run's teacher export is scored on the 40-image
 test split and on a fresh 1000-image set
 (``preset_cls_loc_seg(num_images=1000, seed=9303)``).  The study prints the
+OpenBLAS kernels it ran on (``tools/blas_core.py``), then the
 unperturbed value and the min / median / max of the perturbed runs per
 metric, with how many runs fall below the gate, and then criterion 10's two
 mean mAP40 values and their margin.
@@ -48,6 +49,7 @@ from cyclictrain.engine import (  # noqa: E402
     prepare_bundles,
     run_pretraining,
 )
+from blas_core import blas_core  # noqa: E402
 from test_acceptance import criterion_09_setup, criterion_10_loc_map  # noqa: E402
 
 # (metric key, label, gate)
@@ -107,6 +109,7 @@ def main(argv=None) -> int:
         runs, loc = list(runs), list(loc)
     unperturbed, perturbed = runs[0], runs[1:]
 
+    print(f"blas_core: {blas_core()}")
     print(f"criterion 09, {args.runs} perturbed runs ({time.time() - t0:.0f} s in all)")
     print(f"{'metric (gate)':<30} {'unperturbed':>11}  {'min':>6} {'median':>6} {'max':>6}"
           f"  below gate")
