@@ -4,26 +4,24 @@ A checkpoint is a directory: ``manifest.json`` plus raw little-endian
 float64 blobs (``student.bin``, optionally ``teacher.bin`` and
 ``optim.bin``).  Every blob is described by one list of ``{name, shape,
 offset}`` entries in the manifest (student entries also carry their
-component; the optimizer's moments are the arrays ``<param>/m`` and
-``<param>/v``), so loading is language-neutral and save -> load -> save
+component), so loading is language-neutral and save -> load -> save
 reproduces the directory byte for byte.  Next to each list sits the
 SHA-256 of the blob's bytes (``sha256``, ``teacher.sha256``,
 ``optimizer.sha256``); loading verifies it, so a damaged blob of the right
-length is rejected rather than loaded.  Every teacher array and optimizer
-moment must match a student entry's name and shape.  In memory the
-optimizer holds one state per component; on disk each of its parameters
-has an entry, and loading accepts only the order saving writes: a
-component's entries together and in registry order, all of its parameters
-or none, with one ``lr`` and one ``step_count``, and the moments in entry
-order, each ``m`` before its ``v``.  The manifest's one schema is the
-private records below: saving writes them, and loading decodes them by the
-config rules (:func:`cyclictrain.config._from_dict`).
+length is rejected rather than loaded.  Every teacher array must match a
+student entry's name and shape.  The optimizer is stored as AdamW holds it:
+one ``{component, lr, step_count}`` entry per stepped component, and its
+flat moments ``<component>/m`` and ``<component>/v``, each of the
+component's size, in entry order.  The manifest's one schema is the private
+records below: saving writes them, and loading decodes them by the config
+rules (:func:`cyclictrain.config._from_dict`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -38,7 +36,7 @@ from .optim import AdamW, AdamWState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -88,7 +86,7 @@ class _Teacher:
 
 @dataclass(frozen=True)
 class _OptimizerEntry:
-    name: str
+    component: str
     lr: float
     step_count: int
 
@@ -178,10 +176,10 @@ def _read_blob(directory: str, label: str, entries, sha256: str) -> dict[str, np
     return out
 
 
-def _match_student(label, arrays, student, param=lambda name: name) -> None:
-    """Every array must have the shape of the student entry ``param(name)`` names."""
+def _match_student(label, arrays, student) -> None:
+    """Every array must have the shape of the student entry of its name."""
     for name, a in arrays.items():
-        entry = student.get(param(name))
+        entry = student.get(name)
         if entry is None:
             raise CheckpointError(f"{label}: '{name}' matches no student entry")
         if a.shape != entry.shape:
@@ -190,52 +188,27 @@ def _match_student(label, arrays, student, param=lambda name: name) -> None:
 
 
 def _optimizer_state(entries, moments: dict[str, np.ndarray], params) -> dict[str, AdamWState]:
-    """One :class:`AdamWState` per component from per-parameter entries and moments."""
-    members: dict[str, list[str]] = {}  # component -> its parameter names, in registry order
+    """One :class:`AdamWState` per entry, from its component's flat moments."""
+    sizes: dict[str, int] = {}  # component -> the sum of its student entries
     for e in params:
-        members.setdefault(e.component, []).append(e.name)
-    component = {name: c for c, names in members.items() for name in names}
-    blob_order = list(moments)
-    held: dict[str, tuple] = {}  # entry name -> (entry, m, v)
+        sizes[e.component] = sizes.get(e.component, 0) + math.prod(e.shape)
+    listed: dict[str, _OptimizerEntry] = {}  # component -> its entry
     for i, e in enumerate(entries):
-        if e.name in held:
-            raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{e.name}' is "
-                                  "listed twice")
-        for k in ("m", "v"):
-            if f"{e.name}/{k}" not in moments:
-                raise CheckpointError(f"optim.bin: optimizer entry '{e.name}' has no "
-                                      f"'{e.name}/{k}' array")
-        held[e.name] = (e, moments.pop(f"{e.name}/m"), moments.pop(f"{e.name}/v"))
-    if moments:
-        raise CheckpointError(f"optim.bin: '{next(iter(moments))}' belongs to no optimizer entry")
-    listed = list(held)
-    stepped = list(dict.fromkeys(component[name] for name in listed))
-    for i, want in enumerate(name for c in stepped for name in members[c]):
-        c = component[want]
-        if want not in held:
-            first = next(name for name in listed if component[name] == c)
-            raise CheckpointError(f"manifest.json: optimizer.entries: '{want}' has no entry, but "
-                                  f"'{first}' of the same component '{c}' has one")
-        if listed[i] != want:
-            raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{listed[i]}' is "
-                                  f"listed where '{want}' belongs: a component's entries are "
-                                  "listed together, in registry order")
-        e, ref = held[want][0], held[members[c][0]][0]
-        if (e.lr, e.step_count) != (ref.lr, ref.step_count):
-            raise CheckpointError(
-                f"manifest.json: optimizer.entries: '{e.name}' has lr {e.lr} and step_count "
-                f"{e.step_count}, but '{ref.name}' of the same component '{c}' has lr "
-                f"{ref.lr} and step_count {ref.step_count}")
-    for i, (have, want) in enumerate(zip(blob_order, (f"{n}/{k}" for n in held for k in "mv"))):
+        if e.component not in sizes or e.component in listed:
+            why = "is listed twice" if e.component in listed else "is no student component"
+            raise CheckpointError(f"manifest.json: optimizer.entries[{i}]: '{e.component}' {why}")
+        listed[e.component] = e
+    names = (f"{c}/{k}" for c in listed for k in "mv")
+    for i, (have, want) in enumerate(itertools.zip_longest(moments, names)):
         if have != want:
-            raise CheckpointError(f"manifest.json: optimizer.params[{i}]: '{have}' is listed "
-                                  f"where '{want}' belongs: moments follow the entries, m first")
-    state: dict[str, AdamWState] = {}
-    for c in stepped:
-        es, m, v = zip(*(held[name] for name in members[c]))
-        state[c] = AdamWState(es[0].lr, es[0].step_count, np.concatenate(m, axis=None),
-                              np.concatenate(v, axis=None))
-    return state
+            raise CheckpointError(f"manifest.json: optimizer.params[{i}] is {have!r}, expected "
+                                  f"{want!r}: each entry's m and then its v, in entry order")
+        size = sizes[have.rpartition("/")[0]]
+        if moments[have].shape != (size,):
+            raise CheckpointError(f"optim.bin: '{have}' has shape {list(moments[have].shape)}, "
+                                  f"its component [{size}]")
+    return {c: AdamWState(e.lr, e.step_count, moments[f"{c}/m"], moments[f"{c}/v"])
+            for c, e in listed.items()}
 
 
 def save_checkpoint(
@@ -255,22 +228,20 @@ def save_checkpoint(
     one of another shape is a ``ValueError`` and nothing is written.  So is
     a teacher entry unlike its student parameter (:meth:`TeacherState.check`),
     and an optimizer state for a component the model lacks or of another
-    size.  Each component's moments are written per parameter, components
-    in ``state`` order and parameters in registry order.
+    size.  The optimizer's states are written as they are held, in ``state``
+    order.
     """
     arrays = model.graph.arrays() if weights is None else model.graph.conform(weights)
     components = {p.name: p.component for p in model.graph.parameters()}
-    members: dict[str, list] = {}  # component -> its parameters, in registry order
-    for p in model.graph.parameters():
-        members.setdefault(p.component, []).append(p)
     if teacher is not None:
         teacher.check(model)
     if optimizer is not None:
+        sizes = model.graph.count_by_component()
         for component, st in optimizer.state.items():
-            if component not in members:
+            if component not in sizes:
                 raise ValueError(f"optimizer state for component '{component}', which the "
                                  "model lacks")
-            st.check_size(component, members[component][0].component_data.size)
+            st.check_size(component, sizes[component])
     os.makedirs(directory, exist_ok=True)
     teacher_section = optimizer_section = None
     if teacher is not None:
@@ -278,12 +249,10 @@ def save_checkpoint(
                                    _write_blob(directory, "teacher.bin", teacher.params))
     if optimizer is not None:
         state = optimizer.state
-        moments = {f"{p.name}/{k}": p.within(getattr(st, k))
-                   for c, st in state.items() for p in members[c] for k in "mv"}
+        moments = {f"{c}/{k}": getattr(st, k) for c, st in state.items() for k in "mv"}
         optimizer_section = _Optimizer(
             betas=optimizer.betas, eps=optimizer.eps, weight_decay=optimizer.weight_decay,
-            entries=tuple(_OptimizerEntry(p.name, st.lr, st.step_count)
-                          for c, st in state.items() for p in members[c]),
+            entries=tuple(_OptimizerEntry(c, st.lr, st.step_count) for c, st in state.items()),
             params=_blob_entries(moments), sha256=_write_blob(directory, "optim.bin", moments))
     manifest = _Manifest(
         format_version=FORMAT_VERSION, config_hash=config_hash, weights_kind=weights_kind,
@@ -328,7 +297,6 @@ def load_checkpoint(directory: str) -> Checkpoint:
     if m.optimizer is not None:
         o = m.optimizer
         moments = _read_blob(directory, "optim.bin", o.params, o.sha256)
-        _match_student("optim.bin", moments, arrays, lambda name: name.rpartition("/")[0])
         try:
             cp.optimizer = AdamW(betas=o.betas, eps=o.eps, weight_decay=o.weight_decay)
         except ValueError as e:

@@ -7,8 +7,9 @@ Every field, defaults materialized, enters the config hash recorded in
 checkpoints.  Parsing failures report the JSON line/column; validation
 failures report the dotted field path.  A dataset the model cannot take
 (an ``image_size`` other than ``arch.image_size``, or ``arch.in_channels``
-other than 1) fails validation.  Checkpoint manifests are decoded by the
-same rules.
+other than 1) fails validation, and so does a finetune dataset that reuses
+a pretraining dataset's id but not its heads.  Checkpoint manifests are
+decoded by the same rules.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ def run_config_from_dict(d: dict) -> RunConfig:
         if spec.dataset_id in seen_ids:
             raise ConfigError(f"datasets[{i}].dataset_id: duplicate '{spec.dataset_id}'")
         seen_ids.add(spec.dataset_id)
+    if cfg.finetune is not None:
+        new = cfg.finetune.dataset.model_spec()
+        for spec in cfg.datasets:
+            if spec.dataset_id == new.dataset_id and spec.model_spec() != new:
+                raise ConfigError(f"finetune.dataset: {new} does not fit the heads of the "
+                                  f"pretraining dataset of the same id, {spec.model_spec()}")
     return cfg
 
 

@@ -108,6 +108,8 @@ class TrainConfig:
             raise ValueError("epochs_per_task must be >= 1")
         if self.num_cycles < 0:
             raise ValueError("num_cycles must be >= 0")
+        if self.step_decay_interval < 0:
+            raise ValueError("step_decay_interval must be >= 0")
         unknown = set(self.lock_release) - set(TASKS)
         if unknown:
             raise ValueError(f"lock_release has unknown tasks {sorted(unknown)}")
@@ -126,7 +128,7 @@ class TrainConfig:
         raise ValueError(f"no learning rate for component '{component}'")
 
     def lr_scale_at(self, global_epoch: int) -> float:
-        if self.step_decay_interval <= 0:
+        if self.step_decay_interval == 0:
             return 1.0
         return self.step_decay_factor ** (global_epoch // self.step_decay_interval)
 

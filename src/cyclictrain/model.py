@@ -6,10 +6,9 @@ Every parameter belongs to exactly one component.  Components are plain
 strings: the shared ones are ``backbone``, ``loc_encoder`` and
 ``seg_decoder``; per-dataset ones are ``cls_head/<id>``, ``loc_decoder/<id>``
 and ``seg_head/<id>``.  Freeze scheduling and parameter accounting both key
-off this partition.  The registry keeps every parameter value in one
-float64 buffer, in which each component is one contiguous slice, so the
-optimizer, the EMA teacher and the checksums each handle a component as
-one flat array.
+off this partition.  The registry keeps each component's parameter values
+in one flat float64 buffer of its own, so the optimizer and the checksums
+each handle a component as one array.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ class Parameter:
     ``trainable`` is stored on the tensor itself (as ``requires_grad``) so a
     frozen parameter builds no gradient path at all; a new one is trainable.
     In a :class:`ModelGraph`, ``tensor.data`` is a view ``offset`` elements
-    into ``component_data``, the flat slice of the graph's buffer that every
-    parameter of the component shares.
+    into ``component_data``, the flat buffer that every parameter of the
+    component shares.
     """
 
     __slots__ = ("name", "tensor", "component", "offset", "component_data")
@@ -127,37 +126,25 @@ class Parameter:
 class ModelGraph:
     """Ordered registry of parameters, partitioned by component.
 
-    All parameter values live in one float64 buffer in registry order, each
-    component one contiguous slice of it.  Adding a parameter may reallocate
-    the buffer and re-point every parameter's views, and so does copying or
-    unpickling the graph; nothing else rebinds them.
+    Each component's parameter values live in one flat float64 buffer, in
+    registry order.  Adding a parameter replaces its component's buffer and
+    re-points that component's views, and copying or unpickling the graph
+    re-points every view; nothing else rebinds them.
     """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
-        self._data = np.empty(0)  # its first _size elements hold the parameters
-        self._size = 0
-        self._spans: dict[str, slice] = {}  # component -> its slice of _data
+        self._buffers: dict[str, np.ndarray] = {}  # component -> its flat buffer
 
     def add(self, name: str, data: np.ndarray, component: str) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name '{name}'")
-        if component in self._spans and component != next(reversed(self._spans)):
-            raise ValueError(f"'{name}': component '{component}' must be added in one run")
         p = Parameter(name, data, component)
-        start = self._spans[component].start if component in self._spans else self._size
-        p.offset = self._size - start
-        end = self._size + p.tensor.data.size
-        if end > self._data.size:  # grow geometrically, so that the views seldom move
-            self._data = np.concatenate([self._data[:self._size], np.empty(end)])
-            moved = list(self._params.values())
-        else:
-            moved = [q for q in self._params.values() if q.component == component]
-        self._data[self._size:end] = p.tensor.data.reshape(-1)
-        self._size = end
-        self._spans[component] = slice(start, end)
+        buffer = self._buffers.get(component, np.empty(0))
+        p.offset = buffer.size
+        self._buffers[component] = np.concatenate([buffer, p.tensor.data], axis=None)
         self._params[name] = p
-        self._point(moved + [p])
+        self._point(q for q in self._params.values() if q.component == component)
         return p
 
     def __setstate__(self, state: dict) -> None:
@@ -166,9 +153,9 @@ class ModelGraph:
         self._point(self._params.values())
 
     def _point(self, params) -> None:
-        """Point these parameters' views at the buffer."""
+        """Point these parameters' views at their component's buffer."""
         for p in params:
-            p.component_data = self._data[self._spans[p.component]]
+            p.component_data = self._buffers[p.component]
             p.tensor.data = p.within(p.component_data)
 
     def __getitem__(self, name: str) -> Parameter:
@@ -181,7 +168,7 @@ class ModelGraph:
         return list(self._params.values())
 
     def components(self) -> list[str]:
-        return list(self._spans)
+        return list(self._buffers)
 
     def set_trainable_components(self, components: set[str]) -> None:
         for p in self._params.values():
@@ -237,11 +224,11 @@ class ModelGraph:
 
     def count_by_component(self) -> dict[str, int]:
         """Parameter values per component, in registry order."""
-        return {c: s.stop - s.start for c, s in self._spans.items()}
+        return {c: b.size for c, b in self._buffers.items()}
 
     def component_checksums(self) -> dict[str, str]:
         """SHA-256 over the raw bytes of each component, in registry order."""
-        return {c: hashlib.sha256(self._data[s]).hexdigest() for c, s in self._spans.items()}
+        return {c: hashlib.sha256(b).hexdigest() for c, b in self._buffers.items()}
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """AdamW with decoupled weight decay, stepped once per component.
 
-A component is one contiguous slice of its graph's parameter buffer, so
-``AdamW.step`` updates each trainable one as a flat array: its gradients are
-concatenated, and its :class:`AdamWState` holds one learning rate, one step
-count and one flat ``m`` and ``v``, laid out like that slice.
-``AdamW.state`` maps each stepped component to its state.  Frozen
-parameters (``trainable=False``) are skipped entirely: no data change, no
-moment update, no step-count advance, so a freeze leaves both the weights
-and the optimizer state bit-identical.
+A component's parameters share one flat buffer of their graph, so
+``AdamW.step`` updates each trainable component as one array: its gradients
+are concatenated, and its :class:`AdamWState` holds one learning rate, one
+step count and one flat ``m`` and ``v``, laid out like that buffer, which is
+how a checkpoint stores it.  ``AdamW.state`` maps each stepped component to
+its state.  Frozen parameters (``trainable=False``) are skipped entirely: no
+data change, no moment update, no step-count advance, so a freeze leaves
+both the weights and the optimizer state bit-identical.
 """
 
 from __future__ import annotations

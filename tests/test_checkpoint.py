@@ -127,7 +127,7 @@ def test_damaged_blob_rejected(tmp_path, capsys, blob, damage):
     assert blob in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_format_version_rejected(tmp_path, version):
     model, teacher, opt = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt)
@@ -170,18 +170,6 @@ def _drop(path):
     return edit
 
 
-def _orphan(moment):
-    """Rename the first optimizer entry's ``<name>/<moment>`` array."""
-
-    def edit(manifest):
-        name = manifest["optimizer"]["entries"][0]["name"]
-        for e in manifest["optimizer"]["params"]:
-            if e["name"] == f"{name}/{moment}":
-                e["name"] += "~"
-
-    return edit
-
-
 def _set(path, value):
     """Set one optimizer field, ``entries.0.lr`` style, to ``value``."""
 
@@ -195,20 +183,12 @@ def _set(path, value):
     return edit
 
 
-def _reshape_first_moment(manifest):
-    """Reverse the shape of the first moment whose reversed shape differs."""
-    e = next(e for e in manifest["optimizer"]["params"] if e["shape"] != e["shape"][::-1])
-    e["shape"] = e["shape"][::-1]
-
-
-def _rename_first_entry(manifest):
-    """Rename the first optimizer entry and both its moments to a name the student lacks."""
-    o = manifest["optimizer"]
-    name = o["entries"][0]["name"]
-    o["entries"][0]["name"] = f"{name}~"
-    for e in o["params"]:
-        if e["name"] in (f"{name}/m", f"{name}/v"):
-            e["name"] = f"{name}~/{e['name'][-1]}"
+def _resize_first_moments(manifest):
+    """Move one element from the first entry's m to its v, so the blob still adds up."""
+    m, v = manifest["optimizer"]["params"][:2]
+    m["shape"] = [m["shape"][0] - 1]
+    v["shape"] = [v["shape"][0] + 1]
+    v["offset"] -= 1
 
 
 def _swap_first_moments(manifest):
@@ -231,8 +211,14 @@ MISSING_KEYS = {
     "teacher.params": (_drop("teacher.params"), r"teacher\.params: required key missing"),
     "optimizer.params": (_drop("optimizer.params"), r"optimizer\.params: required key missing"),
     "optimizer.betas": (_drop("optimizer.betas"), r"optimizer\.betas: required key missing"),
-    "entry-without-m": (_orphan("m"), "has no '.+/m' array"),
-    "entry-without-v": (_orphan("v"), "has no '.+/v' array"),
+    "entry-without-m": (lambda manifest: manifest["optimizer"]["entries"].append(
+                            {"component": "seg_head/d", "lr": 1e-4, "step_count": 1}),
+                        r"manifest\.json: optimizer\.params\[8\] is None, expected "
+                        r"'seg_head/d/m': each entry's m and then its v, in entry order"),
+    "entry-without-v": (lambda manifest: manifest["optimizer"]["params"][-1].update(
+                            name="loc_encoder/w"),
+                        r"manifest\.json: optimizer\.params\[7\] is 'loc_encoder/w', expected "
+                        r"'loc_encoder/v'"),
     "counter-a-string": (lambda manifest: manifest.update(counters={"cycle": "x"}),
                          r"counters\.cycle: expected int, got str"),
     "counter-a-fraction": (lambda manifest: manifest.update(counters={"cycle": 1.5}),
@@ -303,39 +289,21 @@ MISSING_KEYS = {
     "teacher-entry-renamed": (
         lambda manifest: manifest["teacher"]["params"][0].update(name="backbone/conv9/w"),
         r"teacher\.bin: 'backbone/conv9/w' matches no student entry"),
-    "moment-reshaped": (_reshape_first_moment,
-                        r"optim\.bin: '.+/[mv]' has shape \[.+\], its student entry \[.+\]"),
-    "entry-renamed": (_rename_first_entry, r"optim\.bin: '.+~/m' matches no student entry"),
+    "moment-reshaped": (_resize_first_moments,
+                        r"optim\.bin: 'backbone/m' has shape \[701\], its component \[702\]"),
+    "entry-renamed": (_set("entries.0.component", "backbone~"),
+                      r"manifest\.json: optimizer\.entries\[0\]: 'backbone~' is no student "
+                      "component"),
     "entry-twice": (lambda manifest: manifest["optimizer"]["entries"].append(
-                        manifest["optimizer"]["entries"][0]),
-                    r"manifest\.json: optimizer\.entries\[\d+\]: '.+' is listed twice"),
+                        manifest["optimizer"]["entries"][1]),
+                    r"manifest\.json: optimizer\.entries\[4\]: 'cls_head/d' is listed twice"),
     "moments-without-entry": (lambda manifest: manifest["optimizer"].update(
-                                  entries=manifest["optimizer"]["entries"][1:]),
-                              r"optim\.bin: '.+/m' belongs to no optimizer entry"),
-    "entry-lr-unlike-its-component": (
-        _set("entries.1.lr", 0.5),
-        r"manifest\.json: optimizer\.entries: 'backbone/conv1/b' has lr 0\.5 and step_count 2, "
-        r"but 'backbone/conv1/w' of the same component 'backbone' has lr 1e-05 and step_count 2"),
-    "entry-step-count-unlike-its-component": (
-        _set("entries.7.step_count", 4),
-        r"manifest\.json: optimizer\.entries: 'cls_head/d/fc/b' has lr 0\.0001 and step_count 4, "
-        r"but 'cls_head/d/fc/w' of the same component 'cls_head/d' has lr 0\.0001 and "
-        r"step_count 1"),
-    "entries-of-a-component-swapped": (
-        lambda manifest: manifest["optimizer"]["entries"].insert(
-            0, manifest["optimizer"]["entries"].pop(1)),
-        r"manifest\.json: optimizer\.entries\[0\]: 'backbone/conv1/b' is listed where "
-        r"'backbone/conv1/w' belongs: a component's entries are listed together, in registry "
-        r"order"),
-    "entries-of-a-component-apart": (
-        lambda manifest: manifest["optimizer"]["entries"].append(
-            manifest["optimizer"]["entries"].pop(5)),
-        r"manifest\.json: optimizer\.entries\[5\]: 'cls_head/d/fc/w' is listed where "
-        r"'backbone/conv3/b' belongs"),
+                                  entries=manifest["optimizer"]["entries"][:-1]),
+                              r"manifest\.json: optimizer\.params\[6\] is 'loc_encoder/m', "
+                              "expected None"),
     "moments-out-of-entry-order": (
         _swap_first_moments,
-        r"manifest\.json: optimizer\.params\[0\]: 'backbone/conv1/w/v' is listed where "
-        r"'backbone/conv1/w/m' belongs"),
+        r"manifest\.json: optimizer\.params\[0\] is 'backbone/v', expected 'backbone/m'"),
     "teacher-entry-with-component": (
         lambda manifest: manifest["teacher"]["params"][0].update(component="backbone"),
         r"teacher\.params\[0\]\.component: unknown key"),
@@ -352,24 +320,6 @@ def test_manifest_missing_key_rejected(tmp_path, capsys, full_checkpoint, case):
     edited = edit(manifest)
     mpath.write_text(json.dumps(manifest if edited is None else edited))
     with pytest.raises(CheckpointError, match=message):
-        load_checkpoint(str(path))
-    assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
-    assert "checkpoint error" in capsys.readouterr().err
-
-
-def test_optimizer_entries_covering_part_of_a_component_rejected(tmp_path, capsys,
-                                                                 full_checkpoint):
-    # the manifest moves a parameter the optimizer never stepped into a stepped component
-    path = tmp_path / "cp"
-    shutil.copytree(full_checkpoint, path)
-    mpath = path / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    entry = next(e for e in manifest["params"] if e["name"] == "seg_head/d/conv/w")
-    entry["component"] = "loc_decoder/d"
-    mpath.write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match=r"manifest\.json: optimizer\.entries: "
-                       r"'seg_head/d/conv/w' has no entry, but 'loc_decoder/d/queries' of "
-                       r"the same component 'loc_decoder/d' has one"):
         load_checkpoint(str(path))
     assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
     assert "checkpoint error" in capsys.readouterr().err
@@ -412,8 +362,8 @@ def test_checkpoint_without_parameters_rejected(tmp_path, capsys):
 # RandomState draws and one elementwise AdamW step (no BLAS, no summation
 # order), so the bytes are the same on every machine
 PINNED_FILES = {
-    "manifest.json": "42936c8d8127b98e1e888049231ea14aa12ab3e32978b4aa11fd675954cdfb0b",
-    "optim.bin": "0d49cadc84095af6d2244ba211a7dcf3c49d0a18e4629f5c959e3c2ef389be38",
+    "manifest.json": "2f9090282fa9765064e11a83b6688c3ab2b761857cc9e758c9b4579b4263dc09",
+    "optim.bin": "4e831c1029fbfc9995ec694bb4177556b2d1910f66b2957ecb211ee62e1719e2",
     "student.bin": "61549dba96b55d15decb6ad8c1ce6a846729d6428d6847cf0db3b40a49a711ed",
     "teacher.bin": "61511ab9b46619ce510fb9b95d611a19009ff8f57b07fa7a514cab16fda7b1ec",
 }

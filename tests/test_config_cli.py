@@ -190,6 +190,12 @@ def _finetune_image_size(cfg):
     cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "dataset_id": "new", "image_size": 32}}
 
 
+def _finetune_reusing_an_id_with_other_heads(cfg):
+    # the pretraining "labels" dataset is cls-only with the default 3 classes
+    cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "tasks": ["cls", "loc"],
+                                   "shape_classes": ["ellipse", "ring"]}}
+
+
 # rejected as the config loads, so no data is generated and nothing is written
 @pytest.mark.parametrize("edit, message", [
     (_setting("datasets", 1, "image_size", value=32),
@@ -203,8 +209,15 @@ def _finetune_image_size(cfg):
      "datasets[0]: noise_level must be finite and non-negative, got -0.5"),
     (_setting("datasets", 0, "noise_level", value=float("nan")),
      "datasets[0]: noise_level must be finite and non-negative, got nan"),
+    (_finetune_reusing_an_id_with_other_heads,
+     "finetune.dataset: DatasetModelSpec(dataset_id='labels', cls_classes=2, loc_classes=2, "
+     "seg_classes=None) does not fit the heads of the pretraining dataset of the same id, "
+     "DatasetModelSpec(dataset_id='labels', cls_classes=3, loc_classes=None, seg_classes=None)"),
+    (_setting("train", "step_decay_interval", value=-5),
+     "train: step_decay_interval must be >= 0"),
 ], ids=["dataset-image-size", "finetune-image-size", "in-channels", "query-dim-zero",
-        "loc-channels-negative", "seg-channels-zero", "noise-negative", "noise-nan"])
+        "loc-channels-negative", "seg-channels-zero", "noise-negative", "noise-nan",
+        "finetune-reuses-an-id-with-other-heads", "step-decay-interval-negative"])
 def test_a_config_the_model_cannot_run_exits_2_naming_its_field(tmp_path, capsys, edit, message):
     cfg = _base_config(str(tmp_path / "out"))
     edit(cfg)

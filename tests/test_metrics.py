@@ -247,13 +247,13 @@ def test_map_randomized_scenarios_match_oracle():
             assert abs(got - expected) < 1e-12, f"scenario {scenario}"
 
 
-def test_map_invariant_under_empty_image_duplication():
+def test_map_ignores_detections_of_classes_without_ground_truth():
     gts = [GroundTruth(0, (0.5, 0.5, 0.2, 0.2), 0)]
     dets = [Det(0, (0.5, 0.5, 0.2, 0.2), 0, 0.9)]
     base = map_at_iou(columns(dets), gts)
-    # image 99 contributes no detections and no ground truths
-    assert map_at_iou(columns(dets), gts) == base
-    assert map_at_iou(columns(dets + []), gts + []) == base
+    assert base == 1.0
+    # image 99 has no ground truth, and its detection's class 5 has none anywhere
+    assert map_at_iou(columns(dets + [Det(99, (0.3, 0.3, 0.2, 0.2), 5, 0.95)]), gts) == base
 
 
 def test_map_undefined_without_ground_truth():

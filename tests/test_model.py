@@ -440,12 +440,15 @@ def test_merged_weights_ignores_heads_the_model_lacks():
 
 
 def _assert_views_of_one_buffer(graph):
-    params = graph.parameters()
-    assert len({id(p.component_data.base) for p in params}) == 1
-    for p in params:
-        assert np.shares_memory(p.tensor.data, p.component_data), p.name
-        assert np.array_equal(p.within(p.component_data), p.tensor.data), p.name
-    assert {p.component: p.component_data.size for p in params} == graph.count_by_component()
+    """A component's parameters are views of one flat buffer that owns its memory."""
+    buffers = {}
+    for p in graph.parameters():
+        buffer = buffers.setdefault(p.component, p.component_data)
+        assert p.component_data is buffer and buffer.base is None, p.name
+        assert p.tensor.data.base is buffer, p.name
+        assert np.array_equal(p.within(buffer), p.tensor.data), p.name
+    assert {c: b.size for c, b in buffers.items()} == graph.count_by_component()
+    return buffers
 
 
 def test_parameters_are_views_of_one_buffer_through_build_add_and_load():
@@ -458,8 +461,12 @@ def test_parameters_are_views_of_one_buffer_through_build_add_and_load():
     AdamW(lr=1e-2).step(model.graph.parameters(), model.graph.backward(loss))
     before = model.graph.arrays()
     tensors = {p.name: p.tensor for p in model.graph.parameters()}
+    buffers = _assert_views_of_one_buffer(model.graph)
     model.add_dataset(DatasetModelSpec("d1", cls_classes=3, loc_classes=2))
-    _assert_views_of_one_buffer(model.graph)
+    after = _assert_views_of_one_buffer(model.graph)
+    assert set(after) - set(buffers) == {"cls_head/d1", "loc_decoder/d1"}
+    for c, buffer in buffers.items():
+        assert after[c] is buffer, c
     for name, a in before.items():
         assert model.graph[name].tensor is tensors[name]
         assert model.graph[name].tensor.data.tobytes() == a.tobytes(), name
@@ -469,14 +476,6 @@ def test_parameters_are_views_of_one_buffer_through_build_add_and_load():
     model.graph.load_arrays(other.graph.arrays())
     _assert_views_of_one_buffer(model.graph)
     assert model.graph.component_checksums() == other.graph.component_checksums()
-
-
-def test_a_component_is_added_in_one_run():
-    model = _model([DatasetModelSpec("d", cls_classes=2)])
-    with pytest.raises(ValueError, match="component 'backbone' must be added in one run"):
-        model.graph.add("backbone/extra/w", np.zeros(3), BACKBONE)
-    model.graph.add("cls_head/d/extra", np.ones(2), cls_head_component("d"))
-    _assert_views_of_one_buffer(model.graph)
 
 
 def test_a_copied_model_steps_its_own_buffer():
