@@ -225,14 +225,17 @@ class TeacherState:
 
 
 def ema_update(teacher: TeacherState, model: MultiTaskModel) -> None:
-    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise.
+    """teacher <- momentum * teacher + (1 - momentum) * student, elementwise, in place.
 
     Every entry is checked (:meth:`TeacherState.check`) before any is averaged.
+    Each teacher array keeps its identity; its bytes are those of
+    ``momentum * t + (1 - momentum) * student``.
     """
     teacher.check(model)
     lam = teacher.momentum
     for name, t in teacher.params.items():
-        teacher.params[name] = lam * t + (1.0 - lam) * model.graph[name].tensor.data
+        np.multiply(t, lam, out=t)
+        t += (1.0 - lam) * model.graph[name].tensor.data
 
 
 def export_teacher(model: MultiTaskModel, teacher: TeacherState) -> dict[str, np.ndarray]:

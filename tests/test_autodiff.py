@@ -1,10 +1,18 @@
+import importlib.util
+import itertools
+import multiprocessing
+import sys
+import time
 import tracemalloc
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cyclictrain import autodiff
 from cyclictrain.autodiff import (
+    GRAD_W_WORKER_MACS,
     GradCheckReport,
     ShapeError,
     Tensor,
@@ -20,6 +28,7 @@ from cyclictrain.autodiff import (
     mul,
     neg,
     no_grad,
+    permute,
     relu,
     reshape,
     sigmoid,
@@ -30,6 +39,7 @@ from cyclictrain.autodiff import (
     tsum,
     upsample_nearest,
 )
+from cyclictrain.model import build_model
 
 from conftest import max_rel_error, numeric_gradient
 
@@ -197,16 +207,22 @@ def test_conv2d_node_keeps_no_padded_copy_of_a_batch_of_blocks():
     assert kept - out.data.nbytes - masks < padded_copy
 
 
-def _one_gemm_conv(x, w, padding):
-    """The whole batch's (c, di, dj) x (n, i, j) patch matrix in one GEMM, as NCHW."""
+def _one_gemm_cols(x, k, padding):
+    """The whole batch's (c, di, dj) x (n, i, j) patch matrix of ``x`` padded by ``np.pad``."""
     n, c = x.shape[:2]
-    o, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
     cols = np.stack([xp[:, :, di : di + ho, dj : dj + wo].transpose(1, 0, 2, 3)
                      for di in range(k) for dj in range(k)], axis=1)
-    ref = w.reshape(o, -1) @ cols.reshape(c * k * k, n * ho * wo)
-    return np.ascontiguousarray(ref.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
+    return cols.reshape(c * k * k, n * ho * wo), ho, wo
+
+
+def _one_gemm_conv(x, w, padding):
+    """The whole batch's patch matrix in one GEMM, as NCHW."""
+    o, _, k, _ = w.shape
+    cols, ho, wo = _one_gemm_cols(x, k, padding)
+    ref = w.reshape(o, -1) @ cols
+    return np.ascontiguousarray(ref.reshape(o, x.shape[0], ho, wo).transpose(1, 0, 2, 3))
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -415,6 +431,231 @@ def test_conv2d_rejects_slope_outside_unit_interval(slope):
 def test_conv2d_rejects_an_upsample_factor_below_one(factor):
     with pytest.raises(ValueError, match="upsample factor"):
         conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), upsample=factor)
+
+
+# ---------------------------------------------------------------------------
+# conv2d backward with the kernel gradient on a worker thread
+
+
+def _reference_conv(x, w, padding, factor):
+    """conv2d as one tape node whose backward is written out in plain numpy.
+
+    The forward is conv2d's own, unrecorded (image blocks of other sizes
+    than the whole batch may round differently from one GEMM).  Kernel
+    gradient: one GEMM of the channel-first gradient and the whole batch's
+    patch matrix.  Input gradient: one matmul per tap into a zero-padded
+    buffer, its interior reduced by nearest upsampling's cell sums.
+    """
+    n, c, h, wid = x.shape
+    o, _, k, _ = w.shape
+    xu = x.data.repeat(factor, axis=2).repeat(factor, axis=3)
+    cols, ho, wo = _one_gemm_cols(xu, k, padding)
+
+    def bwd(g):
+        if w.requires_grad:
+            gw = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo) @ cols.T
+            autodiff._accumulate(w, gw.reshape(w.shape))
+        if x.requires_grad:
+            hp, wp = factor * h + 2 * padding, factor * wid + 2 * padding
+            gxp = np.zeros((n, c, hp, wp))
+            for di in range(k):
+                for dj in range(k):
+                    gxp[:, :, di : di + ho, dj : dj + wo] += np.matmul(
+                        w.data[:, :, di, dj].T, g.reshape(n, o, ho * wo)).reshape(n, c, ho, wo)
+            gx = gxp[:, :, padding : hp - padding, padding : wp - padding]
+            if factor > 1:
+                gx = gx.reshape(n, c, h, factor, wid, factor).sum(axis=(3, 5))
+            autodiff._accumulate(x, gx)
+
+    with no_grad():
+        out = conv2d(x, w, padding=padding, upsample=None if factor == 1 else factor)
+    return autodiff._node(out.data, (x, w), bwd)
+
+
+class _RecordingPool:
+    """A one-thread executor that keeps every future it hands out."""
+
+    def __init__(self):
+        self.executor = futures.ThreadPoolExecutor(1)
+        self.jobs = []
+
+    def submit(self, fn, *args):
+        job = self.executor.submit(fn, *args)
+        self.jobs.append(job)
+        return job
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Every conv2d backward that needs both gradients uses a recording worker."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(autodiff, "GRAD_W_WORKER_MACS", 0)
+    monkeypatch.setattr(autodiff, "_grad_w_pool", lambda: pool)
+    yield pool
+    pool.executor.shutdown()
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv2d_backward_on_a_worker_is_byte_equal_to_inline_and_reference(
+        monkeypatch, worker, padding):
+    rs = np.random.RandomState(110 + padding)
+    cases = [(shape, 1, n) for shape in MODEL_CONV_SHAPES for n in (2, 7, 64)]
+    cases += [(shape[:5], shape[5], n) for shape in UPSAMPLED_CONV_SHAPES for n in (2, 7, 64)]
+    ragged = 0
+    for (c, h, wid, o, k), f, n in cases:
+        x, w, b = rs.randn(n, c, h, wid), rs.randn(o, c, k, k), rs.randn(o)
+        x[0, :, :2] = 0.0  # exact zeros reach the activation
+        b[0] = 0.0
+        ho, wo = f * h + 2 * padding - k + 1, f * wid + 2 * padding - k + 1
+        g = rs.randn(n, o, ho, wo)
+
+        def fused(conv):
+            return lambda x, w, b: leaky_relu(add(conv(x, w), reshape(b, (1, o, 1, 1))), 0.1)
+
+        def channels_last(conv):
+            # the layer's gradient arrives as a transposed view, which the
+            # kernel gradient's GEMM reads without a copy
+            return lambda x, w, b: permute(add(conv(x, w), reshape(b, (1, o, 1, 1))), (0, 2, 3, 1))
+
+        up = None if f == 1 else f
+        layers = [
+            (lambda x, w, b: conv2d(x, w, padding=padding, bias=b, slope=0.1, upsample=up),
+             fused, g),
+            (lambda x, w, b: permute(conv2d(x, w, padding=padding, bias=b, upsample=up),
+                                     (0, 2, 3, 1)),
+             channels_last, np.ascontiguousarray(g.transpose(0, 2, 3, 1))),
+        ]
+        # the default block budget, and a small one that splits the batch
+        # into blocks with a shorter last one, so the backward pads it again
+        budgets = [autodiff.PATCH_BLOCK_BYTES] + [40_000] * (n == 7)
+        all_grads = [(True, True, True)] + [(False, True, True), (True, False, True)] * (n == 7)
+        for budget in budgets:
+            monkeypatch.setattr(autodiff, "PATCH_BLOCK_BYTES", budget)
+            ragged += n % autodiff._block_images(n, c * k * k * ho * wo * 8) != 0
+            for (layer, chain, gl), grads in itertools.product(layers, all_grads):
+                label = (x.shape, w.shape, padding, f, budget, grads, chain.__name__)
+                submitted = len(worker.jobs)
+                on_worker = _conv_layer_run(layer, x, w, b, gl, grads)
+                assert len(worker.jobs) - submitted == (grads[:2] == (True, True)), label
+                with monkeypatch.context() as inline:
+                    inline.setattr(autodiff, "_grad_w_pool", lambda: None)
+                    assert _conv_layer_run(layer, x, w, b, gl, grads) == on_worker, label
+                reference = _conv_layer_run(
+                    chain(lambda x, w: _reference_conv(x, w, padding, f)), x, w, b, gl, grads)
+                assert on_worker == reference, label
+                assert [r is not None for r in on_worker[1:]] == list(grads), label
+    assert ragged > 0
+    assert all(job.done() for job in worker.jobs)
+
+
+def test_conv2d_worker_gradients_hold_under_frequent_thread_switches(monkeypatch, worker):
+    # a caller that read the kernel gradient before the worker finished, or
+    # a worker that wrote into a buffer the caller reuses, would break this
+    rs = np.random.RandomState(125)
+    x, w, b = rs.randn(8, 16, 16, 16), rs.randn(32, 16, 3, 3), rs.randn(32)
+    g = rs.randn(8, 32, 16, 16)
+
+    def layer(x, w, b):
+        return conv2d(x, w, padding=1, bias=b, slope=0.1)
+
+    with monkeypatch.context() as inline:
+        inline.setattr(autodiff, "_grad_w_pool", lambda: None)
+        expected = _conv_layer_run(layer, x, w, b, g)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        while len(worker.jobs) < 40 and time.monotonic() - start < 20:
+            assert _conv_layer_run(layer, x, w, b, g) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(worker.jobs) >= 10
+
+
+def test_conv2d_worker_error_propagates_after_the_input_gradient(monkeypatch, worker):
+    def fail(*args):
+        raise RuntimeError("grad-w failed")
+
+    monkeypatch.setattr(autodiff, "_grad_w_into", fail)
+    rs = np.random.RandomState(120)
+    x, w = Tensor(rs.randn(3, 4, 8, 8), requires_grad=True), Tensor(rs.randn(5, 4, 3, 3), requires_grad=True)
+    loss = tsum(conv2d(x, w, padding=1))
+    with pytest.raises(RuntimeError, match="grad-w failed"):
+        loss.backward()
+    assert len(worker.jobs) == 1 and worker.jobs[0].done()
+    assert w.grad is None
+
+
+def test_grad_w_pool_starts_once_and_only_with_a_second_cpu(monkeypatch):
+    monkeypatch.setattr(autodiff, "_pool", None)
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 1)
+    assert autodiff._grad_w_pool() is None
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+    pool = autodiff._grad_w_pool()
+    try:
+        assert isinstance(pool, futures.ThreadPoolExecutor)
+        assert autodiff._grad_w_pool() is pool
+    finally:
+        pool.shutdown()
+
+
+def _big_conv_backward():
+    rs = np.random.RandomState(130)
+    x, w = Tensor(rs.randn(2, 3, 6, 6), requires_grad=True), Tensor(rs.randn(4, 3, 3, 3), requires_grad=True)
+    tsum(conv2d(x, w, padding=1)).backward()
+    return x.grad, w.grad
+
+
+def test_conv2d_backward_runs_in_a_forked_child(monkeypatch):
+    monkeypatch.setattr(autodiff, "_pool", None)
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+    monkeypatch.setattr(autodiff, "GRAD_W_WORKER_MACS", 0)
+    _big_conv_backward()  # starts the worker thread in this process
+    pool = autodiff._pool
+    try:
+        assert pool is not None
+        child = multiprocessing.get_context("fork").Process(target=_big_conv_backward)
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+    finally:
+        pool.shutdown()
+
+
+def _benchmark_inputs(workload):
+    """perfbench's specs and configs of one workload at seed 0, from ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        return module.make_inputs(workload, 0)
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_no_conv_of_a_lockstep_small_sized_step_uses_the_worker(monkeypatch, worker):
+    # the threshold as the module sets it; the fixture set it to 0
+    monkeypatch.setattr(autodiff, "GRAD_W_WORKER_MACS", GRAD_W_WORKER_MACS)
+    rs = np.random.RandomState(140)
+    for workload in ("lockstep_small", "pretrain_cycle"):
+        inputs = _benchmark_inputs(workload)
+        arch, batch = inputs["arch"], inputs["train"].batch_size
+        model = build_model(arch, [s.model_spec() for s in inputs["specs"]])
+        for spec in inputs["specs"]:
+            emb = model.backbone_features(rs.rand(batch, 1, arch.image_size, arch.image_size))
+            for task in spec.tasks:
+                out, _ = model.task_branch(emb, task, spec.dataset_id)
+                tsum(out[0] if isinstance(out, tuple) else out).backward()
+        if workload == "lockstep_small":
+            assert worker.jobs == []
+    # pretrain-sized steps do use it
+    assert len(worker.jobs) > 0
 
 
 def _maxpool_oracle(x, size, g):

@@ -192,6 +192,21 @@ def test_ema_default_momentum_example():
     assert np.allclose(teacher.params[name], 1.8)
 
 
+def test_ema_averages_each_teacher_array_in_place():
+    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    teacher = TeacherState.init_from(model, momentum=0.8)
+    arrays = {k: v for k, v in teacher.params.items()}
+    expected = {k: (0.8 * v + (1.0 - 0.8) * (model.graph[k].tensor.data + 1.0)).tobytes()
+                for k, v in arrays.items()}
+    for p in model.graph.parameters():
+        p.tensor.data += 1.0
+    ema_update(teacher, model)
+    assert teacher.params.keys() == arrays.keys()
+    for k, v in teacher.params.items():
+        assert v is arrays[k], k
+        assert v.tobytes() == expected[k], k
+
+
 def test_ema_rejects_structural_mismatch():
     model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)

@@ -14,8 +14,10 @@ unperturbed value and the min / median / max of the perturbed runs per
 metric, with how many runs fall below the gate, and then criterion 10's two
 mean mAP40 values and their margin.
 
-Run from the root of a checkout (a criterion 09 run takes about 80 s on one
-core; ``--jobs`` runs that many at a time, one process each)::
+Run from the root of a checkout (a criterion 09 run takes about 60 s on a
+2-vCPU Xeon VM and uses up to two cores, since conv2d's backward computes
+kernel gradients on a second thread; ``--jobs`` runs that many at a time,
+one process each)::
 
     python3 tools/gate_margin.py --runs 10 --jobs 2
 

@@ -3,7 +3,9 @@
 Runs one warm-up of ``perfbench/workloads.run_workload`` and then one more
 run of it in this process under ``tracemalloc``.  During that run every tape
 op in ``cyclictrain.autodiff``, the backward closure of every node an op
-records, and ``autodiff._patches`` (the conv2d patch matrix) are wrapped
+records, ``autodiff._patches`` (the conv2d forward's patch matrix) and
+``autodiff._grad_w_into`` (the conv2d kernel gradient, whose patch matrix
+is alive at its return; it may run on conv2d's worker thread) are wrapped
 from outside the program, as perfbench's tracer does, and unwrapped
 afterwards.  Whenever traced memory reaches a new high at the return of a
 wrapped function, the tool takes a snapshot.  It prints the highest of those
@@ -36,6 +38,7 @@ import linecache  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -59,12 +62,15 @@ class PeakWatch:
         self.where = None
         self.snapshot = None
         self._patcher = Patcher()
+        # returns on conv2d's worker thread and on the calling thread race
+        self._lock = threading.Lock()
 
     def _returned(self, name: str) -> None:
-        current = tracemalloc.get_traced_memory()[0]
-        if current > self.high:
-            self.high, self.where = current, name
-            self.snapshot = tracemalloc.take_snapshot()
+        with self._lock:
+            current = tracemalloc.get_traced_memory()[0]
+            if current > self.high:
+                self.high, self.where = current, name
+                self.snapshot = tracemalloc.take_snapshot()
 
     def _watched_bwd(self, op: str, closure):
         def bwd(g):
@@ -103,6 +109,7 @@ class PeakWatch:
             if name[0].islower() and name not in ("no_grad", "grad_check"):
                 self._patcher.function(autodiff, name, self._watched_op(name))
         self._patcher.function(autodiff, "_patches", self._watched("autodiff._patches"))
+        self._patcher.function(autodiff, "_grad_w_into", self._watched("autodiff._grad_w_into"))
         self._patcher.method(Gauge, "_kernel", lambda original: lambda gauge: REFERENCE_S)
 
     def remove(self) -> None:
