@@ -10,14 +10,18 @@ gradients do not survive the call: each recorded node drops its ``grad``
 once its backward has run, and only the leaves and the root keep theirs.
 The tape itself stays, so it can be walked again.
 
-The op set splits in two groups:
+The op set splits in three groups:
 
-* model primitives: ``matmul``, ``conv2d``, ``relu``, ``leaky_relu``,
-  ``sigmoid``, ``softmax``, ``add``, ``mul``, ``mean``, ``maxpool2d``,
-  ``upsample_nearest`` -- everything the network branches are built from;
-* loss/glue support: ``sub``, ``neg``, ``div``, ``log``, ``softplus``,
-  ``tsum``, ``reshape``, ``take_rows`` -- needed to express differentiable
-  losses (cross entropy, L1, IoU ratios) on the same tape.
+* model primitives: ``conv2d``, ``maxpool2d``, ``matmul``, ``add``,
+  ``reshape``, ``permute``, ``sigmoid`` -- everything the network branches
+  are built from;
+* loss support: ``sub``, ``neg``, ``mul``, ``div``, ``log``, ``softplus``,
+  ``softmax``, ``relu``, ``mean``, ``tsum``, ``take_rows``, with ``add``,
+  ``matmul``, ``reshape`` and ``sigmoid`` -- needed to express
+  differentiable losses (cross entropy, L1, IoU ratios, Dice, squared
+  error) on the same tape; ``relu`` serves only the loc box terms;
+* references: ``leaky_relu`` and ``upsample_nearest``, the separate ops
+  that the fused paths of ``conv2d`` are checked against.
 
 ``conv2d`` takes keyword-only ``bias`` and ``slope`` so that a whole conv
 layer (conv, bias, leaky ReLU) is one node: it adds the bias and applies the

@@ -296,7 +296,8 @@ def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = os.path.join(_resolve_out_dir(cfg), "data")
     specs = list(cfg.datasets)
-    if cfg.finetune is not None:
+    # a finetune dataset that reuses an id is that same dataset (the config checks it)
+    if cfg.finetune is not None and cfg.finetune.dataset not in specs:
         specs.append(cfg.finetune.dataset)
     for spec in specs:
         samples = synthdata.generate_dataset(spec)

@@ -6,10 +6,10 @@ against the field annotations, and a field without a default is required.
 Every field, defaults materialized, enters the config hash recorded in
 checkpoints.  Parsing failures report the JSON line/column; validation
 failures report the dotted field path.  A dataset the model cannot take
-(an ``image_size`` other than ``arch.image_size``, or ``arch.in_channels``
-other than 1) fails validation, and so does a finetune dataset that reuses
-a pretraining dataset's id but not its heads.  Checkpoint manifests are
-decoded by the same rules.
+(an ``image_size`` other than ``arch.image_size``) fails validation, and so
+does a finetune dataset that reuses a pretraining dataset's id with another
+spec: one id names one dataset.  Checkpoint manifests are decoded by the
+same rules.
 """
 
 from __future__ import annotations
@@ -131,10 +131,7 @@ def run_config_from_dict(d: dict) -> RunConfig:
     cfg = _from_dict(RunConfig, d, "")
     if not cfg.datasets:
         raise ConfigError("datasets: at least one dataset is required")
-    # the model takes the generated images as they are: one channel, arch.image_size wide
-    if cfg.arch.in_channels != 1:
-        raise ConfigError(f"arch.in_channels: generated images have 1 channel, "
-                          f"got {cfg.arch.in_channels}")
+    # the model takes the generated images as they are, arch.image_size wide
     specs = [(f"datasets[{i}]", spec) for i, spec in enumerate(cfg.datasets)]
     if cfg.finetune is not None:
         specs.append(("finetune.dataset", cfg.finetune.dataset))
@@ -148,11 +145,11 @@ def run_config_from_dict(d: dict) -> RunConfig:
             raise ConfigError(f"datasets[{i}].dataset_id: duplicate '{spec.dataset_id}'")
         seen_ids.add(spec.dataset_id)
     if cfg.finetune is not None:
-        new = cfg.finetune.dataset.model_spec()
-        for spec in cfg.datasets:
-            if spec.dataset_id == new.dataset_id and spec.model_spec() != new:
-                raise ConfigError(f"finetune.dataset: {new} does not fit the heads of the "
-                                  f"pretraining dataset of the same id, {spec.model_spec()}")
+        new = cfg.finetune.dataset
+        for i, spec in enumerate(cfg.datasets):
+            if spec.dataset_id == new.dataset_id and spec != new:
+                raise ConfigError(f"finetune.dataset: reuses the id '{new.dataset_id}' of "
+                                  f"datasets[{i}] with another spec; one id names one dataset")
     return cfg
 
 

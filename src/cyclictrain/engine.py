@@ -76,9 +76,7 @@ class TrainConfig:
     lr_seg: float = 1e-4
     lr_cls_head: float = 1e-4
     momentum: float = 0.80
-    consistency_weight: float = 1.0
     student_teacher: bool = True
-    mirror_heads: bool = False
     lock_release: dict[str, bool] = field(default_factory=dict)
     batch_size: int = 16
     weight_decay: float = 0.0
@@ -86,14 +84,12 @@ class TrainConfig:
     step_decay_interval: int = 0
     epochs_per_task: int = 1
     num_cycles: int = 1
-    eval_after_release: bool = True
     eval_every_epoch: bool = False
     seed: int = 0
 
     def __post_init__(self):
         # every range test is False for NaN, which json.loads reads from the literal
-        for name in ("lr_backbone", "lr_loc", "lr_seg", "lr_cls_head", "weight_decay",
-                     "consistency_weight"):
+        for name in ("lr_backbone", "lr_loc", "lr_seg", "lr_cls_head", "weight_decay"):
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
@@ -199,19 +195,18 @@ def sample_lock_subset(n: int, epoch_seed: int) -> np.ndarray:
 class TeacherState:
     """EMA mirror of the student's shared components.
 
-    Head/decoder mirroring is optional (``mirror_heads``); by default only
-    backbone, localization encoder and segmentation decoder are tracked,
-    which is all the consistency losses need.  Teacher arrays are plain
-    ndarrays and never enter a gradient graph.
+    :meth:`init_from` tracks the backbone, localization encoder and
+    segmentation decoder, which is all the consistency losses need.  Teacher
+    arrays are plain ndarrays and never enter a gradient graph.
     """
 
     params: dict[str, np.ndarray]
     momentum: float
 
     @staticmethod
-    def init_from(model: MultiTaskModel, momentum: float, mirror_heads: bool = False) -> "TeacherState":
+    def init_from(model: MultiTaskModel, momentum: float) -> "TeacherState":
         params = {p.name: p.tensor.data.copy() for p in model.graph.parameters()
-                  if mirror_heads or p.component in SHARED_COMPONENTS}
+                  if p.component in SHARED_COMPONENTS}
         return TeacherState(params=params, momentum=float(momentum))
 
     def check(self, model: MultiTaskModel) -> None:
@@ -282,7 +277,7 @@ def make_optimizer(config: TrainConfig) -> AdamW:
 class EpochSummary:
     """One trained epoch: mean losses and samples seen, but no metrics.
 
-    ``breakdown`` holds the task loss plus one weighted consistency term per
+    ``breakdown`` holds the task loss plus one consistency term per
     compared feature; a lock epoch's holds the task loss alone.
     """
 
@@ -290,13 +285,13 @@ class EpochSummary:
     samples_used: int
 
 
-def _batch_losses(model, teacher, task, dataset_id, batch, config):
+def _batch_losses(model, teacher, task, dataset_id, batch):
     """Build the tape loss for one batch; returns (total, task_val, terms).
 
-    ``terms`` lists the weighted consistency terms by component.  It is empty
-    without a teacher (none is passed when ``student_teacher`` is off), and
-    also when no compared student feature requires a gradient (a lock
-    epoch): the teacher forward is then skipped.
+    ``terms`` lists the consistency term values by component, each added to
+    the total unscaled.  It is empty without a teacher (none is passed when
+    ``student_teacher`` is off), and also when no compared student feature
+    requires a gradient (a lock epoch): the teacher forward is then skipped.
     """
     x = np.stack([s.image for s in batch])[:, None, :, :]
     emb_s = model.backbone_features(x)
@@ -323,29 +318,24 @@ def _batch_losses(model, teacher, task, dataset_id, batch, config):
             terms.append((BRANCHES[task], consistency_loss(branch_s, branch_t)))
 
     total = task_term
-    weighted = []
-    for name, term in terms:
-        w = config.consistency_weight * term
-        total = total + w
-        weighted.append((name, w.item()))
-    return total, task_term.item(), weighted
+    for _, term in terms:
+        total = total + term
+    return total, task_term.item(), [(name, term.item()) for name, term in terms]
 
 
-def _train_pass(model, teacher, task, spec, samples, epoch_seed, optimizer, config, lr_scale=1.0):
+def _train_pass(model, teacher, task, dataset_id, samples, epoch_seed, optimizer, config,
+                lr_scale=1.0):
     """One shuffled pass over ``samples``, stepping the optimizer per batch.
 
     Order and augmentation follow ``epoch_seed``.  Returns the per-batch task
-    loss values and the per-batch weighted consistency terms by name.
+    loss values and the per-batch consistency terms by name.
     """
     order = np.random.RandomState(derive_seed(epoch_seed, "order")).permutation(len(samples))
     task_vals: list[float] = []
     term_vals: dict[str, list[float]] = {}
     for start in range(0, len(samples), config.batch_size):
-        batch = [
-            augment(samples[i], epoch_seed, noise_level=spec.noise_level)
-            for i in order[start : start + config.batch_size]
-        ]
-        total, task_val, terms = _batch_losses(model, teacher, task, spec.dataset_id, batch, config)
+        batch = [augment(samples[i], epoch_seed) for i in order[start : start + config.batch_size]]
+        total, task_val, terms = _batch_losses(model, teacher, task, dataset_id, batch)
         grads = model.graph.backward(total)
         optimizer.step(model.graph.parameters(), grads, lr_scale=lr_scale)
         task_vals.append(task_val)
@@ -395,7 +385,7 @@ def run_epoch(
 
     model.graph.set_trainable_components(set(entry.trainable_components))
     task_vals, term_vals = _train_pass(
-        model, teacher, entry.task, bundle.spec, samples, epoch_seed, optimizer, config,
+        model, teacher, entry.task, entry.dataset_id, samples, epoch_seed, optimizer, config,
         lr_scale=config.lr_scale_at(global_epoch),
     )
     breakdown = LossBreakdown.build(
@@ -562,15 +552,15 @@ def run_pretraining(
     """Run the full cyclic schedule for ``config.num_cycles`` cycles.
 
     The teacher is EMA-updated after every epoch.  Only this loop scores:
-    the trained task after each release epoch (``eval_after_release``) and,
-    with ``eval_every_epoch``, every dataset and task after every epoch, logged
+    the trained task after each release epoch and, with
+    ``eval_every_epoch``, every dataset and task after every epoch, logged
     with mode ``"eval"``.  Two runs with the same config produce identical
     records and identical final parameters.
     """
     specs = list(dataset_specs)
     if bundles is None:
         bundles = prepare_bundles(specs, config)
-    teacher = TeacherState.init_from(model, config.momentum, config.mirror_heads)
+    teacher = TeacherState.init_from(model, config.momentum)
     optimizer = make_optimizer(config)
     records: list[MetricsRecord] = []
     global_epoch = 0
@@ -597,7 +587,7 @@ def run_pretraining(
             )
             global_epoch += 1
             ema_update(teacher, model)
-            if entry.mode == "release" and config.eval_after_release:
+            if entry.mode == "release":
                 for record in _metric_records(
                     model, bundle.spec, subtask_samples(bundle.test, bundle.spec, entry.subtask),
                     (entry.task,), entry.mode, cycle, epoch_in_cycle,
@@ -695,7 +685,7 @@ def finetune(
         epoch_seed = derive_seed(config.seed, "finetune_epoch", ds, epoch)
         for task in TASKS:
             if task in dataset_spec.tasks:
-                _train_pass(model, None, task, dataset_spec, train, epoch_seed, optimizer, config)
+                _train_pass(model, None, task, ds, train, epoch_seed, optimizer, config)
         now = model.graph.component_checksums()
         for c, expected in frozen_checksums.items():
             if now[c] != expected:

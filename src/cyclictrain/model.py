@@ -233,7 +233,7 @@ class ModelGraph:
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Sizes of the toy architecture; defaults target 32x32 inputs.
+    """Sizes of the toy architecture; it takes one-channel images, 32x32 by default.
 
     Query slots are tied to a ``loc_grid`` x ``loc_grid`` lattice of cells
     over the localization encoder's map, so the number of query slots is
@@ -243,7 +243,6 @@ class ArchConfig:
     """
 
     image_size: int = 32
-    in_channels: int = 1
     stage_channels: tuple[int, int, int] = (8, 16, 32)
     loc_channels: int = 32
     query_dim: int = 24
@@ -252,7 +251,7 @@ class ArchConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        for name in ("image_size", "in_channels", "stage_channels", "loc_channels",
+        for name in ("image_size", "stage_channels", "loc_channels",
                      "query_dim", "loc_grid", "seg_channels"):
             value = getattr(self, name)
             if np.min(value) < 1:
@@ -335,7 +334,7 @@ class MultiTaskModel:
     def _build_shared(self, rs):
         a = self.arch
         c0, c1, c2 = a.stage_channels
-        self._add_conv(rs, "backbone/conv1", BACKBONE, c0, a.in_channels, 3)
+        self._add_conv(rs, "backbone/conv1", BACKBONE, c0, 1, 3)
         self._add_conv(rs, "backbone/conv2", BACKBONE, c1, c0, 3)
         self._add_conv(rs, "backbone/conv3", BACKBONE, c2, c1, 3)
         self._add_conv(rs, "loc_encoder/conv", LOC_ENCODER, a.loc_channels, c2, 3)
@@ -389,11 +388,9 @@ class MultiTaskModel:
     def _images_tensor(self, images) -> Tensor:
         x = np.asarray(images, dtype=np.float64)
         a = self.arch
-        if x.ndim != 4 or x.shape[1] != a.in_channels or x.shape[2] != a.image_size \
-                or x.shape[3] != a.image_size:
+        if x.ndim != 4 or x.shape[1:] != (1, a.image_size, a.image_size):
             raise ValueError(
-                f"images must have shape (N, {a.in_channels}, {a.image_size}, "
-                f"{a.image_size}), got {x.shape}"
+                f"images must have shape (N, 1, {a.image_size}, {a.image_size}), got {x.shape}"
             )
         return Tensor(x)
 

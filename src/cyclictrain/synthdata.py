@@ -49,6 +49,7 @@ SHAPE_GENERATORS = ("ellipse", "rectangle", "ring")
 MIN_IMAGE_SIZE = 12
 SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # train, val, test
 DATASET_FORMAT_VERSION = 1
+AUGMENT_NOISE = 0.05  # sd of the Gaussian pixel noise :func:`augment` adds
 
 
 def derive_seed(*parts) -> int:
@@ -66,7 +67,6 @@ class SynthDatasetSpec:
     tasks: tuple[str, ...]
     image_size: int = 32
     shape_classes: tuple[str, ...] = SHAPE_GENERATORS
-    noise_level: float = 0.05
     seed: int = 0
     min_instances: int = 0
     max_instances: int = 3
@@ -95,8 +95,6 @@ class SynthDatasetSpec:
         repeated = sorted({s for s in self.shape_classes if self.shape_classes.count(s) > 1})
         if repeated:
             raise ValueError(f"shape_classes repeats {repeated}: each class needs its own shape")
-        if not 0.0 <= self.noise_level < math.inf:  # False for NaN too
-            raise ValueError(f"noise_level must be finite and non-negative, got {self.noise_level}")
         if not (0 <= self.min_instances <= self.max_instances <= 3):
             raise ValueError("instance counts must satisfy 0 <= min <= max <= 3")
         if set(self.subtasks) - set(self.shape_classes):
@@ -269,15 +267,15 @@ def flip_sample(sample: SynthSample) -> SynthSample:
     return SynthSample(sample.sample_id, image, labels, boxes, mask)
 
 
-def augment(sample: SynthSample, epoch_seed: int, noise_level: float = 0.05) -> SynthSample:
-    """Flip with probability 0.5 plus additive Gaussian pixel noise.
+def augment(sample: SynthSample, epoch_seed: int) -> SynthSample:
+    """Flip with probability 0.5 plus Gaussian pixel noise of sd ``AUGMENT_NOISE``.
 
     Deterministic per (sample, epoch_seed); geometry annotations follow the
     flip, labels never change.
     """
     rs = _reseeded(derive_seed(epoch_seed, "augment", sample.sample_id))
     out = flip_sample(sample) if rs.rand() < 0.5 else sample
-    noisy = out.image + rs.normal(0.0, noise_level, out.image.shape)
+    noisy = out.image + rs.normal(0.0, AUGMENT_NOISE, out.image.shape)
     return replace(out, image=np.clip(noisy, 0.0, 1.0))
 
 

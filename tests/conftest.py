@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from cyclictrain.metrics import Detections
+from cyclictrain.model import ArchConfig
+
+# a 16-px model small enough for per-test training runs
+TINY_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
+                       query_dim=8, loc_grid=4, seg_channels=(6, 4))
 
 # one predicted box, for the brute-force mAP oracles
 Det = namedtuple("Det", "image_id box class_id confidence")

@@ -216,7 +216,7 @@ def test_criterion_04_consistency_at_init():
     values = []
     for task in ("cls", "loc", "seg"):
         batch = bundles[spec.dataset_id].train[: cfg.batch_size]
-        _, _, terms = _batch_losses(model, teacher, task, spec.dataset_id, batch, cfg)
+        _, _, terms = _batch_losses(model, teacher, task, spec.dataset_id, batch)
         values.extend(v for _, v in terms)
     counts_ok = len(values) == 1 + 2 + 2  # one term for cls, two for loc/seg
     ok = counts_ok and all(v == 0.0 for v in values)

@@ -17,19 +17,19 @@ from cyclictrain.engine import (
     prepare_bundles,
     run_epoch,
 )
-from cyclictrain.model import ArchConfig, build_model
+from cyclictrain.model import build_model
 from cyclictrain.optim import AdamWState
 from cyclictrain.synthdata import SynthDatasetSpec
 
-ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
-                  query_dim=8, loc_grid=4, seg_channels=(6, 4))
+from conftest import TINY_ARCH
+
 SPEC = SynthDatasetSpec("d", num_images=12, tasks=("cls", "loc", "seg"),
                         image_size=16, min_instances=1, max_instances=1, seed=3)
 
 
 def _trained_model():
     cfg = TrainConfig(num_cycles=1, batch_size=8)
-    model = build_model(ARCH, [SPEC.model_spec()])
+    model = build_model(TINY_ARCH, [SPEC.model_spec()])
     bundles = prepare_bundles([SPEC], cfg)
     teacher = TeacherState.init_from(model, cfg.momentum)
     opt = make_optimizer(cfg)
@@ -53,7 +53,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(str(first), model, teacher=teacher, optimizer=opt,
                     counters={"cycle": 1, "epoch": 3}, config_hash="abc123")
     cp = load_checkpoint(str(first))
-    model2 = build_model(ARCH, [SPEC.model_spec()])
+    model2 = build_model(TINY_ARCH, [SPEC.model_spec()])
     model2.graph.load_arrays(cp.arrays)
     teacher2 = TeacherState(params=cp.teacher_arrays, momentum=cp.teacher_momentum)
     save_checkpoint(str(second), model2, teacher=teacher2, optimizer=cp.optimizer,
@@ -65,7 +65,7 @@ def test_roundtrip_reproduces_forward_bit_exactly(tmp_path):
     model, teacher, _ = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher)
     cp = load_checkpoint(str(tmp_path / "cp"))
-    model2 = build_model(ARCH, [SPEC.model_spec()])
+    model2 = build_model(TINY_ARCH, [SPEC.model_spec()])
     model2.graph.load_arrays(cp.arrays)
     x = np.random.RandomState(0).rand(2, 1, 16, 16)
     assert np.array_equal(
@@ -370,7 +370,7 @@ PINNED_FILES = {
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    model = build_model(ARCH, [SPEC.model_spec()])
+    model = build_model(TINY_ARCH, [SPEC.model_spec()])
     teacher = TeacherState.init_from(model, 0.8)
     opt = make_optimizer(TrainConfig())
     params = list(model.graph.parameters())
@@ -391,7 +391,7 @@ def test_optimizer_roundtrip_resumes_identically(tmp_path):
     entry = build_cycle_plan([SPEC], cfg).entries[0]
 
     cp = load_checkpoint(str(tmp_path / "cp"))
-    model2 = build_model(ARCH, [SPEC.model_spec()])
+    model2 = build_model(TINY_ARCH, [SPEC.model_spec()])
     model2.graph.load_arrays(cp.arrays)
     teacher2 = TeacherState(params=cp.teacher_arrays, momentum=cp.teacher_momentum)
     opt2 = make_optimizer(cfg)
@@ -410,7 +410,7 @@ def test_teacher_export_roundtrip_forward_equality(tmp_path):
                     weights=exported, weights_kind="teacher_export")
     cp = load_checkpoint(str(tmp_path / "cp"))
     assert cp.weights_kind == "teacher_export"
-    model2 = build_model(ARCH, [SPEC.model_spec()])
+    model2 = build_model(TINY_ARCH, [SPEC.model_spec()])
     model2.graph.load_arrays(cp.arrays)
     x = np.random.RandomState(1).rand(2, 1, 16, 16)
     expected = model.forward_cls(x, "d", weights=exported)
@@ -437,8 +437,8 @@ def test_load_rejects_missing_parameters(tmp_path):
     model, _, _ = _trained_model()
     save_checkpoint(str(tmp_path / "cp"), model)
     cp = load_checkpoint(str(tmp_path / "cp"))
-    bigger = build_model(ARCH, [SPEC.model_spec(),
-                                SynthDatasetSpec("extra", num_images=5, tasks=("cls",),
-                                                 image_size=16).model_spec()])
+    bigger = build_model(TINY_ARCH, [SPEC.model_spec(),
+                                     SynthDatasetSpec("extra", num_images=5, tasks=("cls",),
+                                                      image_size=16).model_spec()])
     with pytest.raises(ValueError, match="missing parameters"):
         bigger.graph.load_arrays(cp.arrays)

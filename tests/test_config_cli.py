@@ -13,7 +13,8 @@ from cyclictrain.config import (
     load_run_config,
     run_config_from_dict,
 )
-from cyclictrain.engine import TrainConfig, build_cycle_plan, predict, prepare_bundles
+from cyclictrain.checkpoint import save_checkpoint
+from cyclictrain.engine import TeacherState, TrainConfig, build_cycle_plan, predict, prepare_bundles
 from cyclictrain.metrics import auc, dice, map_at_iou, GroundTruth
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
@@ -145,8 +146,6 @@ BAD_TRAINING_NUMBERS = [
     ("lr_cls_head", -1e-4, "lr_cls_head must be finite and non-negative"),
     ("weight_decay", -0.1, "weight_decay must be finite and non-negative"),
     ("weight_decay", float("inf"), "weight_decay must be finite and non-negative"),
-    ("consistency_weight", -1.0, "consistency_weight must be finite and non-negative"),
-    ("consistency_weight", float("nan"), "consistency_weight must be finite and non-negative"),
     ("momentum", float("nan"), r"momentum must lie in \[0, 1\]"),
     ("step_decay_factor", -0.5, r"step_decay_factor must lie in \(0, 1\]"),
     ("step_decay_factor", 0.0, r"step_decay_factor must lie in \(0, 1\]"),
@@ -196,28 +195,31 @@ def _finetune_reusing_an_id_with_other_heads(cfg):
                                    "shape_classes": ["ellipse", "ring"]}}
 
 
+def _finetune_reusing_an_id_with_another_seed(cfg):
+    # the same heads, but other images: gen-data and eval could not tell the two apart
+    cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "seed": 99}}
+
+
 # rejected as the config loads, so no data is generated and nothing is written
 @pytest.mark.parametrize("edit, message", [
     (_setting("datasets", 1, "image_size", value=32),
      "datasets[1].image_size: 32 differs from arch.image_size 16"),
     (_finetune_image_size, "finetune.dataset.image_size: 32 differs from arch.image_size 16"),
-    (_setting("arch", "in_channels", value=2), "arch.in_channels: generated images have 1 channel"),
+    (_setting("arch", "in_channels", value=2), "arch.in_channels: unknown key"),
     (_setting("arch", "query_dim", value=0), "arch: query_dim must be >= 1, got 0"),
     (_setting("arch", "loc_channels", value=-1), "arch: loc_channels must be >= 1, got -1"),
     (_setting("arch", "seg_channels", value=[6, 0]), "arch: seg_channels must be >= 1, got (6, 0)"),
-    (_setting("datasets", 0, "noise_level", value=-0.5),
-     "datasets[0]: noise_level must be finite and non-negative, got -0.5"),
-    (_setting("datasets", 0, "noise_level", value=float("nan")),
-     "datasets[0]: noise_level must be finite and non-negative, got nan"),
     (_finetune_reusing_an_id_with_other_heads,
-     "finetune.dataset: DatasetModelSpec(dataset_id='labels', cls_classes=2, loc_classes=2, "
-     "seg_classes=None) does not fit the heads of the pretraining dataset of the same id, "
-     "DatasetModelSpec(dataset_id='labels', cls_classes=3, loc_classes=None, seg_classes=None)"),
+     "finetune.dataset: reuses the id 'labels' of datasets[1] with another spec; "
+     "one id names one dataset"),
+    (_finetune_reusing_an_id_with_another_seed,
+     "finetune.dataset: reuses the id 'labels' of datasets[1] with another spec; "
+     "one id names one dataset"),
     (_setting("train", "step_decay_interval", value=-5),
      "train: step_decay_interval must be >= 0"),
 ], ids=["dataset-image-size", "finetune-image-size", "in-channels", "query-dim-zero",
-        "loc-channels-negative", "seg-channels-zero", "noise-negative", "noise-nan",
-        "finetune-reuses-an-id-with-other-heads", "step-decay-interval-negative"])
+        "loc-channels-negative", "seg-channels-zero", "finetune-reuses-an-id-with-other-heads",
+        "finetune-reuses-an-id-with-another-seed", "step-decay-interval-negative"])
 def test_a_config_the_model_cannot_run_exits_2_naming_its_field(tmp_path, capsys, edit, message):
     cfg = _base_config(str(tmp_path / "out"))
     edit(cfg)
@@ -226,9 +228,29 @@ def test_a_config_the_model_cannot_run_exits_2_naming_its_field(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# settings that are now constants, each set to its last default: the key alone is fatal
+REMOVED_KEYS = [
+    ("arch", "in_channels", 1),
+    ("train", "consistency_weight", 1.0),
+    ("train", "mirror_heads", False),
+    ("train", "eval_after_release", True),
+    ("datasets", 0, "noise_level", 0.05),
+]
+
+
+@pytest.mark.parametrize("keys", REMOVED_KEYS, ids=[k[-2] for k in REMOVED_KEYS])
+def test_a_removed_key_exits_2_as_unknown(tmp_path, capsys, keys):
+    *keys, value = keys
+    cfg = _base_config(str(tmp_path / "out"))
+    _setting(*keys, value=value)(cfg)
+    path = keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys[1:])
+    assert cli.main(["pretrain", "--config", _write(tmp_path, cfg)]) == 2
+    assert f"config error: {path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_config_accepts_the_edges_of_each_range():
-    cfg = TrainConfig(lr_backbone=0.0, weight_decay=0.0, consistency_weight=0.0,
-                      momentum=1.0, step_decay_factor=1.0)
+    cfg = TrainConfig(lr_backbone=0.0, weight_decay=0.0, momentum=1.0, step_decay_factor=1.0)
     assert cfg.lr_backbone == 0.0 and cfg.step_decay_factor == 1.0
     assert TrainConfig(step_decay_factor=1e-9, step_decay_interval=1).lr_scale_at(1) == 1e-9
 
@@ -242,8 +264,8 @@ def test_config_hash_stable_and_out_dir_independent():
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("run_config.json", "370c18be92f7dfa4472cf8980b61a30b13806a90d285defb5d6477ee852def58"),
-    ("finetune_config.json", "7de0413efa93dfdcb3bec097f3fadbd39d20bfe699843d01f6471d99e06bfb17"),
+    ("run_config.json", "4d7f52b455e320f231d8b4f6487a31c7844ecbe68b9c4a390f578e1930c33068"),
+    ("finetune_config.json", "22cbb9c4117cf3425630009abdcf6c97d7abe937c2dcb2eb0d0318b1ffcb4b06"),
 ], ids=["run_config", "finetune_config"])
 def test_config_hash_pinned(name, expected):
     # checkpoints written by earlier versions must keep matching their config
@@ -763,9 +785,14 @@ def test_cmd_eval_teacher_rejects_an_entry_unlike_the_students(tmp_path, capsys,
 
 
 def test_cmd_eval_teacher_ignores_mirrored_heads_the_config_lacks(tmp_path, capsys):
-    out, cfg = _pretrained(tmp_path, {"train": {"num_cycles": 1, "batch_size": 8, "seed": 5,
-                                                "mirror_heads": True}})
-    ckpt = str(out / "checkpoints" / "final")
+    # older runs could write a teacher over every parameter, other datasets' heads included
+    cfg = _base_config(str(tmp_path / "out"))
+    run = run_config_from_dict(cfg)
+    model = build_model(run.arch, [s.model_spec() for s in run.datasets])
+    teacher = TeacherState(params=model.graph.arrays(), momentum=0.8)
+    assert "cls_head/labels/fc/w" in teacher.params
+    ckpt = str(tmp_path / "mirrored")
+    save_checkpoint(ckpt, model, teacher=teacher)
     cfg["datasets"] = cfg["datasets"][:1]
     path = _write(tmp_path, cfg, "first_only.json")
     capsys.readouterr()
@@ -856,3 +883,20 @@ def test_cmd_gen_data_roundtrip(tmp_path):
     assert np.array_equal(arrays["images"], np.stack([s.image for s in direct]))
     for name, a in synthdata.annotation_arrays(spec, direct).items():
         assert np.array_equal(arrays[name], a), name
+
+
+def test_cmd_gen_data_writes_a_reused_id_once(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _base_config(str(out), num_cycles=0)
+    cfg["finetune"] = {"dataset": dict(cfg["datasets"][1])}
+    assert cli.main(["gen-data", "--config", _write(tmp_path, cfg)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["boxesmasks", "labels"]
+    manifest, _ = read_export(out / "data" / "labels")
+    assert manifest["spec"]["seed"] == 12
+    # another dataset under the same id would overwrite the first one's export
+    cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "num_images": 5, "seed": 2}}
+    out.joinpath("data").rename(tmp_path / "first")
+    assert cli.main(["gen-data", "--config", _write(tmp_path, cfg, "other.json")]) == 2
+    assert "finetune.dataset: reuses the id 'labels'" in capsys.readouterr().err
+    assert not (out / "data").exists()

@@ -25,8 +25,7 @@ from cyclictrain.model import ArchConfig, MultiTaskModel, build_model, trainable
 from cyclictrain.optim import AdamW
 from cyclictrain.synthdata import SynthDatasetSpec, preset_cls_loc_seg, preset_organ_pairs
 
-SMALL_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
-                        query_dim=8, loc_grid=4, seg_channels=(6, 4))
+from conftest import TINY_ARCH
 
 
 def _tiny_specs():
@@ -47,7 +46,7 @@ def _organ_spec(n=48):
 
 def _build(specs, **cfg_kw):
     cfg = TrainConfig(**cfg_kw)
-    model = build_model(SMALL_ARCH, [s.model_spec() for s in specs])
+    model = build_model(TINY_ARCH, [s.model_spec() for s in specs])
     bundles = prepare_bundles(specs, cfg)
     return model, bundles, cfg
 
@@ -165,7 +164,7 @@ def test_lock_subsets_differ_across_epochs():
 
 
 def test_ema_lambda_one_keeps_teacher():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=1.0)
     before = {k: v.copy() for k, v in teacher.params.items()}
     model.graph["backbone/conv1/w"].tensor.data += 5.0
@@ -174,7 +173,7 @@ def test_ema_lambda_one_keeps_teacher():
 
 
 def test_ema_lambda_zero_copies_student():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.0)
     model.graph["backbone/conv1/w"].tensor.data += 5.0
     ema_update(teacher, model)
@@ -183,7 +182,7 @@ def test_ema_lambda_zero_copies_student():
 
 
 def test_ema_default_momentum_example():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.80)
     name = "backbone/conv1/w"
     teacher.params[name][:] = 2.0
@@ -193,7 +192,7 @@ def test_ema_default_momentum_example():
 
 
 def test_ema_averages_each_teacher_array_in_place():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)
     arrays = {k: v for k, v in teacher.params.items()}
     expected = {k: (0.8 * v + (1.0 - 0.8) * (model.graph[k].tensor.data + 1.0)).tobytes()
@@ -208,7 +207,7 @@ def test_ema_averages_each_teacher_array_in_place():
 
 
 def test_ema_rejects_structural_mismatch():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)
     teacher.params["bogus"] = np.zeros(3)
     with pytest.raises(ValueError, match="bogus"):
@@ -216,7 +215,7 @@ def test_ema_rejects_structural_mismatch():
 
 
 def test_ema_rejects_a_teacher_array_of_another_shape():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)
     teacher.params["backbone/conv1/w"] = teacher.params["backbone/conv1/w"].reshape(1, 4, 3, 3)
     with pytest.raises(ValueError, match=r"'backbone/conv1/w' shape \(1, 4, 3, 3\) != student "
@@ -231,7 +230,7 @@ def test_ema_rejects_a_teacher_array_of_another_shape():
 ])
 def test_ema_checks_every_teacher_entry_before_averaging_any(edit, message):
     """Each mismatch sits after the registry's first names, which stay unmoved."""
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.5)
     model.graph["backbone/conv1/w"].tensor.data += 1.0
     edit(teacher.params)
@@ -242,7 +241,7 @@ def test_ema_checks_every_teacher_entry_before_averaging_any(edit, message):
 
 
 def test_ema_matches_the_per_entry_formula_when_an_entry_is_replaced():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.7)
     student = model.graph["backbone/conv1/w"].tensor.data
     ema_update(teacher, model)
@@ -258,7 +257,7 @@ def test_ema_matches_the_per_entry_formula_when_an_entry_is_replaced():
 
 
 def test_ema_of_a_teacher_mirroring_part_of_a_component_averages_exactly_its_entries():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.5)
     del teacher.params["seg_decoder/conv2/b"]
     for p in model.graph.parameters():
@@ -272,7 +271,7 @@ def test_ema_of_a_teacher_mirroring_part_of_a_component_averages_exactly_its_ent
 
 
 def test_teacher_initializes_bit_equal_and_never_aliases():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[0].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)
     for name in teacher.params:
         assert np.array_equal(teacher.params[name], model.graph[name].tensor.data)
@@ -281,12 +280,10 @@ def test_teacher_initializes_bit_equal_and_never_aliases():
 
 def test_teacher_mirrors_shared_components_only_by_default():
     specs = [_tiny_specs()[2]]
-    model = build_model(SMALL_ARCH, [specs[0].model_spec()])
+    model = build_model(TINY_ARCH, [specs[0].model_spec()])
     teacher = TeacherState.init_from(model, momentum=0.8)
     comps = {model.graph[n].component for n in teacher.params}
     assert comps == {"backbone", "loc_encoder", "seg_decoder"}
-    full = TeacherState.init_from(model, momentum=0.8, mirror_heads=True)
-    assert set(full.params) == {p.name for p in model.graph.parameters()}
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +371,19 @@ def _state_bytes(model, opt) -> tuple[dict, dict]:
     return params, moments
 
 
-@pytest.mark.parametrize("mirror_heads", [False, True])
+# True: a teacher over every parameter, heads included, as checkpoints of older runs hold
+@pytest.mark.parametrize("every_parameter", [False, True])
 def test_lock_epoch_runs_no_teacher_forward_and_matches_a_teacherless_epoch(
-    monkeypatch, mirror_heads
+    monkeypatch, every_parameter
 ):
     specs = [_tiny_specs()[2]]
-    cfg = TrainConfig(mirror_heads=mirror_heads)
-    with_teacher = build_model(SMALL_ARCH, [specs[0].model_spec()])
-    without = build_model(SMALL_ARCH, [specs[0].model_spec()])
+    cfg = TrainConfig()
+    with_teacher = build_model(TINY_ARCH, [specs[0].model_spec()])
+    without = build_model(TINY_ARCH, [specs[0].model_spec()])
     bundle = prepare_bundles(specs, cfg)["c"]
-    teacher = TeacherState.init_from(with_teacher, cfg.momentum, mirror_heads)
+    teacher = TeacherState.init_from(with_teacher, cfg.momentum)
+    if every_parameter:
+        teacher.params = with_teacher.graph.arrays()
     opt_with, opt_without = make_optimizer(cfg), make_optimizer(cfg)
     calls = _record_backbone_calls(monkeypatch)
     lock_entries = [e for e in build_cycle_plan(specs, cfg).entries if e.mode == "lock"]
@@ -448,7 +448,7 @@ def test_every_pretraining_step_uses_the_global_epoch_decay(monkeypatch):
 def test_two_cycles_of_organ_scenario_run_24_epochs_12_evals():
     spec = _organ_spec()
     cfg = TrainConfig(num_cycles=2, batch_size=8)
-    model = build_model(SMALL_ARCH, [spec.model_spec()])
+    model = build_model(TINY_ARCH, [spec.model_spec()])
     result = run_pretraining(model, [spec], cfg)
     assert result.epochs_run == 24
     assert result.cycles_run == 2
@@ -460,7 +460,7 @@ def test_two_cycles_of_organ_scenario_run_24_epochs_12_evals():
 def test_zero_cycles_returns_untrained_model_and_empty_log():
     specs = [_tiny_specs()[0]]
     cfg = TrainConfig(num_cycles=0)
-    model = build_model(SMALL_ARCH, [specs[0].model_spec()])
+    model = build_model(TINY_ARCH, [specs[0].model_spec()])
     before = model.graph.component_checksums()
     result = run_pretraining(model, specs, cfg)
     assert result.records == []
@@ -473,7 +473,7 @@ def test_pretraining_deterministic_across_runs():
 
     def run():
         cfg = TrainConfig(num_cycles=1, batch_size=8, seed=77)
-        model = build_model(SMALL_ARCH, [s.model_spec() for s in specs])
+        model = build_model(TINY_ARCH, [s.model_spec() for s in specs])
         result = run_pretraining(model, specs, cfg)
         return result
 
@@ -491,7 +491,7 @@ def test_pretraining_deterministic_across_runs():
 def test_ema_applied_after_every_epoch_within_tolerance():
     spec = _organ_spec()
     cfg = TrainConfig(num_cycles=1, batch_size=8)
-    model = build_model(SMALL_ARCH, [spec.model_spec()])
+    model = build_model(TINY_ARCH, [spec.model_spec()])
     bundles = prepare_bundles([spec], cfg)
     teacher = TeacherState.init_from(model, cfg.momentum)
     opt = make_optimizer(cfg)
@@ -510,7 +510,7 @@ def test_ema_applied_after_every_epoch_within_tolerance():
 def test_eval_every_epoch_adds_cross_dataset_rows():
     specs = [_tiny_specs()[0], _tiny_specs()[1]]
     cfg = TrainConfig(num_cycles=1, batch_size=8, eval_every_epoch=True)
-    model = build_model(SMALL_ARCH, [s.model_spec() for s in specs])
+    model = build_model(TINY_ARCH, [s.model_spec() for s in specs])
     result = run_pretraining(model, specs, cfg)
     eval_rows = [r for r in result.records if r.mode == "eval"]
     # a expands to 1 epoch, b to 3 (cls release + loc lock/release); every
@@ -534,11 +534,11 @@ def test_loc_eval_scores_every_query_slot_in_one_map_call(monkeypatch):
     original = engine.map_at_iou
     monkeypatch.setattr(engine, "map_at_iou", recording_map_at_iou)
     spec = _tiny_specs()[1]
-    model = build_model(SMALL_ARCH, [spec.model_spec()])
+    model = build_model(TINY_ARCH, [spec.model_spec()])
     samples = prepare_bundles([spec], TrainConfig())[spec.dataset_id].test
     value, name = engine.evaluate_task(model, spec, samples, "loc")
     assert name == "mAP40" and value is not None
-    assert calls == [len(samples) * SMALL_ARCH.num_queries]
+    assert calls == [len(samples) * TINY_ARCH.num_queries]
 
 
 @pytest.fixture(scope="module")
@@ -636,11 +636,16 @@ def test_metric_records_share_the_backbone_across_tasks(monkeypatch):
     spec = _tiny_specs()[2]
     assert 0 < len(prepare_bundles([spec], TrainConfig())["c"].test) <= 64
     per_call = _backbone_passes_per_evaluation(monkeypatch)
-    cfg = TrainConfig(num_cycles=1, eval_after_release=False, eval_every_epoch=True)
-    result = run_pretraining(build_model(SMALL_ARCH, [spec.model_spec()]), [spec], cfg)
-    # every epoch scores cls, loc and seg; the first task fills the memo
-    assert result.epochs_run == 5
-    assert per_call == [1, 0, 0] * 5
+    cfg = TrainConfig(num_cycles=1, eval_every_epoch=True)
+    result = run_pretraining(build_model(TINY_ARCH, [spec.model_spec()]), [spec], cfg)
+    # a release epoch first scores its own task, with a memo of its own; then
+    # every epoch scores cls, loc and seg, and the first task fills the memo
+    entries = build_cycle_plan([spec], cfg).entries
+    assert result.epochs_run == len(entries) == 5
+    expected = []
+    for entry in entries:
+        expected += ([1] if entry.mode == "release" else []) + [1, 0, 0]
+    assert per_call == expected
     per_call.clear()
     # head-only finetuning keeps its head inputs from the first epoch on
     finetune(result.model, spec, cfg, mode="head_only", epochs=2)
@@ -652,7 +657,7 @@ def test_metric_records_share_the_backbone_across_tasks(monkeypatch):
 
 
 def test_export_teacher_at_init_equals_student():
-    model = build_model(SMALL_ARCH, [_tiny_specs()[2].model_spec()])
+    model = build_model(TINY_ARCH, [_tiny_specs()[2].model_spec()])
     teacher = TeacherState.init_from(model, 0.8)
     exported = export_teacher(model, teacher)
     arrays = model.graph.arrays()
@@ -663,7 +668,7 @@ def test_export_teacher_at_init_equals_student():
 def test_export_teacher_after_one_epoch_matches_manual_ema():
     spec = _tiny_specs()[2]
     cfg = TrainConfig(num_cycles=1, batch_size=8)
-    model = build_model(SMALL_ARCH, [spec.model_spec()])
+    model = build_model(TINY_ARCH, [spec.model_spec()])
     init = model.graph.arrays()
     bundles = prepare_bundles([spec], cfg)
     teacher = TeacherState.init_from(model, cfg.momentum)

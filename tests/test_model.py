@@ -22,11 +22,10 @@ from cyclictrain.model import (
 )
 from cyclictrain.optim import AdamW
 
-ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
-                  query_dim=8, loc_grid=4, seg_channels=(6, 4))
+from conftest import TINY_ARCH
 
 
-def _model(specs, arch=ARCH, seed=0):
+def _model(specs, arch=TINY_ARCH, seed=0):
     return build_model(replace(arch, init_seed=seed), specs)
 
 
@@ -92,9 +91,9 @@ def test_duplicate_dataset_rejected():
 # forward contracts
 
 
-def _images(n, arch=ARCH, seed=0):
+def _images(n, arch=TINY_ARCH, seed=0):
     rs = np.random.RandomState(seed)
-    return rs.rand(n, arch.in_channels, arch.image_size, arch.image_size)
+    return rs.rand(n, 1, arch.image_size, arch.image_size)
 
 
 def test_forward_cls_shape_and_unknown_dataset():
@@ -119,8 +118,8 @@ def test_zeroed_cls_head_outputs_bias():
 def test_forward_loc_shapes_and_zeroed_box_head():
     model = _model([DatasetModelSpec("d", cls_classes=2, loc_classes=3)])
     boxes, logits = model.forward_loc(_images(2), "d")
-    assert boxes.shape == (2, ARCH.num_queries, 4)
-    assert logits.shape == (2, ARCH.num_queries, 3 + 1)
+    assert boxes.shape == (2, TINY_ARCH.num_queries, 4)
+    assert logits.shape == (2, TINY_ARCH.num_queries, 3 + 1)
     assert np.all(boxes.data > 0.0) and np.all(boxes.data < 1.0)  # sigmoid squash
     comp = loc_decoder_component("d")
     model.graph[f"{comp}/box/w"].tensor.data[:] = 0.0
@@ -128,7 +127,7 @@ def test_forward_loc_shapes_and_zeroed_box_head():
     boxes, _ = model.forward_loc(_images(2), "d")
     # a zeroed box head leaves exactly the sigmoid of each cell's reference
     # anchor: centers on the grid lattice, the size prior everywhere
-    g = ARCH.loc_grid
+    g = TINY_ARCH.loc_grid
     expected_centers = (np.arange(g) + 0.5) / g
     got = boxes.data.reshape(2, g, g, 4)
     assert np.allclose(got[:, :, :, 0], expected_centers[None, None, :])
@@ -140,7 +139,7 @@ def test_forward_loc_shapes_and_zeroed_box_head():
 def test_forward_seg_shape_and_zeroed_head():
     model = _model([DatasetModelSpec("d", seg_classes=1)])
     logits = model.forward_seg(_images(3), "d")
-    assert logits.shape == (3, 1, ARCH.image_size, ARCH.image_size)
+    assert logits.shape == (3, 1, TINY_ARCH.image_size, TINY_ARCH.image_size)
     comp = seg_head_component("d")
     model.graph[f"{comp}/conv/w"].tensor.data[:] = 0.0
     model.graph[f"{comp}/conv/b"].tensor.data[:] = 0.25
@@ -192,7 +191,7 @@ def test_seg_decoder_upsamples_inside_its_second_conv_node():
     emb = model.backbone_features(_images(2))
     dec = model.seg_decoder_features(emb)
     assert _recorded_ops(dec, below=emb) == ["conv2d", "conv2d"]
-    assert dec.shape == (2, ARCH.seg_channels[1], ARCH.image_size, ARCH.image_size)
+    assert dec.shape == (2, TINY_ARCH.seg_channels[1], TINY_ARCH.image_size, TINY_ARCH.image_size)
 
 
 def test_seg_backward_keeps_no_intermediate_gradient():
@@ -281,7 +280,7 @@ def test_census_has_no_leakage_across_sequential_backwards():
 def test_seg_loss_spares_loc_decoders():
     model = _census_model()
     logits = model.forward_seg(_images(2), "d0")
-    mask = np.zeros((2, 2, ARCH.image_size, ARCH.image_size))
+    mask = np.zeros((2, 2, TINY_ARCH.image_size, TINY_ARCH.image_size))
     mask[:, :, 4:8, 4:8] = 1.0
     loss = seg_loss(logits, mask)
     census = _grads_by_component(model, loss)

@@ -7,13 +7,14 @@ from cyclictrain.engine import TeacherState, ema_update
 from cyclictrain.losses import BoxTarget, cls_loss, loc_loss, seg_loss
 from cyclictrain.model import (
     BACKBONE,
-    ArchConfig,
     DatasetModelSpec,
     ModelGraph,
     build_model,
     trainable_components,
 )
 from cyclictrain.optim import AdamW, AdamWState
+
+from conftest import TINY_ARCH
 
 
 def _graph_with(name="p", value=1.0, component="backbone"):
@@ -233,9 +234,6 @@ def test_an_assigned_state_of_another_size_is_rejected_with_nothing_changed():
 # ---------------------------------------------------------------------------
 # the per-component step against the per-array loop it replaced
 
-_ARCH = ArchConfig(image_size=16, stage_channels=(4, 6, 8), loc_channels=8,
-                   query_dim=8, loc_grid=4, seg_channels=(6, 4))
-
 
 def _per_array_adamw(params, grads, data, state, lr_of, lr_scale, b1, b2, eps, wd):
     """The optimizer's earlier update: one pass of in-place ufuncs per array."""
@@ -278,7 +276,7 @@ def _task_loss(model, task, dataset_id, rs):
 
 
 def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
-    model = build_model(_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
+    model = build_model(TINY_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
     lr_of = lambda component: 1e-2 if component == BACKBONE else 3e-2  # noqa: E731
     opt = AdamW(betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05, lr_for=lr_of)
     teacher = TeacherState.init_from(model, momentum=0.8)
@@ -317,7 +315,7 @@ def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
 
 
 def test_a_copied_optimizer_steps_like_the_original():
-    model = build_model(_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
+    model = build_model(TINY_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
     model.graph.set_trainable_components(trainable_components("seg", "release", "d0"))
     opt = AdamW(lr=1e-2, weight_decay=0.05)
     rs = np.random.RandomState(5)

@@ -11,13 +11,15 @@ test split and on a fresh 1000-image set
 (``preset_cls_loc_seg(num_images=1000, seed=9303)``).  The study prints the
 OpenBLAS kernels it ran on (``tools/blas_core.py``), then the
 unperturbed value and the min / median / max of the perturbed runs per
-metric, with how many runs fall below the gate, and then criterion 10's two
-mean mAP40 values and their margin.
+metric, with how many runs fall below the gate.  Last come criterion 10's
+runs at the test's seeds 0..4 and at seeds 5..9: per seed set, each arm's
+mean and sd of mAP40 and their margin.
 
 Run from the root of a checkout (a criterion 09 run takes about 60 s on a
-2-vCPU Xeon VM and uses up to two cores, since conv2d's backward computes
-kernel gradients on a second thread; ``--jobs`` runs that many at a time,
-one process each)::
+2-vCPU Xeon VM and a criterion 10 run 2-4 s, each using up to two cores,
+since conv2d's backward computes kernel gradients on a second thread;
+``--jobs`` runs that many at a time, one process each, and the 11
+criterion 09 and 20 criterion 10 runs below took 10 minutes there)::
 
     python3 tools/gate_margin.py --runs 10 --jobs 2
 
@@ -101,8 +103,8 @@ def main(argv=None) -> int:
         parser.error("--runs and --jobs must be at least 1")
 
     t0 = time.time()
-    # criterion 10's ten runs: seeds 0-4 with lock-release and the teacher, then without
-    seeds, enabled = list(range(5)) * 2, [True] * 5 + [False] * 5
+    # criterion 10's runs: seeds 0-9 with lock-release and the teacher, then without
+    seeds, enabled = list(range(10)) * 2, [True] * 10 + [False] * 10
     # spawned workers import this file afresh, which sets their BLAS threads too
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
@@ -120,9 +122,12 @@ def main(argv=None) -> int:
         below = sum(v < gate for v in values)
         print(f"{f'{label} ({gate:.2f})':<30} {unperturbed[key]:>11.3f}  {min(values):>6.3f} "
               f"{statistics.median(values):>6.3f} {max(values):>6.3f}  {below}")
-    with_both, without = float(np.mean(loc[:5])), float(np.mean(loc[5:]))
-    print(f"criterion 10: mean mAP40 with lock-release+teacher {with_both:.3f} "
-          f"vs disabled {without:.3f}, margin {with_both - without:+.3f}")
+    for first in (0, 5):
+        arms = [loc[first : first + 5], loc[10 + first : 15 + first]]
+        (on, on_sd), (off, off_sd) = [(statistics.mean(a), statistics.stdev(a)) for a in arms]
+        print(f"criterion 10, seeds {first}..{first + 4}: mean mAP40 with lock-release+teacher "
+              f"{on:.3f} (sd {on_sd:.3f}) vs disabled {off:.3f} (sd {off_sd:.3f}), "
+              f"margin {on - off:+.3f}")
     return 0
 
 
