@@ -35,10 +35,12 @@ the whole batch.  Its keyword-only ``upsample`` factor fuses a preceding
 its padded buffer, so the full-resolution input never exists.  When a
 large enough ``conv2d`` backward needs both the kernel and the input
 gradient, a worker thread computes the kernel gradient while the calling
-thread computes the input gradient (see :func:`conv2d`).  The worker makes
-the GEMM call the inline path makes, on the same operands, so the bytes
-are the same.  It calls no op of this module and records nothing; every
-gradient is accumulated on the calling thread.
+thread computes the input gradient; a large enough forward of several image
+blocks runs its last blocks on that worker and the rest on the calling
+thread (see :func:`conv2d`).  The worker makes the GEMM calls the inline
+path makes, on the same operands, so the bytes are the same.  It calls no
+op of this module and records nothing; every gradient is accumulated on the
+calling thread.
 
 Inside a ``no_grad()`` block no op records anything; evaluation runs there.
 
@@ -335,9 +337,14 @@ def _check_slope(op: str, slope: float) -> None:
         raise ValueError(f"{op}: slope {slope} is outside [0, 1]")
 
 
-def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``max(x, slope * x)`` into ``out`` (a fresh array when None; may be ``x``)."""
-    scaled = x * slope
+def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None,
+           scratch: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, slope * x)`` into ``out`` (a fresh array when None; may be ``x``).
+
+    ``slope * x`` goes into ``scratch`` (an array of ``x``'s shape) when one
+    is given, else into a fresh array.
+    """
+    scaled = np.multiply(x, slope, out=scratch)
     if out is None:
         out = scaled
     np.maximum(x, scaled, out=out)
@@ -542,34 +549,23 @@ def _taps(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
     return np.ndarray((c, kh, kw, n, ho, wo), xp.dtype, xp, 0, (sc, sh, sw, sn, sh, sw))
 
 
-def _patches(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
-    """im2col: the ``(C*kh*kw, N*ho*wo)`` patch matrix of a padded NCHW array.
-
-    Row ``(c, di, dj)`` holds input channel ``c`` shifted by tap ``(di, dj)``
-    at every output position, so a convolution is one matrix product.  The
-    matrix is one copy of :func:`_taps`: the same bytes as a copy per tap,
-    in one numpy call.
-    """
-    n, c = xp.shape[:2]
-    return _taps(xp, kh, kw, ho, wo).copy().reshape(c * kh * kw, n * ho * wo)
-
-
 # Largest patch matrix, in bytes, that the conv2d forward builds at once:
 # larger batches run in image blocks whose GEMM operands fit a core's L2,
 # and are zero-padded one block at a time, into one block-sized buffer.
 PATCH_BLOCK_BYTES = 2 * 2**20
 
-# Least work, in multiply-adds (n*o*c*kh*kw*ho*wo), of a conv2d whose
-# backward hands the kernel gradient to a worker thread when it needs both
-# gradients.  Timed per call on a 2-vCPU Xeon VM over the model's conv
-# shapes at batches 1-16, the hand-over took about 0.1 ms: every layer of
-# at most 0.37 M ran slower on the worker (1.05-3.6 times inline), every
-# layer from 0.885 M faster (0.54-0.96 times), and those between went
-# either way.
-GRAD_W_WORKER_MACS = 1_000_000
+# Least work, in multiply-adds, that conv2d hands to its worker thread: the
+# kernel gradient of a backward that needs both gradients (n*o*c*kh*kw*ho*wo),
+# or the last image blocks of a forward.  Timed per call on a 2-vCPU Xeon VM,
+# the hand-over took about 0.1 ms.  Over the model's conv shapes at batches
+# 1-16, every backward of at most 0.37 M ran slower on the worker (1.05-3.6
+# times inline), every one from 0.885 M faster (0.54-0.96 times), and those
+# between went either way.  Forwards cross over lower: handing over 0.5 M
+# ran 0.71-0.82 times inline, 0.26 M either way.
+WORKER_MACS = 1_000_000
 
-# The kernel-gradient worker: started by the first conv2d backward that
-# can use it, and only in a process allowed more than one CPU.
+# conv2d's worker thread: started by the first conv2d that can use it, and
+# only in a process allowed more than one CPU.
 _pool: futures.ThreadPoolExecutor | None = None
 
 
@@ -581,11 +577,11 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _grad_w_pool() -> futures.ThreadPoolExecutor | None:
-    """The worker thread for conv2d kernel gradients; None on a single CPU."""
+def _worker() -> futures.ThreadPoolExecutor | None:
+    """conv2d's worker thread; None on a single CPU."""
     global _pool
     if _pool is None and _cpus() > 1:
-        _pool = futures.ThreadPoolExecutor(1, thread_name_prefix="conv2d-grad-w")
+        _pool = futures.ThreadPoolExecutor(1, thread_name_prefix="conv2d-worker")
     return _pool
 
 
@@ -628,15 +624,12 @@ def _upsample_into(dst: np.ndarray, x: np.ndarray, factor: int) -> None:
     """Write NCHW ``x``, upsampled ``factor`` times by nearest neighbour, into ``dst``.
 
     ``dst`` (a view of shape ``(n, c, factor*h, factor*w)``) gets the bytes
-    ``upsample_nearest`` gives: each row is repeated along the width once,
-    then copied into its ``factor`` destination rows.
+    ``upsample_nearest`` gives: ``x`` is copied into each of its ``factor**2``
+    strided phases, with no array in between.
     """
-    if factor == 1:
-        dst[...] = x
-        return
-    wide = x.repeat(factor, axis=3)
     for i in range(factor):
-        dst[:, :, i::factor] = wide
+        for j in range(factor):
+            dst[:, :, i::factor, j::factor] = x
 
 
 def _upsample_grad(g: np.ndarray, factor: int) -> np.ndarray:
@@ -645,29 +638,50 @@ def _upsample_grad(g: np.ndarray, factor: int) -> np.ndarray:
     return g.reshape(n, c, h // factor, factor, w // factor, factor).sum(axis=(3, 5))
 
 
-def _padded_blocks(x: np.ndarray, padding: int, step: int, factor: int = 1):
-    """Yield ``(start, stop, block)``: images ``start:stop`` of ``x``, upsampled and zero-padded.
+def _forward_blocks_into(out, masks, x, w, bias, slope, padding, factor, step,
+                         start, stop, buf, cols, res) -> None:
+    """conv2d's forward of images ``start:stop`` of ``x``, one block of ``step`` images at a time.
 
-    ``block`` holds the bytes ``np.pad`` gives for those images after
-    ``upsample_nearest(x, factor)``, ``padding`` zeros on each spatial side.
-    Every block is a view of one buffer sized for ``step`` images: its
-    border is written once and each block refills its interior (see
-    :func:`_upsample_into`), so a block is valid only until the next one is
-    drawn.  The last block may be shorter.  With ``padding=0`` and
-    ``factor=1`` a block is a slice of ``x`` itself.
+    Each block is upsampled ``factor`` times and zero-padded into ``buf``
+    (None when ``x`` is C-contiguous and neither applies: the block is then
+    a slice of ``x``), copied from its :func:`_taps` view into the patch
+    matrix ``cols`` and multiplied by the kernel matrix into ``res``.  The
+    result goes to the block's slice of ``out``, where the epilogue runs in
+    place: add ``bias``, fill the ``(below, above)`` sign ``masks`` when
+    they are given, apply the leaky ReLU of ``slope`` with ``res`` as its
+    scratch.  ``start`` is a multiple of ``step`` and only the last block
+    may be shorter.  The caller allocates every array, each sized for one
+    block (``cols`` and ``res`` flat): ``buf`` with its zero border, which
+    each block's refill leaves as it is.  So a worker thread running this
+    allocates no array of its own; only numpy's buffered ufunc iterator
+    takes a transient buffer (about 50 kB) for the broadcast bias add.
     """
-    n, c, h, w = x.shape
-    h, w = h * factor, w * factor
-    copied = padding or factor > 1
-    if copied:
-        buf = np.zeros((min(step, n), c, h + 2 * padding, w + 2 * padding))
-        inner = buf[:, :, padding : padding + h, padding : padding + w]
-    for start in range(0, n, step):
-        block = x[start : start + step]
-        if copied:
-            _upsample_into(inner[: len(block)], block, factor)
-            block = buf[: len(block)]
-        yield start, start + len(block), block
+    o, c, kh, kw = w.shape
+    ho, wo = out.shape[2:]
+    w2 = w.reshape(o, -1)
+    if buf is not None:
+        h, wid = x.shape[2] * factor, x.shape[3] * factor
+        inner = buf[:, :, padding : padding + h, padding : padding + wid]
+    for first in range(start, stop, step):
+        last = min(first + step, stop)
+        if buf is None:
+            xb = x[first:last]
+        else:
+            _upsample_into(inner[: last - first], x[first:last], factor)
+            xb = buf[: last - first]
+        m = (last - first) * ho * wo
+        patches = cols[: c * kh * kw * m].reshape(c * kh * kw, m)
+        np.copyto(patches.reshape(c, kh, kw, last - first, ho, wo), _taps(xb, kh, kw, ho, wo))
+        product = np.matmul(w2, patches, out=res[: o * m].reshape(o, m))
+        blk = out[first:last]
+        blk[...] = product.reshape(o, last - first, ho, wo).transpose(1, 0, 2, 3)
+        if bias is not None:
+            blk += bias.reshape(1, o, 1, 1)
+        if slope is not None:
+            if masks is not None:
+                np.less(blk, 0.0, out=masks[0][first:last])
+                np.greater(blk, 0.0, out=masks[1][first:last])
+            _leaky(blk, slope, out=blk, scratch=product.reshape(blk.shape))
 
 
 def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> Tensor:
@@ -678,17 +692,27 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
     gradient is one matmul per kernel tap.
 
     The forward runs in image blocks (see :func:`_block_images`) written
-    into one C-order output.  Each output element is one dot product over
-    ``(c, di, dj)``, computed the same way whichever columns share its GEMM,
-    so a block gives the bytes the whole-batch product gives.  A padded
-    input exists one block at a time (see :func:`_padded_blocks`): each
-    block is zero-padded into one block-sized buffer, the same bytes
-    ``np.pad`` gives, and the whole batch is never copied.  A recorded node
-    keeps that buffer for the kernel gradient only when one block covered
-    the batch, so that it is the whole padded input; otherwise the backward
-    pads the whole batch again and drops it on return.  The kernel gradient
-    is one GEMM over the whole batch's patch matrix: blocking it would
-    change its summation over the batch.
+    into one C-order output, each block one GEMM of the kernel matrix and
+    the block's patch matrix (see :func:`_forward_blocks_into`).  Each
+    output element is one dot product over ``(c, di, dj)``, computed the
+    same way whichever columns share its GEMM, so a block gives the bytes
+    the whole-batch product gives.  A padded input exists one block at a
+    time: each block is zero-padded into one block-sized buffer, the same
+    bytes ``np.pad`` gives, and the whole batch is never copied.  A recorded
+    node keeps that buffer for the kernel gradient only when one block
+    covered the batch, so that it is the whole padded input; otherwise the
+    backward pads the whole batch again and drops it on return.  The kernel
+    gradient is one GEMM over the whole batch's patch matrix: blocking it
+    would change its summation over the batch.
+
+    A forward of several blocks whose last ``floor(B/2)`` blocks hold at
+    least :data:`WORKER_MACS` multiply-adds hands those blocks to a worker
+    thread and runs the first ``ceil(B/2)`` on this thread.  The block
+    boundaries, and so every GEMM, stay the same, and so do the bytes; each
+    side writes only its own images of the output and of the masks below.
+    This thread allocates one block's scratch (padded input, patch matrix,
+    GEMM result) per side, once per call, so the worker allocates no array,
+    and it waits for the worker before it returns or raises.
 
     ``bias`` (shape ``(O,)``) and ``slope`` fuse a conv layer into one node:
     the result is ``leaky_relu(add(conv2d(x, w), reshape(bias, (1, O, 1,
@@ -715,7 +739,7 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
     The kernel gradient is taken before the input gradient.  Inline, the
     patch matrix is freed before the input gradient's buffer exists.  When
     the backward needs both gradients and the layer's work ``n*o*c*kh*kw*ho*wo``
-    reaches :data:`GRAD_W_WORKER_MACS`, a worker thread takes the kernel
+    reaches :data:`WORKER_MACS`, the worker thread takes the kernel
     gradient instead while this thread takes the input gradient, so the
     patch matrix and the input gradient's buffer are alive together.  The
     worker runs the same copies and the same GEMM on the same operands, so
@@ -751,38 +775,53 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
             f"with padding={padding}"
         )
     parents = (x, w) if b is None else (x, w, b)
-    w2 = w.data.reshape(o, -1)
     step = _block_images(n, c * kh * kw * ho * wo * x.data.itemsize)
     # C order, as every other op's output: reductions further down the tape
     # sum in memory order, so a transposed view would change their results
     out = np.empty((n, o, ho, wo))
-    keep_masks = slope is not None and _grad_enabled and any(p.requires_grad for p in parents)
-    if keep_masks:
-        below = np.empty(out.shape, dtype=bool)
-        above = np.empty(out.shape, dtype=bool)
+    masks = None
+    if slope is not None and _grad_enabled and any(p.requires_grad for p in parents):
+        masks = (np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool))
+    hp, wp = hu + 2 * padding, wu + 2 * padding
+    copied = padding or factor > 1 or not x.data.flags.c_contiguous
+
+    def scratch(images):
+        # one block's padded input, patch matrix and GEMM result
+        images = min(step, images)
+        buf = np.zeros((images, c, hp, wp)) if copied else None
+        return buf, np.empty(c * kh * kw * images * ho * wo), np.empty(o * images * ho * wo)
+
+    blocks = -(-n // step)
+    # this thread's images: the first half of the blocks, rounded up
+    split = -(-blocks // 2) * step
+    pool = None
+    if blocks > 1 and (n - split) * o * c * kh * kw * ho * wo >= WORKER_MACS:
+        pool = _worker()
+    if pool is None:
+        split = n
+    args = (out, masks, x.data, w.data, None if b is None else b.data, slope, padding, factor, step)
+    mine = scratch(split)
+    job = None
+    if split < n:
+        job = pool.submit(_forward_blocks_into, *args, split, n, *scratch(n - split))
+    try:
+        _forward_blocks_into(*args, 0, split, *mine)
+    finally:
+        if job is not None:
+            futures.wait((job,))
+    if job is not None:
+        job.result()  # raises what the worker raised
     # the whole padded input, kept for the kernel gradient when it costs no copy
     xp = None if padding or factor > 1 else x.data
-    for start, stop, xb in _padded_blocks(x.data, padding, step, factor):
-        block = w2 @ _patches(xb, kh, kw, ho, wo)
-        blk = out[start:stop]
-        blk[...] = block.reshape(o, -1, ho, wo).transpose(1, 0, 2, 3)
-        if b is not None:
-            blk += b.data.reshape(1, o, 1, 1)
-        if slope is not None:
-            if keep_masks:
-                np.less(blk, 0.0, out=below[start:stop])
-                np.greater(blk, 0.0, out=above[start:stop])
-            _leaky(blk, slope, out=blk)
-        if stop - start == n:
-            xp = xb
+    if xp is None and blocks == 1:
+        xp = mine[0]
 
     def bwd(g):
         if slope is not None:
-            g = _leaky_grad(below, above, slope, g)
+            g = _leaky_grad(*masks, slope, g)
         if b is not None and b.requires_grad:
             # the sums add's backward makes: axes of length 1 are not summed
             _accumulate(b, _unbroadcast(g, (1, o, 1, 1)).reshape(o))
-        hp, wp = hu + 2 * padding, wu + 2 * padding
         inner = np.s_[:, :, padding : padding + hu, padding : padding + wu]
 
         def padded_input():
@@ -802,8 +841,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
             args = (gw, g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo),
                     np.empty((c, kh, kw, n, ho, wo)), _taps(padded_input(), kh, kw, ho, wo))
             pool = None
-            if x.requires_grad and n * o * c * kh * kw * ho * wo >= GRAD_W_WORKER_MACS:
-                pool = _grad_w_pool()
+            if x.requires_grad and n * o * c * kh * kw * ho * wo >= WORKER_MACS:
+                pool = _worker()
             if pool is None:
                 _grad_w_into(*args)
             else:

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import multiprocessing
@@ -12,7 +13,7 @@ import pytest
 
 from cyclictrain import autodiff
 from cyclictrain.autodiff import (
-    GRAD_W_WORKER_MACS,
+    WORKER_MACS,
     GradCheckReport,
     ShapeError,
     Tensor,
@@ -434,7 +435,7 @@ def test_conv2d_rejects_an_upsample_factor_below_one(factor):
 
 
 # ---------------------------------------------------------------------------
-# conv2d backward with the kernel gradient on a worker thread
+# conv2d on a worker thread: the kernel gradient, and a forward's last blocks
 
 
 def _reference_conv(x, w, padding, factor):
@@ -473,24 +474,30 @@ def _reference_conv(x, w, padding, factor):
 
 
 class _RecordingPool:
-    """A one-thread executor that keeps every future it hands out."""
+    """A one-thread executor that keeps every future it hands out, and the name of its function."""
 
     def __init__(self):
         self.executor = futures.ThreadPoolExecutor(1)
         self.jobs = []
+        self.names = []
 
     def submit(self, fn, *args):
         job = self.executor.submit(fn, *args)
         self.jobs.append(job)
+        self.names.append(fn.__name__)
         return job
+
+    def count(self, name):
+        return self.names.count(name)
 
 
 @pytest.fixture
 def worker(monkeypatch):
-    """Every conv2d backward that needs both gradients uses a recording worker."""
+    """conv2d hands every forward of several blocks, and every backward that
+    needs both gradients, to a recording worker."""
     pool = _RecordingPool()
-    monkeypatch.setattr(autodiff, "GRAD_W_WORKER_MACS", 0)
-    monkeypatch.setattr(autodiff, "_grad_w_pool", lambda: pool)
+    monkeypatch.setattr(autodiff, "WORKER_MACS", 0)
+    monkeypatch.setattr(autodiff, "_worker", lambda: pool)
     yield pool
     pool.executor.shutdown()
 
@@ -534,11 +541,11 @@ def test_conv2d_backward_on_a_worker_is_byte_equal_to_inline_and_reference(
             ragged += n % autodiff._block_images(n, c * k * k * ho * wo * 8) != 0
             for (layer, chain, gl), grads in itertools.product(layers, all_grads):
                 label = (x.shape, w.shape, padding, f, budget, grads, chain.__name__)
-                submitted = len(worker.jobs)
+                submitted = worker.count("_grad_w_into")
                 on_worker = _conv_layer_run(layer, x, w, b, gl, grads)
-                assert len(worker.jobs) - submitted == (grads[:2] == (True, True)), label
+                assert worker.count("_grad_w_into") - submitted == (grads[:2] == (True, True)), label
                 with monkeypatch.context() as inline:
-                    inline.setattr(autodiff, "_grad_w_pool", lambda: None)
+                    inline.setattr(autodiff, "_worker", lambda: None)
                     assert _conv_layer_run(layer, x, w, b, gl, grads) == on_worker, label
                 reference = _conv_layer_run(
                     chain(lambda x, w: _reference_conv(x, w, padding, f)), x, w, b, gl, grads)
@@ -559,17 +566,17 @@ def test_conv2d_worker_gradients_hold_under_frequent_thread_switches(monkeypatch
         return conv2d(x, w, padding=1, bias=b, slope=0.1)
 
     with monkeypatch.context() as inline:
-        inline.setattr(autodiff, "_grad_w_pool", lambda: None)
+        inline.setattr(autodiff, "_worker", lambda: None)
         expected = _conv_layer_run(layer, x, w, b, g)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         start = time.monotonic()
-        while len(worker.jobs) < 40 and time.monotonic() - start < 20:
+        while worker.count("_grad_w_into") < 40 and time.monotonic() - start < 20:
             assert _conv_layer_run(layer, x, w, b, g) == expected
     finally:
         sys.setswitchinterval(interval)
-    assert len(worker.jobs) >= 10
+    assert worker.count("_grad_w_into") >= 10
 
 
 def test_conv2d_worker_error_propagates_after_the_input_gradient(monkeypatch, worker):
@@ -580,41 +587,208 @@ def test_conv2d_worker_error_propagates_after_the_input_gradient(monkeypatch, wo
     rs = np.random.RandomState(120)
     x, w = Tensor(rs.randn(3, 4, 8, 8), requires_grad=True), Tensor(rs.randn(5, 4, 3, 3), requires_grad=True)
     loss = tsum(conv2d(x, w, padding=1))
+    assert worker.jobs == []  # one block: the forward ran inline
     with pytest.raises(RuntimeError, match="grad-w failed"):
         loss.backward()
-    assert len(worker.jobs) == 1 and worker.jobs[0].done()
+    assert worker.names == ["fail"] and worker.jobs[0].done()
     assert w.grad is None
 
 
-def test_grad_w_pool_starts_once_and_only_with_a_second_cpu(monkeypatch):
+# (C_in, H, W, C_out, k, factor, blocks): the conv layers of ArchConfig()
+# that a 64-image eval chunk splits into image blocks -- backbone conv1-3,
+# the loc encoder, a loc decoder's `in` and `mix`, and the seg decoder's
+# conv1 and conv2, which convolves its input upsampled 2x
+EVAL_CONV_SHAPES = [
+    (1, 32, 32, 8, 3, 1, 3), (8, 16, 16, 16, 3, 1, 5), (16, 16, 16, 32, 3, 1, 10),
+    (32, 16, 16, 32, 3, 1, 22), (32, 16, 16, 24, 1, 1, 2), (24, 16, 16, 24, 3, 1, 16),
+    (32, 16, 16, 16, 3, 1, 22), (16, 16, 16, 8, 3, 2, 64),
+]
+
+
+def _blocks(n, c, k, ho, wo):
+    return -(-n // autodiff._block_images(n, c * k * k * ho * wo * 8))
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_forward_on_a_worker_is_byte_equal_to_inline_and_one_gemm(
+        monkeypatch, worker, padding):
+    rs = np.random.RandomState(150 + padding)
+    default = autodiff.PATCH_BLOCK_BYTES
+    split = ragged = 0
+    for c, h, wid, o, k, f, eval_blocks in EVAL_CONV_SHAPES:
+        w, b = rs.randn(o, c, k, k), rs.randn(o)
+        b[0] = 0.0
+        ho, wo = f * h + 2 * padding - k + 1, f * wid + 2 * padding - k + 1
+        up = None if f == 1 else f
+        monkeypatch.setattr(autodiff, "PATCH_BLOCK_BYTES", default)
+        if padding == k // 2:  # the model's own padding
+            assert _blocks(64, c, k, ho, wo) == eval_blocks, (c, o, k)
+        # batch 64 and 8 at the default block budget, then 7 images in
+        # blocks of a small budget, whose last one is shorter; blocks that
+        # small may round differently from one GEMM, so those are held to
+        # the inline path alone
+        for n, budget in ((64, default), (8, default), (7, 40_000)):
+            monkeypatch.setattr(autodiff, "PATCH_BLOCK_BYTES", budget)
+            x = rs.randn(n, c, h, wid)
+            x[0, :, :2] = 0.0  # exact zeros reach the activation
+            blocks = _blocks(n, c, k, ho, wo)
+            split += blocks > 1
+            ragged += n % autodiff._block_images(n, c * k * k * ho * wo * 8) != 0
+            label = (x.shape, w.shape, padding, f, budget)
+            one_gemm = _one_gemm_conv(x.repeat(f, axis=2).repeat(f, axis=3), w, padding)
+            fused_ref = leaky_relu(add(Tensor(one_gemm), reshape(Tensor(b), (1, o, 1, 1))), 0.1)
+
+            def plain(x, w, b):
+                return conv2d(x, w, padding=padding, upsample=up)
+
+            def fused(x, w, b):
+                return conv2d(x, w, padding=padding, bias=b, slope=0.1, upsample=up)
+
+            for layer, ref in ((plain, one_gemm), (fused, fused_ref.data)):
+                # not recorded: no masks
+                submitted = worker.count("_forward_blocks_into")
+                with no_grad():
+                    out = layer(x, w, b).data
+                assert worker.count("_forward_blocks_into") - submitted == (blocks > 1), label
+                if budget == default:
+                    assert out.tobytes() == ref.tobytes(), label
+                with monkeypatch.context() as inline:
+                    inline.setattr(autodiff, "_worker", lambda: None)
+                    with no_grad():
+                        assert layer(x, w, b).data.tobytes() == out.tobytes(), label
+                # recorded: the fused layer's masks, read by its backward
+                g = rs.randn(n, o, ho, wo)
+                on_worker = _conv_layer_run(layer, x, w, b, g)
+                assert on_worker[0] == out.tobytes(), label
+                with monkeypatch.context() as inline:
+                    inline.setattr(autodiff, "_worker", lambda: None)
+                    assert _conv_layer_run(layer, x, w, b, g) == on_worker, label
+    assert split > 0 and ragged > 0
+    assert all(job.done() for job in worker.jobs)
+
+
+def test_conv2d_forward_on_a_worker_holds_under_frequent_thread_switches(monkeypatch, worker):
+    # a block written twice, or a caller that returned before the worker's
+    # blocks were written, would break this
+    rs = np.random.RandomState(160)
+    x, w, b = rs.randn(64, 24, 16, 16), rs.randn(24, 24, 3, 3), rs.randn(24)
+    g = rs.randn(64, 24, 16, 16)
+
+    def layer(x, w, b):
+        return conv2d(x, w, padding=1, bias=b, slope=0.1)
+
+    with monkeypatch.context() as inline:
+        inline.setattr(autodiff, "_worker", lambda: None)
+        with no_grad():
+            expected_out = layer(x, w, b).data.tobytes()
+        expected = _conv_layer_run(layer, x, w, b, g)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        while worker.count("_forward_blocks_into") < 40 and time.monotonic() - start < 20:
+            with no_grad():
+                assert layer(x, w, b).data.tobytes() == expected_out
+            assert _conv_layer_run(layer, x, w, b, g) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert worker.count("_forward_blocks_into") >= 10
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_conv2d_forward_error_is_raised_after_the_worker_finished(monkeypatch, worker, failing):
+    original = autodiff._forward_blocks_into
+    outs, finished = [], []
+
+    def blocks_into(*args):
+        on_worker = args[9] > 0  # the worker's share starts after the first block
+        outs.append(args[0])
+        if on_worker:
+            time.sleep(0.2)  # so that the caller's half ends first
+        if on_worker == (failing == "worker"):
+            raise RuntimeError("forward failed")
+        original(*args)
+        finished.append(time.monotonic())
+
+    monkeypatch.setattr(autodiff, "_forward_blocks_into", blocks_into)
+    rs = np.random.RandomState(170)
+    x, w = rs.randn(16, 24, 16, 16), rs.randn(24, 24, 3, 3)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        conv2d(x, w, padding=1)
+    raised = time.monotonic()
+    assert len(worker.jobs) == 1 and worker.jobs[0].done()
+    assert len(finished) == 1 and finished[0] <= raised
+    # nothing writes the output after conv2d has returned
+    out = outs[0]
+    written = out.tobytes()
+    time.sleep(0.05)
+    assert out.tobytes() == written
+
+
+@pytest.mark.parametrize("sides", [1, 2])
+def test_conv2d_forward_allocates_one_scratch_set_per_side(monkeypatch, sides):
+    # The calling thread allocates one block's padded input, patch matrix
+    # and GEMM result for each side once per call; the worker allocates no
+    # array, and neither side allocates per block.  The only other memory is
+    # numpy's own: its buffered ufunc iterator, which the broadcast bias add
+    # uses, takes about 50 kB while it runs.
+    pool = futures.ThreadPoolExecutor(1) if sides == 2 else None
+    monkeypatch.setattr(autodiff, "_worker", lambda: pool)
+    rs = np.random.RandomState(180)
+    n, c, h, o, k = 64, 24, 16, 24, 3  # the loc decoder's mix: 16 blocks of 4 images
+    x, w, b = rs.randn(n, c, h, h), rs.randn(o, c, k, k), rs.randn(o)
+    step = autodiff._block_images(n, c * k * k * h * h * 8)
+    assert (step, n // step) == (4, 16)
+    one_set = 8 * step * (c * (h + 2) ** 2 + c * k * k * h * h + o * h * h)
+    try:
+        with no_grad():
+            conv2d(x, w, padding=1, bias=b, slope=0.1)  # the worker thread starts
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, w, padding=1, bias=b, slope=0.1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    expected = out.data.nbytes + sides * one_set
+    assert expected <= peak <= expected + sides * 64 * 1024, (peak, expected)
+
+
+def test_worker_starts_once_and_only_with_a_second_cpu(monkeypatch):
     monkeypatch.setattr(autodiff, "_pool", None)
     monkeypatch.setattr(autodiff, "_cpus", lambda: 1)
-    assert autodiff._grad_w_pool() is None
+    assert autodiff._worker() is None
     monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
-    pool = autodiff._grad_w_pool()
+    pool = autodiff._worker()
     try:
         assert isinstance(pool, futures.ThreadPoolExecutor)
-        assert autodiff._grad_w_pool() is pool
+        assert autodiff._worker() is pool
     finally:
         pool.shutdown()
 
 
-def _big_conv_backward():
+def _big_conv_forward_and_backward():
     rs = np.random.RandomState(130)
-    x, w = Tensor(rs.randn(2, 3, 6, 6), requires_grad=True), Tensor(rs.randn(4, 3, 3, 3), requires_grad=True)
+    # two blocks of 4 images, so the forward hands its second block over
+    x = Tensor(rs.randn(8, 16, 16, 16), requires_grad=True)
+    w = Tensor(rs.randn(8, 16, 3, 3), requires_grad=True)
+    assert autodiff._block_images(8, 16 * 9 * 16 * 16 * 8) == 4
     tsum(conv2d(x, w, padding=1)).backward()
     return x.grad, w.grad
 
 
-def test_conv2d_backward_runs_in_a_forked_child(monkeypatch):
+def test_conv2d_runs_in_a_forked_child(monkeypatch):
     monkeypatch.setattr(autodiff, "_pool", None)
     monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
-    monkeypatch.setattr(autodiff, "GRAD_W_WORKER_MACS", 0)
-    _big_conv_backward()  # starts the worker thread in this process
+    monkeypatch.setattr(autodiff, "WORKER_MACS", 0)
+    _big_conv_forward_and_backward()  # starts the worker thread in this process
     pool = autodiff._pool
     try:
         assert pool is not None
-        child = multiprocessing.get_context("fork").Process(target=_big_conv_backward)
+        child = multiprocessing.get_context("fork").Process(target=_big_conv_forward_and_backward)
         child.start()
         child.join(timeout=60)
         hung = child.is_alive()
@@ -641,7 +815,17 @@ def _benchmark_inputs(workload):
 
 def test_no_conv_of_a_lockstep_small_sized_step_uses_the_worker(monkeypatch, worker):
     # the threshold as the module sets it; the fixture set it to 0
-    monkeypatch.setattr(autodiff, "GRAD_W_WORKER_MACS", GRAD_W_WORKER_MACS)
+    monkeypatch.setattr(autodiff, "WORKER_MACS", WORKER_MACS)
+    handed_over = []  # the kernel shape of every forward that hands blocks over
+    original = autodiff._forward_blocks_into
+
+    @functools.wraps(original)
+    def blocks_into(*args):
+        if args[9] > 0:  # the worker's share starts after the caller's first block
+            handed_over.append(args[3].shape)
+        original(*args)
+
+    monkeypatch.setattr(autodiff, "_forward_blocks_into", blocks_into)
     rs = np.random.RandomState(140)
     for workload in ("lockstep_small", "pretrain_cycle"):
         inputs = _benchmark_inputs(workload)
@@ -653,9 +837,32 @@ def test_no_conv_of_a_lockstep_small_sized_step_uses_the_worker(monkeypatch, wor
                 out, _ = model.task_branch(emb, task, spec.dataset_id)
                 tsum(out[0] if isinstance(out, tuple) else out).backward()
         if workload == "lockstep_small":
+            # batch 4 at 16 px: every forward is one block, and every
+            # backward is under the threshold
             assert worker.jobs == []
-    # pretrain-sized steps do use it
-    assert len(worker.jobs) > 0
+            # A 64-image eval chunk splits a layer into blocks once its patch
+            # matrix, c*k*k*ho*wo*8 bytes per image, passes 32 kB per image.
+            # backbone conv1 (18 kB), conv2 (27 kB) and the 1x1 loc `in`
+            # stay one block.  Five layers split, and the worker's share of
+            # each holds at least WORKER_MACS multiply-adds: backbone conv3
+            # (10->16 at 8x8, 46 kB: 2 blocks of 32, 2.9 M of its 5.9 M),
+            # the loc encoder (16->12, 74 kB: blocks of 22, 22 and 20;
+            # 2.2 M), the loc decoder's mix (8->8, 37 kB: 2 blocks; 1.2 M),
+            # seg conv1 (16->6, 74 kB: 3 blocks; 1.1 M) and seg conv2
+            # (6->4 on the 2x upsampled 16x16 map, 111 kB: 4 blocks of 16;
+            # 1.8 M).
+            with no_grad():
+                emb = model.backbone_features(rs.rand(64, 1, arch.image_size, arch.image_size))
+                for spec in inputs["specs"]:
+                    for task in spec.tasks:
+                        model.task_branch(emb, task, spec.dataset_id)
+            assert set(handed_over) == {(16, 10, 3, 3), (12, 16, 3, 3), (8, 8, 3, 3),
+                                        (6, 16, 3, 3), (4, 6, 3, 3)}
+            assert worker.names == ["_forward_blocks_into"] * len(handed_over)
+            eval_hand_overs = len(handed_over)
+    # pretrain-sized steps hand over both kinds of work
+    assert worker.count("_grad_w_into") > 0
+    assert worker.count("_forward_blocks_into") > eval_hand_overs
 
 
 def _maxpool_oracle(x, size, g):

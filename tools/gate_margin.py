@@ -17,7 +17,7 @@ mean and sd of mAP40 and their margin.
 
 Run from the root of a checkout (a criterion 09 run takes about 60 s on a
 2-vCPU Xeon VM and a criterion 10 run 2-4 s, each using up to two cores,
-since conv2d's backward computes kernel gradients on a second thread;
+since conv2d's forward and backward use a second thread;
 ``--jobs`` runs that many at a time, one process each, and the 11
 criterion 09 and 20 criterion 10 runs below took 10 minutes there)::
 

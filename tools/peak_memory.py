@@ -3,9 +3,10 @@
 Runs one warm-up of ``perfbench/workloads.run_workload`` and then one more
 run of it in this process under ``tracemalloc``.  During that run every tape
 op in ``cyclictrain.autodiff``, the backward closure of every node an op
-records, ``autodiff._patches`` (the conv2d forward's patch matrix) and
-``autodiff._grad_w_into`` (the conv2d kernel gradient, whose patch matrix
-is alive at its return; it may run on conv2d's worker thread) are wrapped
+records, ``autodiff._forward_blocks_into`` (a run of conv2d forward
+blocks, whose scratch is alive at its return) and ``autodiff._grad_w_into``
+(the conv2d kernel gradient, whose patch matrix is alive at its return) are
+wrapped; the last two may run on conv2d's worker thread.  They are wrapped
 from outside the program, as perfbench's tracer does, and unwrapped
 afterwards.  Whenever traced memory reaches a new high at the return of a
 wrapped function, the tool takes a snapshot.  It prints the highest of those
@@ -108,7 +109,8 @@ class PeakWatch:
         for name in autodiff.__all__:
             if name[0].islower() and name not in ("no_grad", "grad_check"):
                 self._patcher.function(autodiff, name, self._watched_op(name))
-        self._patcher.function(autodiff, "_patches", self._watched("autodiff._patches"))
+        self._patcher.function(autodiff, "_forward_blocks_into",
+                               self._watched("autodiff._forward_blocks_into"))
         self._patcher.function(autodiff, "_grad_w_into", self._watched("autodiff._grad_w_into"))
         self._patcher.method(Gauge, "_kernel", lambda original: lambda gauge: REFERENCE_S)
 
