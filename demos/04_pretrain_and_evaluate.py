@@ -1,17 +1,20 @@
 """End-to-end pretraining walkthrough at a very small scale.
 
-Three datasets with heterogeneous annotations train for two cycles; the
-script prints the per-epoch metric log, verifies the teacher is an exact EMA
-of the student, and evaluates held-out metrics at the end.
+Three datasets with heterogeneous annotations train for two cycles.  The
+script streams the run epoch by epoch: each epoch's plan entry, its mean
+losses (the task loss plus one consistency term per compared feature; a lock
+epoch has none) and the metric rows scored after it.  It then shows how far
+the EMA teacher trails the student and evaluates held-out metrics at the end.
 """
 
 import numpy as np
 
 from cyclictrain.engine import (
     TrainConfig,
+    TrainingState,
     evaluate_dataset,
     prepare_bundles,
-    run_pretraining,
+    pretrain_epochs,
 )
 from cyclictrain.model import ArchConfig, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
@@ -35,24 +38,28 @@ def main():
     for comp, n in counts.items():
         print(f"  {comp:32} {n}")
 
-    result = run_pretraining(model, specs, cfg)
-    print(f"\nran {result.epochs_run} epochs over {result.cycles_run} cycles; "
-          f"metric rows (after each release epoch):")
-    for r in result.records:
-        print(f"  cycle {r.cycle} epoch {r.epoch:>2} {r.dataset_id:14} "
-              f"{r.task} {r.metric_name:6} {r.value:.4f}")
+    state = TrainingState.fresh(model, cfg)
+    print("\nepoch by epoch: plan entry, mean loss = task loss + consistency terms")
+    for outcome in pretrain_epochs(state, specs, cfg):
+        e, b = outcome.entry, outcome.summary.breakdown
+        terms = "".join(f" + {name} {value:.2e}" for name, value in b.consistency_terms)
+        print(f"  cycle {outcome.cycle} epoch {outcome.epoch_in_cycle:>2} {e.dataset_id:18} "
+              f"{e.task} {e.mode:7} {b.total:.4f} = task {b.task_loss:.4f}{terms}")
+        for r in outcome.records:  # scored after each release epoch
+            print(f"      {r.task} {r.metric_name:6} {r.value:.4f}")
+    print(f"ran {state.epochs_run} epochs over {cfg.num_cycles} cycles")
 
     # the exported teacher only differs from the student by the EMA trail
     drift = max(
-        float(np.max(np.abs(result.teacher.params[k] - result.model.graph[k].tensor.data)))
-        for k in result.teacher.params
+        float(np.max(np.abs(state.teacher.params[k] - model.graph[k].tensor.data)))
+        for k in state.teacher.params
     )
     print(f"\nmax |teacher - student| after training: {drift:.2e} "
-          f"(EMA momentum {result.teacher.momentum})")
+          f"(EMA momentum {state.teacher.momentum})")
 
     bundles = prepare_bundles(specs, cfg)
     print("\nheld-out metrics on the fully annotated dataset:")
-    for task, name, value in evaluate_dataset(result.model, bundles["everything"]):
+    for task, name, value in evaluate_dataset(model, bundles["everything"]):
         print(f"  {task}: {name} = {value:.4f}")
 
 

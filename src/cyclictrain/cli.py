@@ -1,9 +1,9 @@
 """Command-line entry point: pretrain, finetune, eval, gen-data, inspect.
 
-Metric logs are written twice, as a CSV (fixed columns
-``cycle,epoch,dataset,task,mode,metric,value``) and a JSONL twin, one row
-per record, appended and flushed as training emits them.  The output
-directory from the config can be overridden with ``CYCLICTRAIN_OUT_DIR``.
+Metric logs are written as one CSV (fixed columns
+``cycle,epoch,dataset,task,mode,metric,value``), one row per record,
+appended and flushed as training emits them.  The output directory from
+the config can be overridden with ``CYCLICTRAIN_OUT_DIR``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import engine, synthdata
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, config_hash, load_run_config
-from .engine import finetune, run_pretraining
+from .engine import finetune
 from .metrics import MetricsRecord
 from .model import TASKS, build_model, component_dataset
 
@@ -27,14 +27,12 @@ CSV_HEADER = "cycle,epoch,dataset,task,mode,metric,value"
 
 
 class MetricsWriter:
-    """Append-only CSV + JSONL logs, flushed per row."""
+    """Append-only CSV log, flushed per row."""
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self.csv_path = os.path.join(directory, "metrics.csv")
-        self.jsonl_path = os.path.join(directory, "metrics.jsonl")
         self._csv = open(self.csv_path, "w", encoding="utf-8")
-        self._jsonl = open(self.jsonl_path, "w", encoding="utf-8")
         self._csv.write(CSV_HEADER + "\n")
         self._csv.flush()
 
@@ -44,26 +42,9 @@ class MetricsWriter:
             f"{r.metric_name},{r.value!r}\n"
         )
         self._csv.flush()
-        self._jsonl.write(
-            json.dumps(
-                {
-                    "cycle": r.cycle,
-                    "epoch": r.epoch,
-                    "dataset": r.dataset_id,
-                    "task": r.task,
-                    "mode": r.mode,
-                    "metric": r.metric_name,
-                    "value": r.value,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        self._jsonl.flush()
 
     def close(self) -> None:
         self._csv.close()
-        self._jsonl.close()
 
 
 def _resolve_out_dir(cfg: RunConfig) -> str:
@@ -79,49 +60,31 @@ def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg)
     chash = config_hash(cfg)
-    model = _build_from_config(cfg)
+    state = engine.TrainingState.fresh(_build_from_config(cfg), cfg.train)
     writer = MetricsWriter(out_dir)
-    ckpt_root = os.path.join(out_dir, "checkpoints")
-
-    def on_cycle_end(cycle, model, teacher, optimizer):
-        save_checkpoint(
-            os.path.join(ckpt_root, f"cycle_{cycle + 1:03d}"),
-            model,
-            teacher=teacher,
-            optimizer=optimizer,
-            counters={"cycle": cycle + 1, "epoch": 0},
-            config_hash=chash,
-        )
-
+    rows = 0
     try:
-        result = run_pretraining(
-            model,
-            cfg.datasets,
-            cfg.train,
-            on_record=writer.write,
-            on_cycle_end=on_cycle_end,
-        )
+        for outcome in engine.pretrain_epochs(state, cfg.datasets, cfg.train):
+            for r in outcome.records:
+                writer.write(r)
+            rows += len(outcome.records)
+            if outcome.cycle_done:  # only a cycle checkpoint holds the optimizer
+                save_checkpoint(
+                    os.path.join(out_dir, "checkpoints", f"cycle_{outcome.cycle + 1:03d}"),
+                    state.model, teacher=state.teacher, optimizer=state.optimizer,
+                    counters={"cycle": outcome.cycle + 1, "epoch": 0}, config_hash=chash)
     finally:
         writer.close()
-    save_checkpoint(
-        os.path.join(ckpt_root, "final"),
-        result.model,
-        teacher=result.teacher,
-        counters={"cycle": result.cycles_run, "epoch": result.epochs_run},
-        config_hash=chash,
-    )
-    save_checkpoint(
-        os.path.join(out_dir, "teacher_export"),
-        result.model,
-        teacher=result.teacher,
-        counters={"cycle": result.cycles_run, "epoch": result.epochs_run},
-        config_hash=chash,
-        weights=engine.export_teacher(result.model, result.teacher),
-        weights_kind="teacher_export",
-    )
+    counters = {"cycle": cfg.train.num_cycles, "epoch": state.epochs_run}
+    save_checkpoint(os.path.join(out_dir, "checkpoints", "final"), state.model,
+                    teacher=state.teacher, counters=counters, config_hash=chash)
+    save_checkpoint(os.path.join(out_dir, "teacher_export"), state.model,
+                    teacher=state.teacher, counters=counters, config_hash=chash,
+                    weights=engine.export_teacher(state.model, state.teacher),
+                    weights_kind="teacher_export")
     print(
-        f"pretrained {result.cycles_run} cycle(s), {result.epochs_run} epoch(s); "
-        f"{len(result.records)} metric rows -> {writer.csv_path}"
+        f"pretrained {cfg.train.num_cycles} cycle(s), {state.epochs_run} epoch(s); "
+        f"{rows} metric rows -> {writer.csv_path}"
     )
     return 0
 

@@ -47,6 +47,8 @@ __all__ = [
     "TeacherState",
     "DatasetBundle",
     "EpochSummary",
+    "TrainingState",
+    "EpochOutcome",
     "PretrainResult",
     "build_cycle_plan",
     "sample_lock_subset",
@@ -54,6 +56,7 @@ __all__ = [
     "make_optimizer",
     "prepare_bundles",
     "run_epoch",
+    "pretrain_epochs",
     "run_pretraining",
     "predict",
     "score",
@@ -355,7 +358,7 @@ def run_epoch(
     epoch_in_cycle: int = 1,
     global_epoch: int = 0,
 ) -> EpochSummary:
-    """Train one scheduled epoch; what is scored after it is :func:`run_pretraining`'s call.
+    """Train one scheduled epoch; what is scored after it is :func:`pretrain_epochs`'s call.
 
     Applies the entry's freeze mask, draws the lock half-subset when asked,
     augments every sample with the epoch seed, steps the optimizer after
@@ -533,6 +536,75 @@ def _metric_records(model, spec, samples, tasks, mode, cycle, epoch,
 
 
 @dataclass
+class TrainingState:
+    """Everything a pretraining run advances, and the count of epochs it has run."""
+
+    model: MultiTaskModel
+    teacher: TeacherState
+    optimizer: AdamW
+    epochs_run: int = 0
+
+    @staticmethod
+    def fresh(model: MultiTaskModel, config: TrainConfig) -> "TrainingState":
+        """An untrained run of ``model``: a teacher equal to it and an empty optimizer."""
+        return TrainingState(model, TeacherState.init_from(model, config.momentum),
+                             make_optimizer(config))
+
+
+@dataclass
+class EpochOutcome:
+    """One trained epoch after its EMA update, with the metric records scored after it."""
+
+    cycle: int
+    epoch_in_cycle: int
+    entry: EpochPlanEntry
+    summary: EpochSummary
+    records: list[MetricsRecord]
+    cycle_done: bool
+
+
+def pretrain_epochs(state: TrainingState, dataset_specs, config: TrainConfig,
+                    bundles: dict[str, DatasetBundle] | None = None):
+    """Run the cyclic schedule's remaining epochs, yielding an :class:`EpochOutcome` for each.
+
+    The schedule is ``config.num_cycles`` cycles; the next epoch is
+    ``divmod(state.epochs_run, len(plan))``, so a new iterator over the same
+    state continues the run exactly.  The teacher is EMA-updated after every
+    epoch.  Only this loop scores: the trained task after each release
+    epoch and, with ``eval_every_epoch``, every dataset and task after every
+    epoch, logged with mode ``"eval"``.  Two runs with the same config
+    produce identical outcomes and identical final parameters.
+    """
+    specs = list(dataset_specs)
+    if bundles is None:
+        bundles = prepare_bundles(specs, config)
+    plan = build_cycle_plan(specs, config).entries
+    while state.epochs_run < config.num_cycles * len(plan):
+        cycle, index = divmod(state.epochs_run, len(plan))
+        entry = plan[index]
+        bundle = bundles[entry.dataset_id]
+        summary = run_epoch(
+            state.model, state.teacher if config.student_teacher else None, entry, bundle,
+            state.optimizer, config, cycle=cycle, epoch_in_cycle=index + 1,
+            global_epoch=state.epochs_run,
+        )
+        ema_update(state.teacher, state.model)
+        records = []
+        if entry.mode == "release":
+            records += _metric_records(
+                state.model, bundle.spec, subtask_samples(bundle.test, bundle.spec, entry.subtask),
+                (entry.task,), entry.mode, cycle, index + 1,
+            )
+        if config.eval_every_epoch:
+            for spec in specs:
+                b = bundles[spec.dataset_id]
+                records += _metric_records(state.model, b.spec, b.test, b.spec.tasks, "eval",
+                                           cycle, index + 1)
+        state.epochs_run += 1
+        yield EpochOutcome(cycle, index + 1, entry, summary, records, index + 1 == len(plan))
+
+
+@dataclass
 class PretrainResult:
     model: MultiTaskModel
     teacher: TeacherState
@@ -541,74 +613,13 @@ class PretrainResult:
     cycles_run: int
 
 
-def run_pretraining(
-    model: MultiTaskModel,
-    dataset_specs,
-    config: TrainConfig,
-    bundles: dict[str, DatasetBundle] | None = None,
-    on_record=None,
-    on_cycle_end=None,
-) -> PretrainResult:
-    """Run the full cyclic schedule for ``config.num_cycles`` cycles.
-
-    The teacher is EMA-updated after every epoch.  Only this loop scores:
-    the trained task after each release epoch and, with
-    ``eval_every_epoch``, every dataset and task after every epoch, logged
-    with mode ``"eval"``.  Two runs with the same config produce identical
-    records and identical final parameters.
-    """
-    specs = list(dataset_specs)
-    if bundles is None:
-        bundles = prepare_bundles(specs, config)
-    teacher = TeacherState.init_from(model, config.momentum)
-    optimizer = make_optimizer(config)
-    records: list[MetricsRecord] = []
-    global_epoch = 0
-
-    def emit(record: MetricsRecord):
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-
-    plan = build_cycle_plan(specs, config)
-    for cycle in range(config.num_cycles):
-        for epoch_in_cycle, entry in enumerate(plan.entries, start=1):
-            bundle = bundles[entry.dataset_id]
-            run_epoch(
-                model,
-                teacher if config.student_teacher else None,
-                entry,
-                bundle,
-                optimizer,
-                config,
-                cycle=cycle,
-                epoch_in_cycle=epoch_in_cycle,
-                global_epoch=global_epoch,
-            )
-            global_epoch += 1
-            ema_update(teacher, model)
-            if entry.mode == "release":
-                for record in _metric_records(
-                    model, bundle.spec, subtask_samples(bundle.test, bundle.spec, entry.subtask),
-                    (entry.task,), entry.mode, cycle, epoch_in_cycle,
-                ):
-                    emit(record)
-            if config.eval_every_epoch:
-                for spec in specs:
-                    b = bundles[spec.dataset_id]
-                    for record in _metric_records(
-                        model, b.spec, b.test, b.spec.tasks, "eval", cycle, epoch_in_cycle
-                    ):
-                        emit(record)
-        if on_cycle_end is not None:
-            on_cycle_end(cycle, model, teacher, optimizer)
-    return PretrainResult(
-        model=model,
-        teacher=teacher,
-        records=records,
-        epochs_run=global_epoch,
-        cycles_run=config.num_cycles,
-    )
+def run_pretraining(model: MultiTaskModel, dataset_specs, config: TrainConfig,
+                    bundles: dict[str, DatasetBundle] | None = None) -> PretrainResult:
+    """All of :func:`pretrain_epochs` from a fresh state, with every epoch's records."""
+    state = TrainingState.fresh(model, config)
+    records = [r for outcome in pretrain_epochs(state, dataset_specs, config, bundles)
+               for r in outcome.records]
+    return PretrainResult(model, state.teacher, records, state.epochs_run, config.num_cycles)
 
 
 # ---------------------------------------------------------------------------

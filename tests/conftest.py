@@ -63,3 +63,14 @@ def read_export(directory):
     arrays = {name: np.fromfile(Path(directory) / a["file"], dtype=a["dtype"]).reshape(a["shape"])
               for name, a in manifest["arrays"].items()}
     return manifest, arrays
+
+
+def run_bytes(student, teacher, optimizer):
+    """Student and teacher arrays by name and AdamW's state per component, in
+    first-step order, as raw bytes: two runs compare equal only bit for bit."""
+    def raw(arrays):
+        return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+    return (raw(student), raw(teacher),
+            [(c, st.lr, st.step_count, st.m.tobytes(), st.v.tobytes())
+             for c, st in optimizer.state.items()])

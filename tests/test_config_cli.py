@@ -13,13 +13,14 @@ from cyclictrain.config import (
     load_run_config,
     run_config_from_dict,
 )
-from cyclictrain.checkpoint import save_checkpoint
-from cyclictrain.engine import TeacherState, TrainConfig, build_cycle_plan, predict, prepare_bundles
+from cyclictrain.checkpoint import load_checkpoint, save_checkpoint
+from cyclictrain.engine import (TeacherState, TrainConfig, TrainingState, build_cycle_plan,
+                                predict, prepare_bundles, pretrain_epochs)
 from cyclictrain.metrics import auc, dice, map_at_iou, GroundTruth
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model
 from cyclictrain.synthdata import SynthDatasetSpec
 
-from conftest import Det, columns, read_export
+from conftest import Det, columns, read_export, run_bytes
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -329,11 +330,27 @@ def test_cmd_pretrain_writes_logs_and_checkpoints(tmp_path):
     for row in csv[1:]:
         cells = row.split(",")
         assert cells[4] == "release"  # eval rows only after release epochs
-    jsonl = (out / "metrics.jsonl").read_text().splitlines()
-    assert len(jsonl) == len(csv) - 1
+    assert not (out / "metrics.jsonl").exists()  # metrics.csv is the one metric log
     assert (out / "checkpoints" / "cycle_001" / "manifest.json").exists()
     assert (out / "checkpoints" / "final" / "manifest.json").exists()
     assert (out / "teacher_export" / "manifest.json").exists()
+
+
+def test_cmd_pretrain_cycle_checkpoint_holds_the_run_at_its_cycle_end(tmp_path):
+    out = tmp_path / "out"
+    path = _write(tmp_path, _base_config(str(out), num_cycles=2))
+    assert cli.main(["pretrain", "--config", path]) == 0
+    cp = load_checkpoint(str(out / "checkpoints" / "cycle_001"))
+    assert cp.counters == {"cycle": 1, "epoch": 0}
+
+    cfg = load_run_config(path)
+    model = build_model(cfg.arch, [s.model_spec() for s in cfg.datasets])
+    state = TrainingState.fresh(model, cfg.train)
+    outcome = next(o for o in pretrain_epochs(state, cfg.datasets, cfg.train) if o.cycle_done)
+    plan = build_cycle_plan(cfg.datasets, cfg.train)
+    assert (outcome.cycle, state.epochs_run) == (0, len(plan.entries))
+    assert run_bytes(cp.arrays, cp.teacher_arrays, cp.optimizer) == \
+        run_bytes(state.model.graph.arrays(), state.teacher.params, state.optimizer)
 
 
 def test_cmd_pretrain_organ_schedule_logs_release_rows_only(tmp_path):

@@ -8,6 +8,7 @@ from cyclictrain.engine import (
     DatasetBundle,
     TeacherState,
     TrainConfig,
+    TrainingState,
     build_cycle_plan,
     ema_update,
     evaluate_dataset,
@@ -17,6 +18,7 @@ from cyclictrain.engine import (
     make_optimizer,
     predict,
     prepare_bundles,
+    pretrain_epochs,
     run_epoch,
     run_pretraining,
     sample_lock_subset,
@@ -25,7 +27,7 @@ from cyclictrain.model import ArchConfig, MultiTaskModel, build_model, trainable
 from cyclictrain.optim import AdamW
 from cyclictrain.synthdata import SynthDatasetSpec, preset_cls_loc_seg, preset_organ_pairs
 
-from conftest import TINY_ARCH
+from conftest import TINY_ARCH, run_bytes
 
 
 def _tiny_specs():
@@ -443,6 +445,36 @@ def test_every_pretraining_step_uses_the_global_epoch_decay(monkeypatch):
     assert {epoch for epoch, _ in steps} == set(range(8))
     assert all(scale == cfg.lr_scale_at(epoch) for epoch, scale in steps)
     assert sorted({scale for _, scale in steps}) == [0.125, 0.25, 0.5, 1.0]
+
+
+def test_a_new_iterator_over_the_same_state_continues_the_run_exactly():
+    specs = _tiny_specs()[:2]  # 4 epochs per cycle; the lr steps down after epochs 3 and 6
+    cfg = TrainConfig(num_cycles=2, batch_size=4, seed=9, eval_every_epoch=True,
+                      step_decay_factor=0.5, step_decay_interval=3)
+    bundles = prepare_bundles(specs, cfg)
+
+    def fresh():
+        return TrainingState.fresh(build_model(TINY_ARCH, [s.model_spec() for s in specs]), cfg)
+
+    single = fresh()
+    whole = list(pretrain_epochs(single, specs, cfg, bundles))
+    split = fresh()
+    first = []
+    for outcome in pretrain_epochs(split, specs, cfg, bundles):
+        first.append(outcome)
+        if outcome.cycle_done:
+            break
+    assert split.epochs_run == len(first) == 4
+    rest = list(pretrain_epochs(split, specs, cfg, bundles))
+
+    assert [(o.cycle, o.epoch_in_cycle, o.cycle_done) for o in whole] == [
+        (c, e, e == 4) for c in range(2) for e in range(1, 5)]
+    assert first + rest == whole  # plan entries, loss breakdowns, samples and records
+    assert all(o.records for o in whole) and whole[-1].summary.breakdown.consistency_terms
+    assert split.epochs_run == single.epochs_run == 8
+    assert run_bytes(split.model.graph.arrays(), split.teacher.params, split.optimizer) == \
+        run_bytes(single.model.graph.arrays(), single.teacher.params, single.optimizer)
+    assert list(pretrain_epochs(split, specs, cfg, bundles)) == []
 
 
 def test_two_cycles_of_organ_scenario_run_24_epochs_12_evals():
