@@ -257,60 +257,40 @@ def _toposort(root: Tensor) -> list[Tensor]:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
+def _binary(name, a, b, forward, grad_a, grad_b) -> Tensor:
+    """A broadcasting two-operand op; ``grad_a(g, a, b)`` and ``grad_b(g, a, b)``
+    give an operand's gradient from the arrays and run only for an operand
+    that requires one."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        data = a.data + b.data
+        data = forward(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: operands do not broadcast ({a.shape} vs {b.shape})")
+        raise ShapeError(f"{name}: operands do not broadcast ({a.shape} vs {b.shape})")
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
 
     return _node(data, (a, b), bwd)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: operands do not broadcast ({a.shape} vs {b.shape})")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), bwd)
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: operands do not broadcast ({a.shape} vs {b.shape})")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), bwd)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: operands do not broadcast ({a.shape} vs {b.shape})")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), bwd)
+    return _binary("div", a, b, np.divide, lambda g, x, y: g / y,
+                   lambda g, x, y: -g * x / (y * y))
 
 
 def neg(a) -> Tensor:

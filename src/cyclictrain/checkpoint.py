@@ -12,7 +12,8 @@ length is rejected rather than loaded.  Every teacher array must match a
 student entry's name and shape.  The optimizer is stored as AdamW holds it:
 one ``{component, lr, step_count}`` entry per stepped component, and its
 flat moments ``<component>/m`` and ``<component>/v``, each of the
-component's size, in entry order.  The manifest's one schema is the private
+component's size, in entry order; its ``betas`` and ``eps`` must be
+AdamW's constants.  The manifest's one schema is the private
 records below: saving writes them, and loading decodes them by the config
 rules (:func:`cyclictrain.config._from_dict`).
 """
@@ -32,7 +33,7 @@ import numpy as np
 from .config import _from_dict
 from .engine import TeacherState
 from .model import MultiTaskModel
-from .optim import AdamW, AdamWState
+from .optim import BETAS, EPS, AdamW, AdamWState
 
 __all__ = ["CheckpointError", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
@@ -107,6 +108,13 @@ class _Optimizer:
     entries: tuple[_OptimizerEntry, ...]
     params: tuple[_Entry, ...]
     sha256: str
+
+    def __post_init__(self):
+        # AdamW's constants; a format 4 manifest still records them
+        if self.betas != BETAS:
+            raise ValueError(f"betas {self.betas} are not AdamW's {BETAS}")
+        if self.eps != EPS:
+            raise ValueError(f"eps {self.eps!r} is not AdamW's {EPS}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,7 @@ def save_checkpoint(
         state = optimizer.state
         moments = {f"{c}/{k}": getattr(st, k) for c, st in state.items() for k in "mv"}
         optimizer_section = _Optimizer(
-            betas=optimizer.betas, eps=optimizer.eps, weight_decay=optimizer.weight_decay,
+            betas=BETAS, eps=EPS, weight_decay=optimizer.weight_decay,
             entries=tuple(_OptimizerEntry(c, st.lr, st.step_count) for c, st in state.items()),
             params=_blob_entries(moments), sha256=_write_blob(directory, "optim.bin", moments))
     manifest = _Manifest(
@@ -298,7 +306,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         o = m.optimizer
         moments = _read_blob(directory, "optim.bin", o.params, o.sha256)
         try:
-            cp.optimizer = AdamW(betas=o.betas, eps=o.eps, weight_decay=o.weight_decay)
+            cp.optimizer = AdamW(weight_decay=o.weight_decay)
         except ValueError as e:
             raise CheckpointError(f"manifest.json: optimizer: {e}") from None
         cp.optimizer.state = _optimizer_state(o.entries, moments, m.params)

@@ -6,8 +6,9 @@ against the field annotations, and a field without a default is required.
 Every field, defaults materialized, enters the config hash recorded in
 checkpoints.  Parsing failures report the JSON line/column; validation
 failures report the dotted field path.  A dataset the model cannot take
-(an ``image_size`` other than ``arch.image_size``) fails validation, and so
-does a finetune dataset that reuses a pretraining dataset's id with another
+(an ``image_size`` other than ``arch.image_size``) fails validation, as
+does one too small to split (``num_images`` below ``MIN_SPLIT_SIZE``) and
+a finetune dataset that reuses a pretraining dataset's id with another
 spec: one id names one dataset.  Checkpoint manifests are decoded by the
 same rules.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .engine import TrainConfig
 from .model import ArchConfig
-from .synthdata import SynthDatasetSpec
+from .synthdata import MIN_SPLIT_SIZE, SynthDatasetSpec
 
 __all__ = ["ConfigError", "FinetuneSpec", "RunConfig", "load_run_config",
            "run_config_from_dict", "config_hash"]
@@ -131,7 +132,8 @@ def run_config_from_dict(d: dict) -> RunConfig:
     cfg = _from_dict(RunConfig, d, "")
     if not cfg.datasets:
         raise ConfigError("datasets: at least one dataset is required")
-    # the model takes the generated images as they are, arch.image_size wide
+    # the model takes the generated images as they are, arch.image_size wide,
+    # and every run splits each dataset
     specs = [(f"datasets[{i}]", spec) for i, spec in enumerate(cfg.datasets)]
     if cfg.finetune is not None:
         specs.append(("finetune.dataset", cfg.finetune.dataset))
@@ -139,6 +141,9 @@ def run_config_from_dict(d: dict) -> RunConfig:
         if spec.image_size != cfg.arch.image_size:
             raise ConfigError(f"{where}.image_size: {spec.image_size} differs from "
                               f"arch.image_size {cfg.arch.image_size}")
+        if spec.num_images < MIN_SPLIT_SIZE:
+            raise ConfigError(f"{where}.num_images: {spec.num_images} images are too few to "
+                              f"split into train, val and test (need >= {MIN_SPLIT_SIZE})")
     seen_ids = set()
     for i, spec in enumerate(cfg.datasets):
         if spec.dataset_id in seen_ids:

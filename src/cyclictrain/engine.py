@@ -450,7 +450,8 @@ def predict(model, spec, samples, task, weights=None, features=None,
         outs.append(out if isinstance(out, tuple) else (out,))
     arrays = [np.concatenate([o[k].data for o in outs]) for k in range(len(outs[0]))]
     if task == "cls":
-        return {"scores": 1.0 / (1.0 + np.exp(-arrays[0]))}
+        with np.errstate(over="ignore"):  # a logit below about -709 scores 0.0
+            return {"scores": 1.0 / (1.0 + np.exp(-arrays[0]))}
     if task == "loc":
         return {"boxes": arrays[0], "logits": arrays[1]}
     return {"logits": arrays[0]}

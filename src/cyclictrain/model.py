@@ -7,8 +7,8 @@ strings: the shared ones are ``backbone``, ``loc_encoder`` and
 ``seg_decoder``; per-dataset ones are ``cls_head/<id>``, ``loc_decoder/<id>``
 and ``seg_head/<id>``.  Freeze scheduling and parameter accounting both key
 off this partition.  The registry keeps each component's parameter values
-in one flat float64 buffer of its own, so the optimizer and the checksums
-each handle a component as one array.
+in one flat float64 buffer of its own, so the gradients, the optimizer and
+the checksums each handle a component as one array.
 """
 
 from __future__ import annotations
@@ -85,10 +85,11 @@ def component_dataset(component: str) -> str | None:
 class Parameter:
     """Named leaf tensor tagged with its owning component.
 
-    ``trainable`` is stored on the tensor itself (as ``requires_grad``) so a
-    frozen parameter builds no gradient path at all; a new one is trainable.
-    In a :class:`ModelGraph`, ``tensor.data`` is a view ``offset`` elements
-    into ``component_data``, the flat buffer that every parameter of the
+    ``trainable`` reads the tensor's ``requires_grad``, so a frozen
+    parameter builds no gradient path at all; a new one is trainable, and
+    :meth:`ModelGraph.set_trainable_components` is the one switch.  In a
+    :class:`ModelGraph`, ``tensor.data`` is a view ``offset`` elements into
+    ``component_data``, the flat buffer that every parameter of the
     component shares.
     """
 
@@ -104,12 +105,6 @@ class Parameter:
     @property
     def trainable(self) -> bool:
         return self.tensor.requires_grad
-
-    @trainable.setter
-    def trainable(self, value: bool) -> None:
-        self.tensor.requires_grad = bool(value)
-        if not value:
-            self.tensor.grad = None
 
     def within(self, flat: np.ndarray) -> np.ndarray:
         """This parameter's view of ``flat``, an array laid out like its component."""
@@ -171,28 +166,32 @@ class ModelGraph:
         return list(self._buffers)
 
     def set_trainable_components(self, components: set[str]) -> None:
+        """Train exactly the parameters of ``components``; the others are frozen."""
         for p in self._params.values():
-            p.trainable = p.component in components
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.tensor.grad = None
+            p.tensor.requires_grad = p.component in components
+            if not p.tensor.requires_grad:
+                p.tensor.grad = None
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Backprop ``loss`` and return one gradient per trainable parameter.
+        """Backprop ``loss`` and return one flat gradient per trainable component.
 
-        Frozen parameters get no entry.  All parameter gradients reset
-        first: a trainable parameter that did not participate in this loss
-        comes back as exact zeros even if some earlier backward pass had
-        written to it.
+        Each is a float64 array laid out like the component's buffer; a
+        frozen component gets no entry.  All parameter gradients reset
+        first, so a trainable parameter that did not participate in this
+        loss has exact zeros in its slot even if some earlier backward pass
+        had written to it.  A parameter's ``tensor.grad`` is left as a view
+        of its slot, or None where the loss did not reach it.
         """
-        self.zero_grad()
+        for p in self._params.values():
+            p.tensor.grad = None
         loss.backward()
-        out: dict[str, np.ndarray] = {}
-        for name, p in self._params.items():
-            if p.trainable:
-                g = p.tensor.grad
-                out[name] = g if g is not None else np.zeros_like(p.tensor.data)
+        trainable = {p.component for p in self._params.values() if p.trainable}
+        out = {c: np.zeros(b.size) for c, b in self._buffers.items() if c in trainable}
+        for p in self._params.values():
+            g = p.tensor.grad
+            if g is not None:  # only a trainable parameter gets one
+                p.tensor.grad = p.within(out[p.component])
+                p.tensor.grad[...] = g
         return out
 
     def arrays(self) -> dict[str, np.ndarray]:

@@ -1,13 +1,18 @@
 """AdamW with decoupled weight decay, stepped once per component.
 
-A component's parameters share one flat buffer of their graph, so
-``AdamW.step`` updates each trainable component as one array: its gradients
-are concatenated, and its :class:`AdamWState` holds one learning rate, one
-step count and one flat ``m`` and ``v``, laid out like that buffer, which is
-how a checkpoint stores it.  ``AdamW.state`` maps each stepped component to
-its state.  Frozen parameters (``trainable=False``) are skipped entirely: no
-data change, no moment update, no step-count advance, so a freeze leaves
-both the weights and the optimizer state bit-identical.
+A component's parameters share one flat buffer of their graph, and
+``ModelGraph.backward`` returns one flat gradient per trainable component,
+laid out like that buffer.  ``AdamW.step`` updates each component in those
+gradients as one array; its :class:`AdamWState` holds one learning rate,
+one step count and one flat ``m`` and ``v``, laid out like the buffer too,
+which is how a checkpoint stores it.  ``AdamW.state`` maps each stepped
+component to its state.  A frozen component gets no gradient and is not
+touched: no data change, no moment update, no step-count advance, so a
+freeze leaves both the weights and the optimizer state bit-identical.
+
+``BETAS`` and ``EPS`` are the constants of Kingma & Ba 2015
+(arXiv:1412.6980); the decoupled decay is Loshchilov & Hutter 2019
+(arXiv:1711.05101).
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["AdamWState", "AdamW"]
+__all__ = ["BETAS", "EPS", "AdamWState", "AdamW"]
+
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 @dataclass
@@ -36,35 +44,20 @@ class AdamWState:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a graph's named parameters.
+    """Decoupled-weight-decay Adam over a graph's components.
 
-    Parameters are :class:`~cyclictrain.model.Parameter` records of one
-    ``ModelGraph``, in registry order.  ``lr_for`` lets the caller resolve a
-    per-component learning rate (e.g. a smaller one for a shared backbone)
-    from the component's name; it is sampled once, when the component's
-    state is first created.  ``step`` updates the moments in place; a resume
-    assigns ``state`` from a loaded checkpoint's optimizer.
+    ``lr_for`` gives a component's learning rate (e.g. a smaller one for a
+    shared backbone) from its name; it is sampled once, when the
+    component's state is first created.  Without it (a loaded checkpoint's
+    optimizer) only components that already hold a state can be stepped.
+    ``step`` updates the moments in place; a resume assigns ``state`` from
+    a loaded checkpoint's optimizer.
     """
 
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        lr_for: Callable[[str], float] | None = None,
-    ):
-        if not (0.0 < betas[0] < 1.0 and 0.0 < betas[1] < 1.0):
-            raise ValueError(f"betas must lie in (0, 1), got {betas}")
-        if not (np.isfinite(lr) and lr >= 0.0):
-            raise ValueError(f"lr must be finite and non-negative, got {lr}")
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"eps must be finite and positive, got {eps}")
+    def __init__(self, weight_decay: float = 0.0,
+                 lr_for: Callable[[str], float] | None = None):
         if not (np.isfinite(weight_decay) and weight_decay >= 0.0):
             raise ValueError(f"weight_decay must be finite and non-negative, got {weight_decay}")
-        self.lr = float(lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.lr_for = lr_for
         self.state: dict[str, AdamWState] = {}
@@ -75,29 +68,47 @@ class AdamW:
         grads: Mapping[str, np.ndarray],
         lr_scale: float = 1.0,
     ) -> None:
-        """Apply one update to every trainable component.
+        """Apply one update to every component in ``grads``.
 
-        ``grads`` holds one gradient per trainable parameter, as
-        ``ModelGraph.backward`` returns them.  Everything is checked before
-        any parameter or moment changes: a trainable component must be
-        listed whole, each gradient must be present, of its parameter's
-        shape and finite (a failure is a ``ValueError`` naming the
-        parameter), and a component's state must be of its size.
+        ``params`` are the graph's :class:`~cyclictrain.model.Parameter`
+        records and ``grads`` holds one flat float64 gradient per trainable
+        component, as ``ModelGraph.backward`` returns them; neither is
+        written.  Everything is checked before any parameter or moment
+        changes: exactly the trainable components have a gradient (one
+        with a frozen parameter is frozen), each gradient has its
+        component's buffer shape and is finite (a failure names the
+        parameter), and a component's state is of its size.
         """
-        groups: dict[str, list] = {}
+        params = list(params)
+        buffers: dict[str, np.ndarray] = {}  # component -> its flat buffer
+        frozen = set()  # components with a frozen parameter
         for p in params:
-            if p.trainable:
-                groups.setdefault(p.component, []).append(p)
-        plan = [(c, ps[0].component_data, self._gradient(ps, grads), self._state_for(ps[0]))
-                for c, ps in groups.items()]
-        b1, b2 = self.betas
+            buffers[p.component] = p.component_data
+            if not p.trainable:
+                frozen.add(p.component)
+        trainable = [c for c in buffers if c not in frozen]
+        if set(grads) != set(trainable):
+            raise ValueError(f"gradients for components {sorted(grads)}, but the trainable "
+                             f"ones are {sorted(trainable)}")
+        plan = []
+        for c in trainable:
+            data, g = buffers[c], grads[c]
+            if g.shape != data.shape or g.dtype != np.float64:
+                raise ValueError(f"gradient for component '{c}' is {g.dtype} of shape "
+                                 f"{g.shape}, its buffer float64 of shape {data.shape}")
+            if not np.isfinite(g).all():
+                bad = next(p.name for p in params
+                           if p.component == c and not np.isfinite(p.within(g)).all())
+                raise ValueError(f"non-finite gradient for parameter '{bad}'")
+            plan.append((c, data, g, self._state_for(c, data.size)))
+        b1, b2 = BETAS
         for component, data, g, st in plan:
             self.state[component] = st
             st.step_count += 1
             t = st.step_count
             m, v = st.m, st.v
-            # in place, through two scratch arrays (g is one), each element
-            # takes the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g)
+            # in place, through two scratch arrays, each element takes the
+            # operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g)
             # and p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), in that order.
             tmp = np.multiply(g, 1.0 - b1)
             m *= b1
@@ -106,42 +117,24 @@ class AdamW:
             tmp *= 1.0 - b2
             v *= b2
             v += tmp
-            update = np.divide(m, 1.0 - b1 ** t, out=g)
+            update = np.divide(m, 1.0 - b1 ** t)
             np.divide(v, 1.0 - b2 ** t, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += EPS
             update /= tmp
             np.multiply(data, self.weight_decay, out=tmp)
             update += tmp
             update *= st.lr * lr_scale
             data -= update
 
-    def _gradient(self, ps: list, grads: Mapping[str, np.ndarray]) -> np.ndarray:
-        """One component's gradients, checked and concatenated in its layout."""
-        size = 0
-        for p in ps:
-            if p.offset != size:
-                break
-            if p.name not in grads:
-                raise ValueError(f"no gradient for trainable parameter '{p.name}'")
-            if grads[p.name].shape != p.tensor.shape:
-                raise ValueError(f"gradient for parameter '{p.name}' has shape "
-                                 f"{grads[p.name].shape}, the parameter {p.tensor.shape}")
-            size += p.tensor.size
-        if size != ps[0].component_data.size:
-            raise ValueError(f"component '{ps[0].component}' is not trainable and listed whole")
-        g = np.concatenate([grads[p.name] for p in ps], axis=None, dtype=np.float64)
-        if not np.isfinite(g).all():
-            bad = next(p.name for p in ps if not np.isfinite(grads[p.name]).all())
-            raise ValueError(f"non-finite gradient for parameter '{bad}'")
-        return g
-
-    def _state_for(self, p) -> AdamWState:
-        """The state of ``p``'s component, or a zero one; nothing is stored here."""
-        component, size = p.component, p.component_data.size
+    def _state_for(self, component: str, size: int) -> AdamWState:
+        """The component's state, or a zero one; nothing is stored here."""
         st = self.state.get(component)
         if st is None:
-            lr = self.lr_for(component) if self.lr_for is not None else self.lr
+            if self.lr_for is None:
+                raise ValueError(f"component '{component}' has no optimizer state and there "
+                                 "is no lr_for to start one")
+            lr = self.lr_for(component)
             if not (np.isfinite(lr) and lr >= 0.0):
                 raise ValueError(f"learning rate {lr} for component '{component}' is not "
                                  "finite and >= 0")

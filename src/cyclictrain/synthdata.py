@@ -25,6 +25,7 @@ from .model import TASKS, DatasetModelSpec
 __all__ = [
     "SHAPE_GENERATORS",
     "MIN_IMAGE_SIZE",
+    "MIN_SPLIT_SIZE",
     "SynthDatasetSpec",
     "SynthSample",
     "derive_seed",
@@ -48,6 +49,7 @@ __all__ = [
 SHAPE_GENERATORS = ("ellipse", "rectangle", "ring")
 MIN_IMAGE_SIZE = 12
 SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # train, val, test
+MIN_SPLIT_SIZE = 3  # the fewest samples :func:`split` takes
 DATASET_FORMAT_VERSION = 1
 AUGMENT_NOISE = 0.05  # sd of the Gaussian pixel noise :func:`augment` adds
 
@@ -286,7 +288,7 @@ def augment(sample: SynthSample, epoch_seed: int) -> SynthSample:
 def split(samples, seed: int = 0):
     """Disjoint, exhaustive (train, val, test) partition in ``SPLIT_FRACTIONS``."""
     n = len(samples)
-    if n < 3:
+    if n < MIN_SPLIT_SIZE:
         raise ValueError(f"dataset of {n} samples is too small to split")
     perm = np.random.RandomState(seed & 0xFFFFFFFF).permutation(n)
     n_train = int(math.floor(SPLIT_FRACTIONS[0] * n))
@@ -334,7 +336,7 @@ def stratified_split(samples, spec: SynthDatasetSpec, seed: int = 0):
     for i, (name, group) in enumerate([*strata.items(), ("", remainder)]):
         if not group:
             continue
-        if len(group) < 3:
+        if len(group) < MIN_SPLIT_SIZE:
             train += group  # too small to carve a val/test share from
             continue
         tr, va, te = split(group, seed=derive_seed(seed, "stratum", name, i))

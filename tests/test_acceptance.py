@@ -322,8 +322,7 @@ def test_criterion_06_routing_isolation():
     failures = []
     for task in ("cls", "loc", "seg"):
         grads = model.graph.backward(losses[task]())
-        for name, g in grads.items():
-            comp = model.graph[name].component
+        for comp, g in grads.items():
             magnitude = float(np.abs(g).sum())
             if comp in involved[task]:
                 continue

@@ -1004,6 +1004,14 @@ def test_no_grad_buffer_without_requires_grad():
     assert y.grad is not None
 
 
+def test_a_constant_operand_gets_no_gradient_computed():
+    # a divisor's gradient, -g * x / (b * b), divides by zero for b = 1e-200;
+    # a constant divisor needs none, so none is computed
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    tsum(div(x, Tensor(1e-200))).backward()
+    assert x.grad.tobytes() == (np.ones(2) / 1e-200).tobytes()
+
+
 def test_backward_resets_between_calls():
     x = Tensor(2.0, requires_grad=True)
     mul(x, x).backward()

@@ -277,11 +277,11 @@ MISSING_KEYS = {
                     r"optimizer\.entries\[0\]: lr -1\.0 is not a finite number >= 0"),
     "step-count-negative": (_set("entries.0.step_count", -3),
                             r"optimizer\.entries\[0\]: step_count -3 is not >= 1"),
-    "eps-negative": (_set("eps", -1), r"optimizer: eps must be finite and positive, got -1\.0"),
+    "eps-negative": (_set("eps", -1), r"optimizer: eps -1\.0 is not AdamW's 1e-08"),
     "weight-decay-nan": (_set("weight_decay", float("nan")),
                          r"optimizer: weight_decay must be finite and non-negative, got nan"),
     "beta-above-one": (_set("betas", [2, 0.5]),
-                       r"optimizer: betas must lie in \(0, 1\), got \(2\.0, 0\.5\)"),
+                       r"optimizer: betas \(2\.0, 0\.5\) are not AdamW's \(0\.9, 0\.999\)"),
     "teacher-entry-reshaped": (
         lambda manifest: manifest["teacher"]["params"][0].update(shape=[1, 4, 3, 3]),
         r"teacher\.bin: 'backbone/conv1/w' has shape \[1, 4, 3, 3\], its student entry "
@@ -373,8 +373,8 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     model = build_model(TINY_ARCH, [SPEC.model_spec()])
     teacher = TeacherState.init_from(model, 0.8)
     opt = make_optimizer(TrainConfig())
-    params = list(model.graph.parameters())
-    opt.step(params, {p.name: np.ones_like(p.tensor.data) for p in params})
+    opt.step(model.graph.parameters(),
+             {c: np.ones(n) for c, n in model.graph.count_by_component().items()})
     save_checkpoint(str(tmp_path / "cp"), model, teacher=teacher, optimizer=opt,
                     counters={"cycle": 2, "epoch": 7}, config_hash="0123456789ab")
     digests = {name: hashlib.sha256(data).hexdigest()

@@ -190,6 +190,10 @@ def _finetune_image_size(cfg):
     cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "dataset_id": "new", "image_size": 32}}
 
 
+def _finetune_of_two_images(cfg):
+    cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "dataset_id": "new", "num_images": 2}}
+
+
 def _finetune_reusing_an_id_with_other_heads(cfg):
     # the pretraining "labels" dataset is cls-only with the default 3 classes
     cfg["finetune"] = {"dataset": {**cfg["datasets"][1], "tasks": ["cls", "loc"],
@@ -218,9 +222,16 @@ def _finetune_reusing_an_id_with_another_seed(cfg):
      "one id names one dataset"),
     (_setting("train", "step_decay_interval", value=-5),
      "train: step_decay_interval must be >= 0"),
+    (_setting("datasets", 1, "num_images", value=1),
+     "datasets[1].num_images: 1 images are too few to split into train, val and test "
+     "(need >= 3)"),
+    (_finetune_of_two_images,
+     "finetune.dataset.num_images: 2 images are too few to split into train, val and test "
+     "(need >= 3)"),
 ], ids=["dataset-image-size", "finetune-image-size", "in-channels", "query-dim-zero",
         "loc-channels-negative", "seg-channels-zero", "finetune-reuses-an-id-with-other-heads",
-        "finetune-reuses-an-id-with-another-seed", "step-decay-interval-negative"])
+        "finetune-reuses-an-id-with-another-seed", "step-decay-interval-negative",
+        "dataset-of-one-image", "finetune-dataset-of-two-images"])
 def test_a_config_the_model_cannot_run_exits_2_naming_its_field(tmp_path, capsys, edit, message):
     cfg = _base_config(str(tmp_path / "out"))
     edit(cfg)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -625,6 +626,18 @@ def test_task_branches_leave_the_shared_features_unchanged(three_task_eval):
     for task in ("loc", "seg", "cls"):
         predict(model, bundle.spec, bundle.test, task, None, features)
     assert {start: emb.data.tobytes() for start, emb in features.items()} == before
+
+
+def test_cls_scores_of_very_negative_logits_are_zero_without_a_warning():
+    spec = SynthDatasetSpec("solo", num_images=4, tasks=("cls",), image_size=16)
+    model = build_model(TINY_ARCH, [spec.model_spec()])
+    model.graph["cls_head/solo/fc/w"].tensor.data[...] = 0.0
+    model.graph["cls_head/solo/fc/b"].tensor.data[...] = -800.0  # exp(800) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = predict(model, spec, synthdata.generate_dataset(spec), "cls")["scores"]
+    assert scores.shape == (4, spec.model_spec().cls_classes)
+    assert not scores.any()
 
 
 def test_predict_holds_one_chunk_decoder_map_at_a_time():

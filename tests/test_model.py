@@ -229,13 +229,7 @@ def _census_model():
 
 
 def _grads_by_component(model, loss):
-    grads = model.graph.backward(loss)
-    by_comp = {}
-    for name, g in grads.items():
-        comp = model.graph[name].component
-        by_comp.setdefault(comp, 0.0)
-        by_comp[comp] += float(np.abs(g).sum())
-    return by_comp
+    return {c: float(np.abs(g).sum()) for c, g in model.graph.backward(loss).items()}
 
 
 def test_cls_loss_reaches_only_backbone_and_own_head():
@@ -271,10 +265,9 @@ def test_census_has_no_leakage_across_sequential_backwards():
     boxes, loc_logits = model.forward_loc(_images(2), "d0")
     tgt = BoxTarget(boxes=np.array([[0.5, 0.5, 0.2, 0.2]]), class_ids=np.array([0]))
     grads = model.graph.backward(loc_loss(boxes, loc_logits, [tgt, tgt]))
-    for name, g in grads.items():
-        comp = model.graph[name].component
-        if comp not in (BACKBONE, LOC_ENCODER, "loc_decoder/d0"):
-            assert np.all(g == 0.0), name
+    for p in model.graph.parameters():
+        if p.component not in (BACKBONE, LOC_ENCODER, "loc_decoder/d0"):
+            assert np.all(p.within(grads[p.component]) == 0.0), p.name
 
 
 def test_seg_loss_spares_loc_decoders():
@@ -326,7 +319,7 @@ def test_other_datasets_components_always_frozen():
 
 def test_backward_returns_no_gradient_for_a_frozen_component():
     model = _census_model()
-    opt = AdamW(lr=1e-2, weight_decay=0.1)
+    opt = AdamW(weight_decay=0.1, lr_for=lambda component: 1e-2)
     x = _images(2)
     # a release step first, so the backbone holds optimizer state
     model.graph.set_trainable_components(trainable_components("cls", "release", "d0"))
@@ -344,11 +337,48 @@ def test_backward_returns_no_gradient_for_a_frozen_component():
 
     state = {p.name: adam_state(p.name) for p in backbone}
     grads = model.graph.backward(cls_loss(model.forward_cls(x, "d0"), np.ones((2, 2))))
-    assert set(grads) == {p.name for p in model.graph.parameters() if p.component == "cls_head/d0"}
+    assert set(grads) == {"cls_head/d0"}
     opt.step(model.graph.parameters(), grads)
     for p in backbone:
         assert p.tensor.data.tobytes() == weights[p.name], p.name
         assert adam_state(p.name) == state[p.name], p.name
+
+
+def test_backward_returns_one_flat_gradient_per_trainable_component():
+    model = _census_model()
+    model.graph.set_trainable_components(trainable_components("cls", "release", "d0")
+                                         | {"loc_decoder/d0"})
+    logits = model.forward_cls(_images(2), "d0")
+    loss = cls_loss(logits, np.ones((2, 2)))
+    # the same loss through the tape alone leaves each parameter's own gradient
+    loss.backward()
+    reached = {p.name: p.tensor.grad.copy() for p in model.graph.parameters()
+               if p.tensor.grad is not None}
+    grads = model.graph.backward(loss)
+    counts = model.graph.count_by_component()
+    assert list(grads) == [BACKBONE, "cls_head/d0", "loc_decoder/d0"]
+    for c, g in grads.items():
+        assert g.dtype == np.float64 and g.shape == (counts[c],), c
+    for p in model.graph.parameters():
+        if p.component in grads and p.component != "loc_decoder/d0":
+            slot = p.within(grads[p.component])
+            assert slot.tobytes() == reached[p.name].tobytes(), p.name
+            assert p.tensor.grad.base is grads[p.component], p.name
+    # a trainable component the loss does not reach has exact zeros, and its
+    # parameters no gradient of their own
+    assert not grads["loc_decoder/d0"].any()
+    assert all(p.tensor.grad is None for p in model.graph.parameters()
+               if p.component == "loc_decoder/d0")
+
+
+def test_trainable_is_switched_per_component_only():
+    model = _census_model()
+    p = model.graph["backbone/conv1/w"]
+    with pytest.raises(AttributeError):
+        p.trainable = False
+    model.graph.set_trainable_components({"cls_head/d0"})
+    assert not p.trainable and p.tensor.grad is None
+    assert model.graph["cls_head/d0/fc/w"].trainable
 
 
 def test_freeze_mask_validates_inputs():
@@ -457,7 +487,8 @@ def test_parameters_are_views_of_one_buffer_through_build_add_and_load():
     # a trained model: one release step moves the shared weights in place
     model.graph.set_trainable_components(trainable_components("cls", "release", "d0"))
     loss = cls_loss(model.forward_cls(_images(2), "d0"), np.ones((2, 2)))
-    AdamW(lr=1e-2).step(model.graph.parameters(), model.graph.backward(loss))
+    AdamW(lr_for=lambda component: 1e-2).step(model.graph.parameters(),
+                                             model.graph.backward(loss))
     before = model.graph.arrays()
     tensors = {p.name: p.tensor for p in model.graph.parameters()}
     buffers = _assert_views_of_one_buffer(model.graph)
@@ -483,7 +514,8 @@ def test_a_copied_model_steps_its_own_buffer():
     _assert_views_of_one_buffer(trial.graph)
     before = model.graph.arrays()
     params = trial.graph.parameters()
-    AdamW(lr=0.1).step(params, {p.name: np.ones(p.tensor.shape) for p in params})
+    AdamW(lr_for=lambda component: 0.1).step(
+        params, {c: np.ones(n) for c, n in trial.graph.count_by_component().items()})
     for p in params:
         assert not np.array_equal(p.tensor.data, before[p.name]), p.name
         assert model.graph[p.name].tensor.data.tobytes() == before[p.name].tobytes(), p.name

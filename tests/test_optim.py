@@ -12,7 +12,7 @@ from cyclictrain.model import (
     build_model,
     trainable_components,
 )
-from cyclictrain.optim import AdamW, AdamWState
+from cyclictrain.optim import BETAS, EPS, AdamW, AdamWState
 
 from conftest import TINY_ARCH
 
@@ -23,11 +23,16 @@ def _graph_with(name="p", value=1.0, component="backbone"):
     return g
 
 
+def _lr(lr):
+    """An ``lr_for`` that gives every component ``lr``."""
+    return lambda component: lr
+
+
 def test_zero_grad_zero_decay_leaves_parameter_unchanged():
     g = _graph_with(value=1.5)
     before = g["p"].tensor.data.copy()
-    opt = AdamW(lr=1e-3, weight_decay=0.0)
-    opt.step(g.parameters(), {"p": np.zeros(1)})
+    opt = AdamW(weight_decay=0.0, lr_for=_lr(1e-3))
+    opt.step(g.parameters(), {"backbone": np.zeros(1)})
     assert np.array_equal(g["p"].tensor.data, before)
 
 
@@ -46,8 +51,8 @@ def _reference_adamw(theta, grads, lr, b1, b2, eps, wd):
 
 def test_single_step_matches_scalar_reference():
     g = _graph_with(value=1.0)
-    opt = AdamW(lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
-    opt.step(g.parameters(), {"p": np.asarray([1.0])})
+    opt = AdamW(weight_decay=0.0, lr_for=_lr(1e-3))
+    opt.step(g.parameters(), {"backbone": np.asarray([1.0])})
     expected = _reference_adamw(1.0, [1.0], 1e-3, 0.9, 0.999, 1e-8, 0.0)
     assert abs(g["p"].tensor.data[0] - expected) < 1e-12
 
@@ -56,17 +61,17 @@ def test_multi_step_matches_scalar_reference():
     rs = np.random.RandomState(11)
     grads = rs.randn(7)
     g = _graph_with(value=0.3)
-    opt = AdamW(lr=2e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+    opt = AdamW(weight_decay=0.01, lr_for=_lr(2e-3))
     for gr in grads:
-        opt.step(g.parameters(), {"p": np.asarray([gr])})
+        opt.step(g.parameters(), {"backbone": np.asarray([gr])})
     expected = _reference_adamw(0.3, list(grads), 2e-3, 0.9, 0.999, 1e-8, 0.01)
     assert abs(g["p"].tensor.data[0] - expected) < 1e-12
 
 
 def test_decoupled_decay_is_exact():
     g = _graph_with(value=2.0)
-    opt = AdamW(lr=1e-3, weight_decay=0.1)
-    opt.step(g.parameters(), {"p": np.zeros(1)})
+    opt = AdamW(weight_decay=0.1, lr_for=_lr(1e-3))
+    opt.step(g.parameters(), {"backbone": np.zeros(1)})
     # zero gradient leaves the Adam term at exactly zero, so the update is
     # the pure decay term lr * wd * theta
     assert g["p"].tensor.data[0] == 2.0 - 1e-3 * (0.1 * 2.0)
@@ -74,26 +79,31 @@ def test_decoupled_decay_is_exact():
 
 def test_frozen_parameter_bit_identical_under_any_gradient():
     g = _graph_with(value=0.7)
-    g["p"].trainable = False
+    g.set_trainable_components(set())
     before = g["p"].tensor.data.tobytes()
-    opt = AdamW(lr=10.0, weight_decay=0.5)
-    opt.step(g.parameters(), {"p": np.asarray([1e9])})
+    opt = AdamW(weight_decay=0.5, lr_for=_lr(10.0))
+    opt.step(g.parameters(), {})
+    with pytest.raises(ValueError, match=r"gradients for components \['backbone'\], but the "
+                                         r"trainable ones are \[\]"):
+        opt.step(g.parameters(), {"backbone": np.asarray([1e9])})
     assert g["p"].tensor.data.tobytes() == before
     assert opt.state == {}  # no state created either
 
 
 def test_non_finite_gradient_rejected_with_name():
-    g = _graph_with(name="backbone/conv1/w")
-    opt = AdamW()
-    with pytest.raises(ValueError, match="backbone/conv1/w"):
-        opt.step(g.parameters(), {"backbone/conv1/w": np.asarray([np.nan])})
+    g = ModelGraph()
+    g.add("backbone/conv1/w", np.ones(3), "backbone")
+    g.add("backbone/conv1/b", np.ones(2), "backbone")
+    opt = AdamW(lr_for=_lr(1e-3))
+    with pytest.raises(ValueError, match="non-finite gradient for parameter 'backbone/conv1/b'"):
+        opt.step(g.parameters(), {"backbone": np.asarray([0.0, 1.0, 2.0, 3.0, np.inf])})
 
 
 def test_step_count_increments_per_applied_step():
     g = _graph_with()
-    opt = AdamW()
+    opt = AdamW(lr_for=_lr(1e-3))
     for expected in (1, 2, 3):
-        opt.step(g.parameters(), {"p": np.asarray([0.1])})
+        opt.step(g.parameters(), {"backbone": np.asarray([0.1])})
         assert opt.state["backbone"].step_count == expected
 
 
@@ -101,8 +111,8 @@ def test_per_parameter_learning_rates():
     g = ModelGraph()
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "cls_head/x")
-    opt = AdamW(lr=1.0, lr_for=lambda component: 1e-5 if component == "backbone" else 1e-1)
-    opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    opt = AdamW(lr_for=lambda component: 1e-5 if component == "backbone" else 1e-1)
+    opt.step(g.parameters(), {"backbone": np.asarray([1.0]), "cls_head/x": np.asarray([1.0])})
     assert opt.state["backbone"].lr == 1e-5
     assert opt.state["cls_head/x"].lr == 1e-1
     moved_a = abs(1.0 - g["a"].tensor.data[0])
@@ -114,11 +124,11 @@ def test_missing_gradient_for_a_trainable_parameter_is_rejected():
     g = ModelGraph()
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "cls_head/x")
-    opt = AdamW()
-    with pytest.raises(ValueError, match="'b'"):
-        opt.step(g.parameters(), {"a": np.asarray([1.0])})
-    g["b"].trainable = False
-    opt.step(g.parameters(), {"a": np.asarray([1.0])})  # frozen: no gradient needed
+    opt = AdamW(lr_for=_lr(1e-3))
+    with pytest.raises(ValueError, match=r"the trainable ones are \['backbone', 'cls_head/x'\]"):
+        opt.step(g.parameters(), {"backbone": np.asarray([1.0])})
+    g.set_trainable_components({"backbone"})
+    opt.step(g.parameters(), {"backbone": np.asarray([1.0])})  # frozen: no gradient needed
     assert "cls_head/x" not in opt.state
 
 
@@ -129,14 +139,16 @@ def test_in_place_update_is_byte_equal_to_the_array_formula():
     theta[0, :2] = [0.0, -0.0]
     g = ModelGraph()
     g.add("p", theta.copy(), "backbone")
-    opt = AdamW(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05)
+    opt = AdamW(weight_decay=0.05, lr_for=_lr(3e-3))
     b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.05, 3e-3
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for t, scale in enumerate((1.0, 0.5, 0.25), start=1):
         grad = rs.randn(3, 4)
         grad[1, 0] = 0.0
-        opt.step(g.parameters(), {"p": grad}, lr_scale=scale)
+        flat = grad.reshape(-1)
+        opt.step(g.parameters(), {"backbone": flat}, lr_scale=scale)
+        assert flat.tobytes() == grad.tobytes()  # the caller's gradient is not written
         m = b1 * m + (1.0 - b1) * grad
         v = b2 * v + (1.0 - b2) * (grad * grad)
         update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps) + wd * theta
@@ -147,18 +159,11 @@ def test_in_place_update_is_byte_equal_to_the_array_formula():
         assert g["p"].within(entry.v).tobytes() == v.tobytes(), t
 
 
-@pytest.mark.parametrize("kwargs,message", [
-    ({"lr": float("nan")}, "lr must be finite and non-negative, got nan"),
-    ({"lr": -1.0}, "lr must be finite and non-negative, got -1.0"),
-    ({"eps": 0.0}, "eps must be finite and positive, got 0.0"),
-    ({"eps": float("inf")}, "eps must be finite and positive, got inf"),
-    ({"weight_decay": -0.1}, "weight_decay must be finite and non-negative, got -0.1"),
-    ({"weight_decay": float("nan")}, "weight_decay must be finite and non-negative, got nan"),
-    ({"betas": (0.9, 1.0)}, r"betas must lie in \(0, 1\), got \(0\.9, 1\.0\)"),
-])
-def test_constructor_rejects_hyperparameters_out_of_range(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        AdamW(**kwargs)
+def test_constructor_rejects_weight_decay_out_of_range():
+    for weight_decay in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match=f"weight_decay must be finite and non-negative, "
+                                             f"got {weight_decay}"):
+            AdamW(weight_decay=weight_decay)
 
 
 def test_learning_rate_from_lr_for_must_be_finite_and_non_negative():
@@ -166,8 +171,25 @@ def test_learning_rate_from_lr_for_must_be_finite_and_non_negative():
     for lr in (float("nan"), -1e-3):
         with pytest.raises(ValueError, match="learning rate .* for component 'backbone' is not "
                                              "finite and >= 0"):
-            AdamW(lr_for=lambda component: lr).step(g.parameters(), {"p": np.asarray([0.1])})
+            AdamW(lr_for=_lr(lr)).step(g.parameters(), {"backbone": np.asarray([0.1])})
     assert np.array_equal(g["p"].tensor.data, [1.0])
+
+
+def test_without_lr_for_only_a_component_with_state_steps():
+    g = ModelGraph()
+    g.add("a", np.asarray([1.0]), "backbone")
+    g.add("b", np.asarray([1.0]), "cls_head/x")
+    opt = AdamW()  # as a loaded checkpoint's optimizer is
+    opt.state["backbone"] = AdamWState(1e-3, 1, np.zeros(1), np.zeros(1))
+    g.set_trainable_components({"backbone"})
+    opt.step(g.parameters(), {"backbone": np.asarray([1.0])})
+    assert opt.state["backbone"].step_count == 2
+    before = _state_bytes(g, opt)
+    g.set_trainable_components({"backbone", "cls_head/x"})
+    with pytest.raises(ValueError, match="component 'cls_head/x' has no optimizer state and "
+                                         "there is no lr_for to start one"):
+        opt.step(g.parameters(), {"backbone": np.asarray([1.0]), "cls_head/x": np.asarray([1.0])})
+    assert _state_bytes(g, opt) == before
 
 
 def _state_bytes(g, opt):
@@ -179,23 +201,24 @@ def _state_bytes(g, opt):
 
 @pytest.mark.parametrize("bad_grad,message", [
     (np.asarray([np.nan]), "non-finite gradient for parameter 'b'"),
-    (np.asarray([1.0, 2.0]), r"gradient for parameter 'b' has shape \(2,\), the parameter \(1,\)"),
-    (None, "no gradient for trainable parameter 'b'"),
+    (np.asarray([1.0, 2.0]), r"of shape \(2,\), its buffer"),
+    (None, r"but the trainable ones are"),
+    (np.asarray([1.0], dtype=np.float32), r"is float32 of shape"),
 ])
 def test_a_rejected_step_changes_nothing(bad_grad, message):
     g = ModelGraph()
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "cls_head/x")
-    opt = AdamW(lr=0.1)
-    grads = {"a": np.asarray([1.0])}
+    opt = AdamW(lr_for=_lr(0.1))
+    grads = {"backbone": np.asarray([1.0])}
     if bad_grad is not None:
-        grads["b"] = bad_grad
+        grads["cls_head/x"] = bad_grad
     with pytest.raises(ValueError, match=message):
         opt.step(g.parameters(), grads)
     assert g["a"].tensor.data.tobytes() == np.asarray([1.0]).tobytes()
     assert opt.state == {}
     # after a good step, a rejected one leaves parameters, moments and counts as they were
-    opt.step(g.parameters(), {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    opt.step(g.parameters(), {"backbone": np.asarray([1.0]), "cls_head/x": np.asarray([1.0])})
     before = _state_bytes(g, opt)
     with pytest.raises(ValueError, match=message):
         opt.step(g.parameters(), grads)
@@ -203,15 +226,22 @@ def test_a_rejected_step_changes_nothing(bad_grad, message):
 
 
 def test_a_component_is_stepped_whole():
+    # a component with a frozen parameter: set_trainable_components cannot
+    # make one, but a tensor's own flag can
     g = ModelGraph()
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "backbone")
-    g["b"].trainable = False
-    with pytest.raises(ValueError, match="component 'backbone' is not trainable and listed whole"):
-        AdamW().step(g.parameters(), {"a": np.asarray([1.0])})
-    g["b"].trainable = True
-    with pytest.raises(ValueError, match="component 'backbone' is not trainable and listed whole"):
-        AdamW().step(g.parameters()[::-1], {"a": np.asarray([1.0]), "b": np.asarray([1.0])})
+    g["a"].tensor.requires_grad = False
+    before = g["a"].tensor.data.tobytes()
+    opt = AdamW(lr_for=_lr(0.1))
+    with pytest.raises(ValueError, match=r"gradients for components \['backbone'\], but the "
+                                         r"trainable ones are \[\]"):
+        opt.step(g.parameters(), {"backbone": np.ones(2)})
+    assert g["a"].tensor.data.tobytes() == before and opt.state == {}
+    # the parameters' order does not matter: each finds its slot through its offset
+    g.set_trainable_components({"backbone"})
+    opt.step(g.parameters()[::-1], {"backbone": np.asarray([1.0, 0.0])})
+    assert g["a"].tensor.data[0] < 1.0 and g["b"].tensor.data[0] == 1.0
 
 
 def test_an_assigned_state_of_another_size_is_rejected_with_nothing_changed():
@@ -219,8 +249,8 @@ def test_an_assigned_state_of_another_size_is_rejected_with_nothing_changed():
     g.add("a", np.asarray([1.0]), "backbone")
     g.add("b", np.asarray([1.0]), "backbone")
     g.add("c", np.asarray([1.0]), "cls_head/x")
-    grads = {name: np.asarray([1.0]) for name in "abc"}
-    opt = AdamW()
+    grads = {"backbone": np.ones(2), "cls_head/x": np.ones(1)}
+    opt = AdamW(lr_for=_lr(1e-3))
     opt.step(g.parameters(), grads)
     # the component stepped after the backbone gets moments of two sizes
     opt.state["cls_head/x"] = AdamWState(1e-3, 1, np.zeros(1), np.zeros(2))
@@ -240,7 +270,7 @@ def _per_array_adamw(params, grads, data, state, lr_of, lr_scale, b1, b2, eps, w
     for p in params:
         if not p.trainable:
             continue
-        g = grads[p.name]
+        g = p.within(grads[p.component])
         st = state.get(p.name)
         if st is None:
             st = state[p.name] = {"lr": lr_of(p.component), "t": 0, "m": np.zeros_like(g),
@@ -278,7 +308,7 @@ def _task_loss(model, task, dataset_id, rs):
 def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
     model = build_model(TINY_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
     lr_of = lambda component: 1e-2 if component == BACKBONE else 3e-2  # noqa: E731
-    opt = AdamW(betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05, lr_for=lr_of)
+    opt = AdamW(weight_decay=0.05, lr_for=lr_of)
     teacher = TeacherState.init_from(model, momentum=0.8)
     data = model.graph.arrays()
     ref_state: dict = {}
@@ -298,7 +328,7 @@ def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
             grads = model.graph.backward(_task_loss(model, task, ds, rs))
             opt.step(model.graph.parameters(), grads, lr_scale=lr_scale)
             _per_array_adamw(model.graph.parameters(), grads, data, ref_state, lr_of, lr_scale,
-                             0.8, 0.99, 1e-6, 0.05)
+                             *BETAS, EPS, 0.05)
             for p in model.graph.parameters():
                 assert p.tensor.data.tobytes() == data[p.name].tobytes(), (phase, p.name)
             assert set(opt.state) == {model.graph[name].component for name in ref_state}
@@ -317,7 +347,7 @@ def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
 def test_a_copied_optimizer_steps_like_the_original():
     model = build_model(TINY_ARCH, [DatasetModelSpec("d0", cls_classes=2, seg_classes=2)])
     model.graph.set_trainable_components(trainable_components("seg", "release", "d0"))
-    opt = AdamW(lr=1e-2, weight_decay=0.05)
+    opt = AdamW(weight_decay=0.05, lr_for=_lr(1e-2))
     rs = np.random.RandomState(5)
     opt.step(model.graph.parameters(), model.graph.backward(_task_loss(model, "seg", "d0", rs)))
     twin, twin_opt = copy.deepcopy((model, opt))

@@ -15,6 +15,12 @@ metric, with how many runs fall below the gate.  Last come criterion 10's
 runs at the test's seeds 0..4 and at seeds 5..9: per seed set, each arm's
 mean and sd of mAP40 and their margin.
 
+``--coretypes Haswell,SkylakeX`` repeats the study once per named kernel
+path, each in its own process pool, whose workers start with
+``OPENBLAS_CORETYPE`` set to that name.  Each worker reads ``blas_core``
+itself, and every block of output names the kernels its workers ran on
+(a name OpenBLAS does not know leaves it on the kernels it picks).
+
 Run from the root of a checkout (a criterion 09 run takes about 60 s on a
 2-vCPU Xeon VM and a criterion 10 run 2-4 s, each using up to two cores,
 since conv2d's forward and backward use a second thread;
@@ -22,6 +28,7 @@ since conv2d's forward and backward use a second thread;
 criterion 09 and 20 criterion 10 runs below took 10 minutes there)::
 
     python3 tools/gate_margin.py --runs 10 --jobs 2
+    python3 tools/gate_margin.py --runs 1 --coretypes Haswell,SkylakeX
 
 Every declared change to float summation order quotes this output beside
 the parent's, for the same ``--runs``.
@@ -78,7 +85,8 @@ def perturb(model, k: int) -> None:
 
 
 def criterion_09_run(k):
-    """Criterion 09's run, perturbed by ``k`` (None: as the test runs it); metric -> value."""
+    """Criterion 09's run, perturbed by ``k`` (None: as the test runs it): the
+    worker's kernels and metric -> value."""
     specs, cfg, model = criterion_09_setup()
     if k is not None:
         perturb(model, k)
@@ -91,30 +99,35 @@ def criterion_09_run(k):
                           ("held_out", held_out)):
         for task, _, value in evaluate_dataset(result.model, bundle, weights=exported):
             values[f"{split}/{task}"] = value
-    return values
+    return blas_core(), values
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=10, help="perturbed criterion 09 runs")
-    parser.add_argument("--jobs", type=int, default=2, help="worker processes")
-    args = parser.parse_args(argv)
-    if args.runs < 1 or args.jobs < 1:
-        parser.error("--runs and --jobs must be at least 1")
+def criterion_10_run(seed, enabled):
+    """Criterion 10's run: the worker's kernels and its test-split loc mAP40."""
+    return blas_core(), criterion_10_loc_map(seed, enabled)
 
+
+def study(runs: int, jobs: int, coretype: str | None) -> None:
+    """Run and print the study in one pool, its workers on ``coretype``'s kernels."""
     t0 = time.time()
+    if coretype is not None:
+        os.environ["OPENBLAS_CORETYPE"] = coretype  # the pool's workers inherit it
     # criterion 10's runs: seeds 0-9 with lock-release and the teacher, then without
     seeds, enabled = list(range(10)) * 2, [True] * 10 + [False] * 10
     # spawned workers import this file afresh, which sets their BLAS threads too
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-        runs = pool.map(criterion_09_run, [None] + list(range(args.runs)))
-        loc = pool.map(criterion_10_loc_map, seeds, enabled)
-        runs, loc = list(runs), list(loc)
-    unperturbed, perturbed = runs[0], runs[1:]
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        runs_09 = pool.map(criterion_09_run, [None] + list(range(runs)))
+        runs_10 = pool.map(criterion_10_run, seeds, enabled)
+        runs_09, runs_10 = list(runs_09), list(runs_10)
+    kernels = sorted({core for core, _ in runs_09 + runs_10})
+    (_, unperturbed), perturbed = runs_09[0], [values for _, values in runs_09[1:]]
+    loc = [value for _, value in runs_10]
 
-    print(f"blas_core: {blas_core()}")
-    print(f"criterion 09, {args.runs} perturbed runs ({time.time() - t0:.0f} s in all)")
+    asked = "" if coretype is None else f" (OPENBLAS_CORETYPE={coretype})"
+    print(f"blas_core: {', '.join(kernels)}{asked}")
+    print(f"criterion 09 on {'/'.join(kernels)}, {runs} perturbed runs "
+          f"({time.time() - t0:.0f} s in all)")
     print(f"{'metric (gate)':<30} {'unperturbed':>11}  {'min':>6} {'median':>6} {'max':>6}"
           f"  below gate")
     for key, label, gate in GATES:
@@ -128,6 +141,25 @@ def main(argv=None) -> int:
         print(f"criterion 10, seeds {first}..{first + 4}: mean mAP40 with lock-release+teacher "
               f"{on:.3f} (sd {on_sd:.3f}) vs disabled {off:.3f} (sd {off_sd:.3f}), "
               f"margin {on - off:+.3f}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=10, help="perturbed criterion 09 runs")
+    parser.add_argument("--jobs", type=int, default=2, help="worker processes")
+    parser.add_argument("--coretypes", default=None,
+                        help="comma-separated OPENBLAS_CORETYPE names, one study each "
+                             "(default: one study on the kernels OpenBLAS picks)")
+    args = parser.parse_args(argv)
+    if args.runs < 1 or args.jobs < 1:
+        parser.error("--runs and --jobs must be at least 1")
+    coretypes = [None] if args.coretypes is None else args.coretypes.split(",")
+    if not all(coretypes):
+        parser.error("--coretypes takes names separated by single commas")
+    for i, coretype in enumerate(coretypes):
+        if i:
+            print()
+        study(args.runs, args.jobs, coretype)
     return 0
 
 
