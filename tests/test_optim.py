@@ -159,11 +159,18 @@ def test_in_place_update_is_byte_equal_to_the_array_formula():
         assert g["p"].within(entry.v).tobytes() == v.tobytes(), t
 
 
-def test_constructor_rejects_weight_decay_out_of_range():
-    for weight_decay in (-0.1, float("nan")):
-        with pytest.raises(ValueError, match=f"weight_decay must be finite and non-negative, "
-                                             f"got {weight_decay}"):
-            AdamW(weight_decay=weight_decay)
+# weight_decay is the one numeric constructor option; the ids keep the names these two cases
+# ran under when the table also held lr, eps and betas.
+@pytest.mark.parametrize("kwargs,message", [
+    pytest.param({"weight_decay": -0.1}, "weight_decay must be finite and non-negative, got -0.1",
+                 id="kwargs4-weight_decay must be finite and non-negative, got -0.1"),
+    pytest.param({"weight_decay": float("nan")},
+                 "weight_decay must be finite and non-negative, got nan",
+                 id="kwargs5-weight_decay must be finite and non-negative, got nan"),
+])
+def test_constructor_rejects_hyperparameters_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        AdamW(**kwargs)
 
 
 def test_learning_rate_from_lr_for_must_be_finite_and_non_negative():
