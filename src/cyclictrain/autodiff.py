@@ -15,13 +15,19 @@ The op set splits in three groups:
 * model primitives: ``conv2d``, ``maxpool2d``, ``matmul``, ``add``,
   ``reshape``, ``permute``, ``sigmoid`` -- everything the network branches
   are built from;
-* loss support: ``sub``, ``neg``, ``mul``, ``div``, ``log``, ``softplus``,
-  ``softmax``, ``relu``, ``mean``, ``tsum``, ``take_rows``, with ``add``,
-  ``matmul``, ``reshape`` and ``sigmoid`` -- needed to express
-  differentiable losses (cross entropy, L1, IoU ratios, Dice, squared
-  error) on the same tape; ``relu`` serves only the loc box terms;
+* loss support: four fused losses, each one node whose backward replays,
+  in the same order, the arithmetic of the chain of separate ops it stands
+  for, so value and gradient are bit-equal to that chain's:
+  ``bce_with_logits`` (cls and seg), ``soft_dice`` (seg), ``mse``
+  (consistency) and ``softmax_cross_entropy`` (the loc classes); and the
+  separate ops ``sub``, ``neg``, ``mul``, ``div``, ``relu``, ``tsum``,
+  ``take_rows``, with ``add``, ``matmul`` and ``reshape``, that the loc box
+  terms are built from, plus ``softmax`` for the loc class probabilities
+  that matching reads;
 * references: ``leaky_relu`` and ``upsample_nearest``, the separate ops
-  that the fused paths of ``conv2d`` are checked against.
+  that the fused paths of ``conv2d`` are checked against, and ``log``,
+  ``softplus`` and ``mean``, which complete the chains that the fused
+  losses are checked against.
 
 ``conv2d`` takes keyword-only ``bias`` and ``slope`` so that a whole conv
 layer (conv, bias, leaky ReLU) is one node: it adds the bias and applies the
@@ -80,6 +86,10 @@ __all__ = [
     "reshape",
     "permute",
     "take_rows",
+    "bce_with_logits",
+    "soft_dice",
+    "mse",
+    "softmax_cross_entropy",
     "no_grad",
     "GradCheckReport",
     "grad_check",
@@ -398,11 +408,14 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), (a,), bwd)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -512,6 +525,120 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused losses: one node each, with the value and the gradient of the chain
+# of separate ops it stands for, bit for bit; each backward replays that
+# chain's arithmetic in the chain's order.  Where the chain spreads a
+# reduction's gradient over a full-size array, the backward computes on the
+# reduced array and lets the next elementwise op broadcast it, which does
+# the same arithmetic per element.
+
+
+def _check_target(op: str, target, shape: tuple[int, ...]) -> np.ndarray:
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != shape:
+        raise ShapeError(f"{op}: target shape {target.shape} != input shape {shape}")
+    return target
+
+
+def bce_with_logits(logits, targets) -> Tensor:
+    """Mean binary cross entropy of ``logits`` against constant 0/1 ``targets``.
+
+    The chain is ``mean(add(mul(softplus(neg(x)), y), mul(softplus(x), 1 - y)))``.
+    """
+    a = _as_tensor(logits)
+    y = _check_target("bce_with_logits", targets, a.shape)
+    x = a.data
+    axes = tuple(range(x.ndim))
+    neg_x, not_y = -x, 1.0 - y
+    data = (np.logaddexp(0.0, neg_x) * y + np.logaddexp(0.0, x) * not_y).mean(axis=axes)
+
+    def bwd(g):
+        gm = g / x.size
+        # both sigmoids from one exp(-|x|), as _stable_sigmoid computes each
+        e = np.exp(-np.abs(x))
+        low, high = 1.0 / (1.0 + e), e / (1.0 + e)
+        sig_neg_x = np.where(neg_x >= 0.0, low, high)
+        sig_x = np.where(x >= 0.0, low, high)
+        _accumulate(a, -(gm * y * sig_neg_x) + gm * not_y * sig_x)
+
+    return _node(data, (a,), bwd)
+
+
+def soft_dice(logits, mask) -> Tensor:
+    """Mean soft Dice of ``sigmoid(logits)`` against a constant 0/1 ``mask``.
+
+    Both are ``(N, K, H, W)``; each (image, class) scores
+    ``(2 * sum(p * m) + 1) / (sum(p) + sum(m) + 1)`` over its pixels.  The
+    chain is ``sigmoid``, ``mul``, ``tsum`` over axes (2, 3), ``add``,
+    ``div`` and ``mean``.
+    """
+    a = _as_tensor(logits)
+    if a.data.ndim != 4:
+        raise ShapeError(f"soft_dice: logits must be (N, K, H, W), got {a.shape}")
+    m = _check_target("soft_dice", mask, a.shape)
+    p = _stable_sigmoid(a.data)
+    num = 2.0 * (p * m).sum(axis=(2, 3)) + 1.0
+    den = p.sum(axis=(2, 3)) + m.sum(axis=(2, 3)) + 1.0
+    ratio = num / den
+    data = ratio.mean(axis=(0, 1))
+
+    def bwd(g):
+        g_ratio = g / ratio.size
+        g_inter = g_ratio / den * 2.0 + 0.0
+        g_sums = -g_ratio * num / (den * den) + 0.0
+        gp = g_inter[:, :, None, None] * m + g_sums[:, :, None, None]
+        _accumulate(a, gp * p * (1.0 - p))
+
+    return _node(data, (a,), bwd)
+
+
+def mse(a, target) -> Tensor:
+    """Mean squared difference between ``a`` and a constant ``target`` of its shape.
+
+    The chain is ``mean(mul(d, d))`` with ``d = sub(a, target)``.
+    """
+    a = _as_tensor(a)
+    t = _check_target("mse", target, a.shape)
+    d = a.data - t
+    axes = tuple(range(d.ndim))
+    data = (d * d).mean(axis=axes)
+
+    def bwd(g):
+        half = g / d.size * d
+        _accumulate(a, half + half)
+
+    return _node(data, (a,), bwd)
+
+
+def softmax_cross_entropy(logits, classes) -> Tensor:
+    """Mean over positions of ``-log softmax(logits)[class]`` along the last axis.
+
+    ``classes`` holds one class index per position, shaped ``logits.shape[:-1]``.
+    The chain is ``reshape`` to one row per position, ``softmax``, ``log``,
+    ``mul`` by the one-hot rows, ``tsum`` over each row, ``mean`` and ``neg``.
+    """
+    a = _as_tensor(logits)
+    idx = np.asarray(classes, dtype=np.intp)
+    if idx.shape != a.shape[:-1]:
+        raise ShapeError(f"softmax_cross_entropy: classes shape {idx.shape} does not "
+                         f"index logits of shape {a.shape}")
+    rows, width = idx.size, a.shape[-1]
+    if rows and not 0 <= idx.min() <= idx.max() < width:
+        raise ValueError(f"softmax_cross_entropy: class ids must lie in 0..{width - 1}")
+    y = _softmax(a.data.reshape(rows, width), -1)
+    onehot = np.zeros((rows, width))
+    onehot[np.arange(rows), idx.reshape(-1)] = 1.0
+    data = -(np.log(y) * onehot).sum(axis=(1,)).mean(axis=(0,))
+
+    def bwd(g):
+        g_y = (-g / rows + 0.0) * onehot / y
+        inner = (g_y * y).sum(axis=-1, keepdims=True)
+        _accumulate(a, (y * (g_y - inner)).reshape(a.shape))
+
+    return _node(data, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

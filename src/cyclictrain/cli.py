@@ -60,11 +60,13 @@ def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg)
     chash = config_hash(cfg)
+    # a dataset that cannot be split fails here, before anything is written
+    bundles = engine.prepare_bundles(cfg.datasets, cfg.train)
     state = engine.TrainingState.fresh(_build_from_config(cfg), cfg.train)
     writer = MetricsWriter(out_dir)
     rows = 0
     try:
-        for outcome in engine.pretrain_epochs(state, cfg.datasets, cfg.train):
+        for outcome in engine.pretrain_epochs(state, cfg.datasets, cfg.train, bundles):
             for r in outcome.records:
                 writer.write(r)
             rows += len(outcome.records)
@@ -315,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, synthdata.SplitError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except CheckpointError as e:

@@ -8,7 +8,11 @@ no-object cross entropy.  Segmentation combines pixel BCE with a soft Dice
 term.  Consistency is mean squared error against a stop-gradient teacher.
 
 All losses return tape scalars so gradients flow back into the model;
-matching itself runs on detached values.
+matching itself runs on detached values.  The BCE, the soft Dice, the
+squared error and the loc class cross entropy are one fused ``autodiff``
+node each (``bce_with_logits``, ``soft_dice``, ``mse``,
+``softmax_cross_entropy``); only the loc box terms (L1 and IoU of the
+matched pairs) are still built from separate ops, ``relu`` among them.
 """
 
 from __future__ import annotations
@@ -21,17 +25,17 @@ from scipy.optimize import linear_sum_assignment
 from .autodiff import (
     Tensor,
     add,
+    bce_with_logits,
     div,
-    log,
     matmul,
-    mean,
+    mse,
     mul,
     neg,
     relu,
     reshape,
-    sigmoid,
+    soft_dice,
     softmax,
-    softplus,
+    softmax_cross_entropy,
     sub,
     take_rows,
     tsum,
@@ -101,13 +105,6 @@ class LossBreakdown:
 # classification
 
 
-def _bce_with_logits(logits: Tensor, y: np.ndarray) -> Tensor:
-    """Mean binary cross entropy of ``logits`` against 0/1 targets ``y``."""
-    pos = mul(softplus(neg(logits)), Tensor(y))
-    negt = mul(softplus(logits), Tensor(1.0 - y))
-    return mean(add(pos, negt))
-
-
 def cls_loss(logits: Tensor, targets) -> Tensor:
     """Mean binary cross entropy with logits over every (sample, class)."""
     y = np.asarray(targets, dtype=np.float64)
@@ -115,7 +112,7 @@ def cls_loss(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"targets shape {y.shape} != logits shape {logits.shape}")
     if not np.all(np.isfinite(logits.data)):
         raise ValueError("cls_loss: non-finite logits")
-    return _bce_with_logits(logits, y)
+    return bce_with_logits(logits, y)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +225,10 @@ def loc_loss(pred_boxes: Tensor, pred_logits: Tensor, targets) -> Tensor:
     no_object = num_classes
 
     boxes_detached = pred_boxes.data
-    # matching reads the class probabilities the cross entropy below is built on
-    slot_probs = softmax(reshape(pred_logits, (n * q, cp1)), axis=-1)
-    probs = slot_probs.data.reshape(n, q, cp1)
+    # matching reads the class probabilities the cross entropy below computes
+    probs = softmax(pred_logits.data.reshape(n * q, cp1), axis=-1).data.reshape(n, q, cp1)
 
-    slot_classes = np.full(n * q, no_object, dtype=np.int64)
+    slot_classes = np.full((n, q), no_object, dtype=np.int64)
     matched_rows: list[int] = []
     matched_boxes: list[np.ndarray] = []
     for i, tgt in enumerate(targets):
@@ -252,14 +248,11 @@ def loc_loss(pred_boxes: Tensor, pred_logits: Tensor, targets) -> Tensor:
         cost_iou = 1.0 - iou_matrix(boxes_detached[i], tgt.boxes)
         assignment = hungarian_match(w_cls * cost_cls + w_l1 * cost_l1 + w_iou * cost_iou)
         for t_idx, q_idx in enumerate(assignment):
-            slot_classes[i * q + q_idx] = tgt.class_ids[t_idx]
+            slot_classes[i, q_idx] = tgt.class_ids[t_idx]
             matched_rows.append(i * q + q_idx)
             matched_boxes.append(tgt.boxes[t_idx])
 
-    log_probs = log(slot_probs)
-    onehot = np.zeros((n * q, cp1))
-    onehot[np.arange(n * q), slot_classes] = 1.0
-    ce = neg(mean(tsum(mul(log_probs, Tensor(onehot)), axis=1)))
+    ce = softmax_cross_entropy(pred_logits, slot_classes)
 
     if not matched_rows:
         return ce
@@ -282,12 +275,7 @@ def seg_loss(logits: Tensor, mask) -> Tensor:
     m = np.asarray(mask, dtype=np.float64)
     if m.shape != logits.shape:
         raise ValueError(f"mask shape {m.shape} != logits shape {logits.shape}")
-    bce = _bce_with_logits(logits, m)
-    p = sigmoid(logits)
-    inter = tsum(mul(p, Tensor(m)), axis=(2, 3))
-    denom = add(tsum(p, axis=(2, 3)), Tensor(m.sum(axis=(2, 3))))
-    dice = mean(div(add(mul(Tensor(2.0), inter), Tensor(1.0)), add(denom, Tensor(1.0))))
-    return add(bce, sub(Tensor(1.0), dice))
+    return add(bce_with_logits(logits, m), sub(Tensor(1.0), soft_dice(logits, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,5 +291,4 @@ def consistency_loss(student_feat: Tensor, teacher_feat) -> Tensor:
         raise ValueError(
             f"feature shapes differ: student {student_feat.shape}, teacher {t.shape}"
         )
-    d = sub(student_feat, t)
-    return mean(mul(d, d))
+    return mse(student_feat, t.data)

@@ -33,6 +33,7 @@ __all__ = [
     "flip_sample",
     "augment",
     "split",
+    "SplitError",
     "FewShotError",
     "few_shot_subset",
     "sample_classes",
@@ -313,11 +314,18 @@ def few_shot_subset(train_split, k: int, seed: int = 0):
     return [train_split[i] for i in perm[:k]]
 
 
+class SplitError(ValueError):
+    """A declared subtask has too few samples of its own to split."""
+
+
 def stratified_split(samples, spec: SynthDatasetSpec, seed: int = 0):
     """Split each subtask's samples separately so none vanishes from a split.
 
     Samples matching zero or several subtasks form their own remainder
-    stratum.  Without declared subtasks this is a plain :func:`split`.
+    stratum, which goes wholly to train when it is too small to split.  A
+    declared subtask's stratum that small raises :class:`SplitError`, since
+    the subtask would then have nothing to be scored on.  Without declared
+    subtasks this is a plain :func:`split`.
     """
     if not spec.subtasks:
         return split(samples, seed)
@@ -334,10 +342,13 @@ def stratified_split(samples, spec: SynthDatasetSpec, seed: int = 0):
     val: list = []
     test: list = []
     for i, (name, group) in enumerate([*strata.items(), ("", remainder)]):
-        if not group:
-            continue
         if len(group) < MIN_SPLIT_SIZE:
-            train += group  # too small to carve a val/test share from
+            if name:
+                raise SplitError(
+                    f"dataset '{spec.dataset_id}': subtask '{name}' has {len(group)} "
+                    f"sample(s) of its class alone, too few to split into train, val "
+                    f"and test (need >= {MIN_SPLIT_SIZE})")
+            train += group
             continue
         tr, va, te = split(group, seed=derive_seed(seed, "stratum", name, i))
         train += tr

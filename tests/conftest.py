@@ -36,6 +36,18 @@ def numeric_gradient(loss_fn, tensor, step=1e-5):
     return grad
 
 
+def tape_nodes(root) -> list:
+    """Every node reachable from ``root`` through the recorded parents."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 def max_rel_error(analytic, numeric):
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -18,6 +18,7 @@ from cyclictrain.autodiff import (
     ShapeError,
     Tensor,
     add,
+    bce_with_logits,
     conv2d,
     div,
     grad_check,
@@ -26,6 +27,7 @@ from cyclictrain.autodiff import (
     matmul,
     maxpool2d,
     mean,
+    mse,
     mul,
     neg,
     no_grad,
@@ -33,7 +35,9 @@ from cyclictrain.autodiff import (
     relu,
     reshape,
     sigmoid,
+    soft_dice,
     softmax,
+    softmax_cross_entropy,
     softplus,
     sub,
     take_rows,
@@ -1114,6 +1118,16 @@ def _primitive_cases(rs):
     c2288 = Tensor(rs.randn(2, 2, 8, 8))
     cases["conv2d_upsample_bias_act_x"] = (x44, lambda t: mean(mul(
         conv2d(t, kt, padding=1, bias=bt, slope=0.1, upsample=2), c2288)))
+    # the fused losses
+    y45 = (rs.rand(4, 5) > 0.5).astype(float)
+    mask = (rs.rand(2, 3, 4, 4) > 0.5).astype(float)
+    t45 = rs.randn(4, 5)
+    classes = rs.randint(0, 5, size=(2, 2))
+    cases["bce_with_logits"] = (m, lambda t: bce_with_logits(t, y45))
+    cases["soft_dice"] = (x44, lambda t: soft_dice(t, mask))
+    cases["mse"] = (m, lambda t: mse(t, t45))
+    cases["softmax_cross_entropy"] = (m.reshape(2, 2, 5),
+                                      lambda t: softmax_cross_entropy(t, classes))
     return cases
 
 

@@ -18,7 +18,7 @@ from cyclictrain.engine import (TeacherState, TrainConfig, TrainingState, build_
                                 predict, prepare_bundles, pretrain_epochs)
 from cyclictrain.metrics import auc, dice, map_at_iou, GroundTruth
 from cyclictrain.model import ArchConfig, MultiTaskModel, build_model
-from cyclictrain.synthdata import SynthDatasetSpec
+from cyclictrain.synthdata import SplitError, SynthDatasetSpec
 
 from conftest import Det, columns, read_export, run_bytes
 
@@ -675,7 +675,9 @@ def test_dumped_predictions_equal_a_plain_forward(tmp_path):
         assert np.array_equal(data["seg_logits"], model.forward_seg(x, spec.dataset_id).data)
 
 
-def test_cmd_eval_dumps_zero_rows_for_an_empty_test_split(tmp_path, capsys):
+def test_cmd_pretrain_rejects_a_subtask_too_small_to_split(tmp_path, capsys):
+    # 6 images over 3 round-robin subtasks: each subtask's stratum holds 2,
+    # too few to give its test split a sample to score
     cfg = _base_config(str(tmp_path / "out"))
     cfg["datasets"] = [{
         "dataset_id": "tiny",
@@ -690,26 +692,12 @@ def test_cmd_eval_dumps_zero_rows_for_an_empty_test_split(tmp_path, capsys):
     }]
     path = _write(tmp_path, cfg)
     run = load_run_config(path)
-    bundle = prepare_bundles(run.datasets, run.train)["tiny"]
-    assert (len(bundle.train), len(bundle.val), len(bundle.test)) == (6, 0, 0)
-    assert cli.main(["pretrain", "--config", path]) == 0
-    dump_dir = tmp_path / "dump"
-    assert cli.main(["eval", "--checkpoint", str(tmp_path / "out" / "checkpoints" / "final"),
-                     "--config", path, "--dataset", "tiny",
-                     "--dump-predictions", str(dump_dir)]) == 0
-    assert "tiny loc mAP40: undefined" in capsys.readouterr().out
-    data = np.load(dump_dir / "predictions.npz")
-    shapes = {k: (data[k].dtype.str, data[k].shape) for k in data.keys()}
-    assert shapes == {
-        "sample_ids": ("<i8", (0,)),
-        "loc_boxes": ("<f8", (0, 16, 4)),
-        "loc_logits": ("<f8", (0, 16, 4)),
-        "gt_box_counts": ("<i8", (0,)),
-        "gt_boxes": ("<f8", (0, 4)),
-        "gt_box_classes": ("<i8", (0,)),
-        "seg_logits": ("<f8", (0, 3, 16, 16)),
-        "seg_masks": ("<i8", (0, 3, 16, 16)),
-    }
+    with pytest.raises(SplitError, match="dataset 'tiny': subtask 'ellipse' has 2 sample"):
+        prepare_bundles(run.datasets, run.train)
+    assert cli.main(["pretrain", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "dataset 'tiny'" in err and "subtask 'ellipse'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_eval_runs_each_branch_and_head_once_for_metrics_and_dump(tmp_path, monkeypatch):

@@ -4,7 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from cyclictrain.autodiff import Tensor
+from cyclictrain.autodiff import (
+    Tensor,
+    add,
+    bce_with_logits,
+    div,
+    log,
+    mean,
+    mse,
+    mul,
+    neg,
+    reshape,
+    sigmoid,
+    soft_dice,
+    softmax,
+    softmax_cross_entropy,
+    softplus,
+    sub,
+    tsum,
+)
 from cyclictrain.losses import (
     BoxTarget,
     LossBreakdown,
@@ -16,7 +34,7 @@ from cyclictrain.losses import (
     seg_loss,
 )
 
-from conftest import max_rel_error, numeric_gradient
+from conftest import max_rel_error, numeric_gradient, tape_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +383,140 @@ def test_consistency_backward_never_writes_teacher_gradient(rs):
 
 def loss_nonnegative(student, teacher):
     return consistency_loss(student, teacher).item() >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the fused loss ops against the chains of separate ops they stand for
+
+
+def _chain_bce(x, y):
+    pos = mul(softplus(neg(x)), Tensor(y))
+    negt = mul(softplus(x), Tensor(1.0 - y))
+    return mean(add(pos, negt))
+
+
+def _chain_dice(x, m):
+    p = sigmoid(x)
+    inter = tsum(mul(p, Tensor(m)), axis=(2, 3))
+    denom = add(tsum(p, axis=(2, 3)), Tensor(m.sum(axis=(2, 3))))
+    return mean(div(add(mul(Tensor(2.0), inter), Tensor(1.0)), add(denom, Tensor(1.0))))
+
+
+def _chain_seg_loss(x, m):
+    return add(_chain_bce(x, m), sub(Tensor(1.0), _chain_dice(x, m)))
+
+
+def _chain_mse(x, t):
+    d = sub(x, Tensor(t))
+    return mean(mul(d, d))
+
+
+def _chain_cross_entropy(x, classes):
+    rows, width = classes.size, x.shape[-1]
+    log_probs = log(softmax(reshape(x, (rows, width)), axis=-1))
+    onehot = np.zeros((rows, width))
+    onehot[np.arange(rows), classes.reshape(-1)] = 1.0
+    return neg(mean(tsum(mul(log_probs, Tensor(onehot)), axis=1)))
+
+
+def _value_and_grad_bytes(build, data, scale):
+    """Bytes of ``build(x)`` and of x's gradient under the loss ``scale * build(x)``."""
+    x = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    loss = build(x)
+    mul(loss, Tensor(scale)).backward()
+    return loss.data.tobytes(), x.grad.tobytes()
+
+
+def _seg_inputs(mask_kind):
+    rs = np.random.RandomState(7)
+    x = rs.randn(2, 3, 5, 5) * 4.0
+    x[0, 0, 0] = 800.0
+    x[1, 2, 4] = -800.0
+    x[1, 0, 2, 2] = 0.0
+    masks = {"random": (rs.rand(*x.shape) > 0.5).astype(float),
+             "all_zero": np.zeros(x.shape), "all_one": np.ones(x.shape)}
+    return x, masks[mask_kind]
+
+
+@pytest.mark.parametrize("scale", [1.0, -0.37])
+@pytest.mark.parametrize("mask_kind", ["random", "all_zero", "all_one"])
+def test_fused_bce_dice_and_seg_loss_equal_their_chains_byte_for_byte(mask_kind, scale):
+    # seg_loss's logits gradient sums three paths: two through the BCE and
+    # one through the Dice sigmoid, in the chain's order
+    x, m = _seg_inputs(mask_kind)
+    for fused, chain in ((lambda t: bce_with_logits(t, m), lambda t: _chain_bce(t, m)),
+                         (lambda t: soft_dice(t, m), lambda t: _chain_dice(t, m)),
+                         (lambda t: seg_loss(t, m), lambda t: _chain_seg_loss(t, m))):
+        assert (_value_and_grad_bytes(fused, x, scale)
+                == _value_and_grad_bytes(chain, x, scale))
+
+
+@pytest.mark.parametrize("target_kind", ["random", "all_zero", "all_one"])
+def test_cls_loss_equals_the_bce_chain_byte_for_byte(target_kind):
+    rs = np.random.RandomState(8)
+    x = rs.randn(6, 4) * 3.0
+    x[0] = [800.0, -800.0, 0.0, 40.0]
+    y = {"random": (rs.rand(6, 4) > 0.5).astype(float), "all_zero": np.zeros((6, 4)),
+         "all_one": np.ones((6, 4))}[target_kind]
+    for scale in (1.0, 0.21):
+        assert (_value_and_grad_bytes(lambda t: cls_loss(t, y), x, scale)
+                == _value_and_grad_bytes(lambda t: _chain_bce(t, y), x, scale))
+
+
+def test_consistency_loss_equals_the_squared_error_chain_byte_for_byte(rs):
+    for shape in ((3, 3), (2, 4, 5, 5)):
+        x, teacher = rs.randn(*shape), rs.randn(*shape)
+        for scale in (1.0, -1.7):
+            assert (_value_and_grad_bytes(lambda t: consistency_loss(t, teacher), x, scale)
+                    == _value_and_grad_bytes(lambda t: _chain_mse(t, teacher), x, scale))
+            assert (_value_and_grad_bytes(lambda t: mse(t, teacher), x, scale)
+                    == _value_and_grad_bytes(lambda t: _chain_mse(t, teacher), x, scale))
+
+
+def test_softmax_cross_entropy_equals_its_chain_byte_for_byte(rs):
+    for shape in ((2, 6, 4), (5, 3)):
+        x = rs.randn(*shape) * 3.0
+        x.flat[0] = 30.0
+        classes = rs.randint(0, shape[-1], size=shape[:-1])
+        for scale in (1.0, 0.6):
+            assert (_value_and_grad_bytes(lambda t: softmax_cross_entropy(t, classes), x, scale)
+                    == _value_and_grad_bytes(lambda t: _chain_cross_entropy(t, classes), x,
+                                             scale))
+
+
+def _recorded(loss):
+    return sum(n._bwd is not None for n in tape_nodes(loss))
+
+
+def test_each_loss_records_its_nodes(rs):
+    logits = Tensor(rs.randn(2, 3), requires_grad=True)
+    assert _recorded(cls_loss(logits, np.ones((2, 3)))) == 1
+    seg = Tensor(rs.randn(2, 2, 4, 4), requires_grad=True)
+    # the BCE, the Dice mean, 1 - Dice and the sum
+    assert _recorded(seg_loss(seg, np.ones((2, 2, 4, 4)))) == 4
+    feat = Tensor(rs.randn(2, 3, 4, 4), requires_grad=True)
+    assert _recorded(consistency_loss(feat, rs.randn(2, 3, 4, 4))) == 1
+    boxes = Tensor(rs.rand(2, 3, 4) * 0.5 + 0.25, requires_grad=True)
+    loc_logits = Tensor(rs.randn(2, 3, 3), requires_grad=True)
+    empty = BoxTarget(np.zeros((0, 4)), np.zeros(0, dtype=int))
+    one = BoxTarget(np.array([[0.5, 0.5, 0.2, 0.2]]), np.array([1]))
+    # the cross entropy alone, then with the box terms of the matched pairs
+    assert _recorded(loc_loss(boxes, loc_logits, [empty, empty])) == 1
+    assert _recorded(loc_loss(boxes, loc_logits, [one, empty])) == 50
+
+
+def test_fused_ops_reject_a_target_of_another_shape_and_unknown_classes():
+    x = Tensor(np.zeros((2, 1, 3, 3)), requires_grad=True)
+    for op in (bce_with_logits, soft_dice, mse):
+        with pytest.raises(ValueError, match="shape"):
+            op(x, np.zeros((2, 1, 3, 2)))
+    with pytest.raises(ValueError, match=r"\(N, K, H, W\)"):
+        soft_dice(Tensor(np.zeros((2, 3))), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="classes shape"):
+        softmax_cross_entropy(Tensor(np.zeros((2, 3, 4))), np.zeros(6, dtype=int))
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=r"class ids must lie in 0\.\.3"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, bad]))
 
 
 # ---------------------------------------------------------------------------

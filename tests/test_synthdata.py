@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclictrain.synthdata import (
+    SplitError,
     SynthDatasetSpec,
     annotation_arrays,
     augment,
@@ -15,6 +16,7 @@ from cyclictrain.synthdata import (
     sample_classes,
     save_dataset,
     split,
+    stratified_split,
     subtask_samples,
 )
 
@@ -242,6 +244,18 @@ def test_organ_preset_partitions_into_equal_thirds():
             assert s.sample_id not in seen
             seen.add(s.sample_id)
     assert len(seen) == 48
+
+
+def test_stratified_split_scores_every_subtask_or_raises():
+    spec = preset_organ_pairs(num_images=9)
+    train, val, test = stratified_split(generate_dataset(spec), spec, seed=3)
+    assert len(train) + len(val) + len(test) == 9
+    for st in spec.subtasks:
+        assert subtask_samples(test, spec, st)
+    # two samples per subtask: none could reach test, so none may train alone
+    small = preset_organ_pairs(num_images=6)
+    with pytest.raises(SplitError, match=r"dataset 'organ_pairs': subtask 'ellipse' has 2 "):
+        stratified_split(generate_dataset(small), small, seed=3)
 
 
 def test_sample_classes_from_any_annotation():
