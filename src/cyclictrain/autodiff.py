@@ -15,15 +15,16 @@ The op set splits in three groups:
 * model primitives: ``conv2d``, ``maxpool2d``, ``matmul``, ``add``,
   ``reshape``, ``permute``, ``sigmoid`` -- everything the network branches
   are built from;
-* loss support: four fused losses, each one node whose backward replays,
+* loss support: five fused losses, each one node whose backward replays,
   in the same order, the arithmetic of the chain of separate ops it stands
   for, so value and gradient are bit-equal to that chain's:
   ``bce_with_logits`` (cls and seg), ``soft_dice`` (seg), ``mse``
-  (consistency) and ``softmax_cross_entropy`` (the loc classes); and the
-  separate ops ``sub``, ``neg``, ``mul``, ``div``, ``relu``, ``tsum``,
-  ``take_rows``, with ``add``, ``matmul`` and ``reshape``, that the loc box
-  terms are built from, plus ``softmax`` for the loc class probabilities
-  that matching reads;
+  (consistency), ``softmax_cross_entropy`` (the loc classes) and
+  ``box_iou_loss`` (the matched boxes' ``1 - IoU``); and the separate ops
+  ``sub``, ``neg``, ``div``, ``relu``, ``tsum``, ``take_rows``, with
+  ``add``, ``mul`` and ``reshape``, that pick the matched boxes, build
+  their L1 term and weight the loc terms, plus ``softmax`` for the loc
+  class probabilities that matching reads;
 * references: ``leaky_relu`` and ``upsample_nearest``, the separate ops
   that the fused paths of ``conv2d`` are checked against, and ``log``,
   ``softplus`` and ``mean``, which complete the chains that the fused
@@ -90,6 +91,7 @@ __all__ = [
     "soft_dice",
     "mse",
     "softmax_cross_entropy",
+    "box_iou_loss",
     "no_grad",
     "GradCheckReport",
     "grad_check",
@@ -637,6 +639,75 @@ def softmax_cross_entropy(logits, classes) -> Tensor:
         g_y = (-g / rows + 0.0) * onehot / y
         inner = (g_y * y).sum(axis=-1, keepdims=True)
         _accumulate(a, (y * (g_y - inner)).reshape(a.shape))
+
+    return _node(data, (a,), bwd)
+
+
+# The chain reads each box column by a matmul against a one-hot (4, 1)
+# basis.  That reads the column exactly, so the forward slices it instead;
+# the backward keeps the matmul, whose zeros carry the BLAS kernel's signs.
+# Transposed as that backward transposes them: (1, 4) views with the strides
+# of the (4, 1) arrays.
+_BOX_COLUMNS_T = tuple(np.swapaxes(np.eye(4)[:, i:i + 1].copy(), -1, -2) for i in range(4))
+
+
+def _box_overlap(p1, p2, t1, t2):
+    """``relu(min(p2, t2) - max(p1, t1))`` as the chain computes it, with
+    ``min(a, b) = b - relu(b - a)`` and ``max(a, b) = a + relu(b - a)``; also
+    returns the three relu masks, innermost first."""
+    lo, hi = t1 - p1, t2 - p2
+    lo_mask, hi_mask = lo > 0.0, hi > 0.0
+    span = (t2 - np.where(hi_mask, hi, 0.0)) - (p1 + np.where(lo_mask, lo, 0.0))
+    span_mask = span > 0.0
+    return np.where(span_mask, span, 0.0), (lo_mask, hi_mask, span_mask)
+
+
+def _box_overlap_grad(g, masks):
+    """The gradients of ``p1`` and ``p2`` from that of :func:`_box_overlap`'s result."""
+    lo_mask, hi_mask, span_mask = masks
+    g_span = g * span_mask
+    g_max = -g_span
+    return g_max + -(g_max * lo_mask), -(-g_span * hi_mask)
+
+
+def box_iou_loss(pred, target) -> Tensor:
+    """Mean over the rows of ``1 - IoU(pred, target)`` for ``(M, 4)`` boxes.
+
+    Boxes are center format (cx, cy, w, h); ``target`` is constant.  The
+    chain reads each column of ``pred`` by a ``matmul`` against a one-hot
+    ``(4, 1)`` basis, takes corners as ``c -/+ mul(0.5, size)``, clips the
+    overlap with ``min(a, b) = b - relu(b - a)`` and ``max(a, b) = a +
+    relu(b - a)``, ``relu``s its width and height, divides it by the union
+    ``w * h + target area - overlap`` and takes ``div(tsum(sub(1, iou)), M)``.
+    """
+    a = _as_tensor(pred)
+    if a.data.ndim != 2 or a.shape[1] != 4 or not a.shape[0]:
+        raise ShapeError(f"box_iou_loss: boxes must be (M, 4) with M >= 1, got {a.shape}")
+    t = _check_target("box_iou_loss", target, a.shape)
+    rows = a.shape[0]
+    cx, cy, w, h = (a.data[:, i:i + 1] for i in range(4))
+    hw, hh = 0.5 * w, 0.5 * h
+    iw, x_masks = _box_overlap(cx - hw, cx + hw, t[:, 0:1] - t[:, 2:3] / 2,
+                               t[:, 0:1] + t[:, 2:3] / 2)
+    ih, y_masks = _box_overlap(cy - hh, cy + hh, t[:, 1:2] - t[:, 3:4] / 2,
+                               t[:, 1:2] + t[:, 3:4] / 2)
+    inter = iw * ih
+    union = (w * h + t[:, 2:3] * t[:, 3:4]) - inter
+    data = (1.0 - inter / union).sum(axis=(0, 1)) / float(rows)
+
+    def bwd(g):
+        g_iou = -(g / float(rows) + 0.0)
+        g_union = -g_iou * inter / (union * union)
+        g_inter = g_iou / union + -g_union
+        g_x1, g_x2 = _box_overlap_grad(g_inter * ih, x_masks)
+        g_y1, g_y2 = _box_overlap_grad(g_inter * iw, y_masks)
+        # width and height sum the area's gradient, then the x2 (y2)
+        # corner's, then the x1 (y1) corner's, as the chain's tape walk does
+        g_cols = (g_x1 + g_x2, g_y1 + g_y2,
+                  (g_union * h + g_x2 * 0.5) + -g_x1 * 0.5,
+                  (g_union * w + g_y2 * 0.5) + -g_y1 * 0.5)
+        grads = [g_col @ basis_t for g_col, basis_t in zip(g_cols, _BOX_COLUMNS_T)]
+        _accumulate(a, ((grads[0] + grads[1]) + grads[2]) + grads[3])
 
     return _node(data, (a,), bwd)
 

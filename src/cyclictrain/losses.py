@@ -9,10 +9,11 @@ term.  Consistency is mean squared error against a stop-gradient teacher.
 
 All losses return tape scalars so gradients flow back into the model;
 matching itself runs on detached values.  The BCE, the soft Dice, the
-squared error and the loc class cross entropy are one fused ``autodiff``
-node each (``bce_with_logits``, ``soft_dice``, ``mse``,
-``softmax_cross_entropy``); only the loc box terms (L1 and IoU of the
-matched pairs) are still built from separate ops, ``relu`` among them.
+squared error, the loc class cross entropy and the matched pairs' mean
+``1 - IoU`` are one fused ``autodiff`` node each (``bce_with_logits``,
+``soft_dice``, ``mse``, ``softmax_cross_entropy``, ``box_iou_loss``); only
+the matched pairs' L1 term is still built from separate ops, ``relu`` among
+them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .autodiff import (
     Tensor,
     add,
     bce_with_logits,
+    box_iou_loss,
     div,
-    matmul,
     mse,
     mul,
     neg,
@@ -78,6 +79,16 @@ class BoxTarget:
 
     def __len__(self) -> int:
         return len(self.class_ids)
+
+    def mirrored(self) -> "BoxTarget":
+        """The horizontal mirror, ``cx -> 1 - cx``, built without re-running the
+        checks: mirroring keeps every width, height and class id."""
+        boxes = self.boxes.copy()
+        boxes[:, 0] = 1.0 - boxes[:, 0]
+        out = object.__new__(BoxTarget)
+        object.__setattr__(out, "boxes", boxes)
+        object.__setattr__(out, "class_ids", self.class_ids.copy())
+        return out
 
 
 @dataclass(frozen=True)
@@ -161,43 +172,8 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     return inter / union
 
 
-def _tmax(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, relu(sub(b, a)))
-
-
-def _tmin(a: Tensor, b: Tensor) -> Tensor:
-    return sub(b, relu(sub(b, a)))
-
-
 def _tabs(a: Tensor) -> Tensor:
     return add(relu(a), relu(neg(a)))
-
-
-def _column(x: Tensor, index: int) -> Tensor:
-    basis = np.zeros((4, 1))
-    basis[index, 0] = 1.0
-    return matmul(x, Tensor(basis))
-
-
-def _tape_iou(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Differentiable per-row IoU between (M,4) predictions and targets."""
-    cx, cy = _column(pred, 0), _column(pred, 1)
-    w, h = _column(pred, 2), _column(pred, 3)
-    half = Tensor(0.5)
-    px1, px2 = sub(cx, mul(half, w)), add(cx, mul(half, w))
-    py1, py2 = sub(cy, mul(half, h)), add(cy, mul(half, h))
-    t = np.asarray(target, dtype=np.float64).reshape(-1, 4)
-    tx1 = Tensor((t[:, 0] - t[:, 2] / 2).reshape(-1, 1))
-    tx2 = Tensor((t[:, 0] + t[:, 2] / 2).reshape(-1, 1))
-    ty1 = Tensor((t[:, 1] - t[:, 3] / 2).reshape(-1, 1))
-    ty2 = Tensor((t[:, 1] + t[:, 3] / 2).reshape(-1, 1))
-    iw = relu(sub(_tmin(px2, tx2), _tmax(px1, tx1)))
-    ih = relu(sub(_tmin(py2, ty2), _tmax(py1, ty1)))
-    inter = mul(iw, ih)
-    area_p = mul(w, h)
-    area_t = Tensor((t[:, 2] * t[:, 3]).reshape(-1, 1))
-    union = sub(add(area_p, area_t), inter)
-    return div(inter, union)
 
 
 def loc_loss(pred_boxes: Tensor, pred_logits: Tensor, targets) -> Tensor:
@@ -262,8 +238,7 @@ def loc_loss(pred_boxes: Tensor, pred_logits: Tensor, targets) -> Tensor:
     sel = take_rows(flat_boxes, np.asarray(matched_rows))
     tgt_arr = np.stack(matched_boxes)
     l1_term = div(tsum(_tabs(sub(sel, Tensor(tgt_arr)))), Tensor(float(m)))
-    iou_term = div(tsum(sub(Tensor(1.0), _tape_iou(sel, tgt_arr))), Tensor(float(m)))
-    return add(add(ce, mul(Tensor(w_l1), l1_term)), mul(Tensor(w_iou), iou_term))
+    return add(add(ce, mul(Tensor(w_l1), l1_term)), mul(Tensor(w_iou), box_iou_loss(sel, tgt_arr)))
 
 
 # ---------------------------------------------------------------------------

@@ -259,12 +259,7 @@ def subtask_samples(samples, spec: SynthDatasetSpec, subtask: str | None):
 def flip_sample(sample: SynthSample) -> SynthSample:
     """Horizontal mirror with boxes and masks flipped consistently."""
     image = sample.image[:, ::-1].copy()
-    boxes = None
-    if sample.boxes is not None:
-        b = sample.boxes.boxes.copy()
-        if len(b):
-            b[:, 0] = 1.0 - b[:, 0]
-        boxes = BoxTarget(boxes=b, class_ids=sample.boxes.class_ids.copy())
+    boxes = sample.boxes.mirrored() if sample.boxes is not None else None
     mask = sample.mask[:, :, ::-1].copy() if sample.mask is not None else None
     labels = sample.labels.copy() if sample.labels is not None else None
     return SynthSample(sample.sample_id, image, labels, boxes, mask)

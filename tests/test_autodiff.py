@@ -19,6 +19,7 @@ from cyclictrain.autodiff import (
     Tensor,
     add,
     bce_with_logits,
+    box_iou_loss,
     conv2d,
     div,
     grad_check,
@@ -1128,6 +1129,10 @@ def _primitive_cases(rs):
     cases["mse"] = (m, lambda t: mse(t, t45))
     cases["softmax_cross_entropy"] = (m.reshape(2, 2, 5),
                                       lambda t: softmax_cross_entropy(t, classes))
+    # overlapping boxes, centers in [0.4, 0.6] and sides in [0.2, 0.4]
+    pred_boxes, target_boxes = (np.column_stack([rs.rand(5, 2) * 0.2 + 0.4,
+                                                 rs.rand(5, 2) * 0.2 + 0.2]) for _ in range(2))
+    cases["box_iou_loss"] = (pred_boxes, lambda t: box_iou_loss(t, target_boxes))
     return cases
 
 

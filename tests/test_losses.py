@@ -8,12 +8,15 @@ from cyclictrain.autodiff import (
     Tensor,
     add,
     bce_with_logits,
+    box_iou_loss,
     div,
     log,
+    matmul,
     mean,
     mse,
     mul,
     neg,
+    relu,
     reshape,
     sigmoid,
     soft_dice,
@@ -23,6 +26,7 @@ from cyclictrain.autodiff import (
     sub,
     tsum,
 )
+from cyclictrain import losses
 from cyclictrain.losses import (
     BoxTarget,
     LossBreakdown,
@@ -419,6 +423,44 @@ def _chain_cross_entropy(x, classes):
     return neg(mean(tsum(mul(log_probs, Tensor(onehot)), axis=1)))
 
 
+def _chain_tmax(a, b):
+    return add(a, relu(sub(b, a)))
+
+
+def _chain_tmin(a, b):
+    return sub(b, relu(sub(b, a)))
+
+
+def _chain_column(x, index):
+    basis = np.zeros((4, 1))
+    basis[index, 0] = 1.0
+    return matmul(x, Tensor(basis))
+
+
+def _chain_iou(pred, target):
+    cx, cy = _chain_column(pred, 0), _chain_column(pred, 1)
+    w, h = _chain_column(pred, 2), _chain_column(pred, 3)
+    half = Tensor(0.5)
+    px1, px2 = sub(cx, mul(half, w)), add(cx, mul(half, w))
+    py1, py2 = sub(cy, mul(half, h)), add(cy, mul(half, h))
+    t = np.asarray(target, dtype=np.float64).reshape(-1, 4)
+    tx1 = Tensor((t[:, 0] - t[:, 2] / 2).reshape(-1, 1))
+    tx2 = Tensor((t[:, 0] + t[:, 2] / 2).reshape(-1, 1))
+    ty1 = Tensor((t[:, 1] - t[:, 3] / 2).reshape(-1, 1))
+    ty2 = Tensor((t[:, 1] + t[:, 3] / 2).reshape(-1, 1))
+    iw = relu(sub(_chain_tmin(px2, tx2), _chain_tmax(px1, tx1)))
+    ih = relu(sub(_chain_tmin(py2, ty2), _chain_tmax(py1, ty1)))
+    inter = mul(iw, ih)
+    area_p = mul(w, h)
+    area_t = Tensor((t[:, 2] * t[:, 3]).reshape(-1, 1))
+    union = sub(add(area_p, area_t), inter)
+    return div(inter, union)
+
+
+def _chain_iou_term(pred, target):
+    return div(tsum(sub(Tensor(1.0), _chain_iou(pred, target))), Tensor(float(len(target))))
+
+
 def _value_and_grad_bytes(build, data, scale):
     """Bytes of ``build(x)`` and of x's gradient under the loss ``scale * build(x)``."""
     x = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
@@ -484,6 +526,79 @@ def test_softmax_cross_entropy_equals_its_chain_byte_for_byte(rs):
                                              scale))
 
 
+# (pred, target) rows in center format.  The touching rows are dyadic, so
+# their edges meet exactly; they and the shared edges of identical boxes
+# give relu arguments of exactly 0.
+_BOX_CASES = {
+    "overlap": ([[0.5, 0.5, 0.4, 0.3], [0.3, 0.6, 0.2, 0.5]],
+                [[0.55, 0.45, 0.3, 0.3], [0.35, 0.5, 0.3, 0.2]]),
+    "touch": ([[0.25, 0.5, 0.5, 0.5], [0.5, 0.25, 0.25, 0.5]],
+              [[0.75, 0.5, 0.5, 0.5], [0.5, 0.75, 0.25, 0.5]]),
+    "disjoint": ([[0.2, 0.2, 0.1, 0.1], [0.8, 0.3, 0.2, 0.1]],
+                 [[0.7, 0.7, 0.2, 0.2], [0.3, 0.3, 0.1, 0.3]]),
+    "identical": ([[0.5, 0.5, 0.25, 0.5], [0.3, 0.7, 0.2, 0.1]],
+                  [[0.5, 0.5, 0.25, 0.5], [0.3, 0.7, 0.2, 0.1]]),
+    "pred_inside": ([[0.5, 0.5, 0.1, 0.2], [0.375, 0.5, 0.25, 0.25]],
+                    [[0.5, 0.5, 0.4, 0.4], [0.5, 0.5, 0.5, 0.5]]),
+    "target_inside": ([[0.5, 0.5, 0.4, 0.4], [0.5, 0.5, 0.5, 0.5]],
+                      [[0.5, 0.5, 0.1, 0.2], [0.375, 0.5, 0.25, 0.25]]),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, -0.37])
+@pytest.mark.parametrize("case", [*_BOX_CASES, "mixed"])
+def test_box_iou_loss_equals_its_chain_byte_for_byte(case, scale):
+    if case == "mixed":
+        pred = np.concatenate([np.array(p, dtype=float) for p, _ in _BOX_CASES.values()])
+        target = np.concatenate([np.array(t, dtype=float) for _, t in _BOX_CASES.values()])
+    else:
+        pred, target = (np.array(rows, dtype=float) for rows in _BOX_CASES[case])
+    for rows in (slice(0, 1), slice(None)):
+        assert (_value_and_grad_bytes(lambda t: box_iou_loss(t, target[rows]), pred[rows], scale)
+                == _value_and_grad_bytes(lambda t: _chain_iou_term(t, target[rows]), pred[rows],
+                                         scale))
+
+
+def test_box_iou_loss_equals_its_chain_on_random_boxes(rs):
+    for m in (1, 3, 9, 20):
+        pred = np.column_stack([rs.rand(m, 2) * 0.6 + 0.2, rs.rand(m, 2) * 0.3 + 0.05])
+        target = np.column_stack([rs.rand(m, 2) * 0.6 + 0.2, rs.rand(m, 2) * 0.3 + 0.05])
+        for scale in (1.0, -2.5):
+            assert (_value_and_grad_bytes(lambda t: box_iou_loss(t, target), pred, scale)
+                    == _value_and_grad_bytes(lambda t: _chain_iou_term(t, target), pred, scale))
+
+
+@pytest.mark.parametrize("scale", [1.0, -0.37])
+def test_loc_loss_equals_its_chain_built_twin_byte_for_byte(monkeypatch, scale):
+    # matched pairs that overlap, touch, are identical or disjoint
+    rs = np.random.RandomState(11)
+    boxes = rs.rand(3, 4, 4) * 0.5 + 0.25
+    boxes[0, :2] = _BOX_CASES["touch"][0]
+    boxes[1, :2] = _BOX_CASES["identical"][0]
+    boxes[2, :2] = _BOX_CASES["disjoint"][0]
+    logits = rs.randn(3, 4, 3)
+    targets = [BoxTarget(np.array(_BOX_CASES[case][1]), np.array([0, 1]))
+               for case in ("touch", "identical", "disjoint")]
+
+    def run():
+        b, lg = Tensor(boxes, requires_grad=True), Tensor(logits, requires_grad=True)
+        loss = loc_loss(b, lg, targets)
+        mul(loss, Tensor(scale)).backward()
+        return loss.data.tobytes(), b.grad.tobytes(), lg.grad.tobytes()
+
+    fused = run()
+    monkeypatch.setattr(losses, "box_iou_loss", _chain_iou_term)
+    assert run() == fused
+
+
+def test_box_iou_loss_rejects_other_shapes():
+    for shape in ((4,), (3, 3), (0, 4)):
+        with pytest.raises(ValueError, match=r"\(M, 4\)"):
+            box_iou_loss(Tensor(np.ones(shape)), np.ones(shape))
+    with pytest.raises(ValueError, match="shape"):
+        box_iou_loss(Tensor(np.ones((2, 4))), np.ones((3, 4)))
+
+
 def _recorded(loss):
     return sum(n._bwd is not None for n in tape_nodes(loss))
 
@@ -502,7 +617,7 @@ def test_each_loss_records_its_nodes(rs):
     one = BoxTarget(np.array([[0.5, 0.5, 0.2, 0.2]]), np.array([1]))
     # the cross entropy alone, then with the box terms of the matched pairs
     assert _recorded(loc_loss(boxes, loc_logits, [empty, empty])) == 1
-    assert _recorded(loc_loss(boxes, loc_logits, [one, empty])) == 50
+    assert _recorded(loc_loss(boxes, loc_logits, [one, empty])) == 15
 
 
 def test_fused_ops_reject_a_target_of_another_shape_and_unknown_classes():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cyclictrain.losses import BoxTarget
 from cyclictrain.synthdata import (
     SplitError,
     SynthDatasetSpec,
@@ -141,6 +142,19 @@ def test_flip_reflects_box_centers():
         flipped = flip_sample(s)
         assert np.allclose(flipped.boxes.boxes[:, 0], 1.0 - s.boxes.boxes[:, 0])
         assert np.array_equal(flipped.boxes.boxes[:, 1:], s.boxes.boxes[:, 1:])
+
+
+def test_mirrored_box_target_equals_a_validated_one_and_owns_its_arrays():
+    for n in (0, 3):
+        tgt = BoxTarget(np.tile([0.25, 0.5, 0.125, 0.25], (n, 1)), np.arange(n))
+        mirror = tgt.mirrored()
+        checked = BoxTarget(np.column_stack([1.0 - tgt.boxes[:, 0], tgt.boxes[:, 1:]]),
+                            tgt.class_ids)
+        for got, want in ((mirror.boxes, checked.boxes), (mirror.class_ids, checked.class_ids)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(mirror.boxes, tgt.boxes)
+        assert not np.shares_memory(mirror.class_ids, tgt.class_ids)
 
 
 def test_augment_deterministic_and_label_preserving():
