@@ -867,7 +867,7 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
 
     Forward and the kernel gradient are one GEMM each over the patch matrix
     (rebuilt in backward rather than kept alive on the tape); the input
-    gradient is one matmul per kernel tap.
+    gradient is one matmul per kernel tap (see the last paragraph).
 
     The forward runs in image blocks (see :func:`_block_images`) written
     into one C-order output, each block one GEMM of the kernel matrix and
@@ -925,6 +925,22 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
     arrays this thread allocated, and this thread waits for it before it
     accumulates either gradient, returns or raises.  A process allowed only
     one CPU runs everything inline.
+
+    The input gradient is one matmul per kernel tap ``(di, dj)``, in tap
+    order, of the tap's transposed kernel slice and the output gradient.
+    When the output is the size of the (upsampled) input, ``(ho, wo) == (hu,
+    wu)`` (every conv the model builds: 3x3 with padding 1, 1x1 with padding
+    0), a tap's product is the flat input gradient shifted by ``(di - p) * wu
+    + dj - p`` elements.  Each product goes into one scratch reused by every
+    tap; its entries whose target lies outside the input are set to +0.0,
+    and it is added in one contiguous add to a flat zeroed accumulator with
+    a margin of ``p * wu + p`` on both sides.  Any other conv scatters each
+    product into a zero-padded buffer, as the tests' reference does.  Both
+    give the same bytes: each element sums the same products in the same tap
+    order, and the only extra terms are exact +0.0 on entries the scatter
+    drops into the padding border.  A sum that starts at +0.0 is never
+    -0.0, and adding +0.0 to it leaves it unchanged, also when it is not
+    finite.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if bias is None else _as_tensor(bias)
@@ -933,6 +949,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
     factor = 1 if upsample is None else upsample
     if factor < 1:
         raise ValueError(f"conv2d: upsample factor {upsample} must be >= 1")
+    if isinstance(padding, bool) or not isinstance(padding, (int, np.integer)) or padding < 0:
+        raise ValueError(f"conv2d: padding {padding!r} must be a non-negative integer")
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D operands ({x.shape} vs {w.shape})")
     n, c, h, wid = x.data.shape
@@ -1031,12 +1049,38 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
         if x.requires_grad:
             try:
                 g3 = g.reshape(n, o, ho * wo)
-                gxp = np.zeros((n, c, hp, wp))
-                for di in range(kh):
-                    for dj in range(kw):
-                        gxp[:, :, di : di + ho, dj : dj + wo] += np.matmul(
-                            w.data[:, :, di, dj].T, g3
-                        ).reshape(n, c, ho, wo)
+                if (ho, wo) == (hu, wu):
+                    # each tap's product, shifted, lands on the flat input
+                    total = n * c * hu * wu
+                    margin = padding * wu + padding
+                    acc = np.zeros(total + 2 * margin)
+                    prod = np.empty((n, c, ho * wo))
+                    rows, flat = prod.reshape(n, c, ho, wo), prod.reshape(-1)
+                    for di in range(kh):
+                        top, bottom = max(0, padding - di), max(0, hu + padding - di)
+                        for dj in range(kw):
+                            np.matmul(w.data[:, :, di, dj].T, g3, out=prod)
+                            # the products whose target lies outside the input
+                            left, right = max(0, padding - dj), max(0, wu + padding - dj)
+                            if top:
+                                rows[:, :, :top] = 0.0
+                            if bottom < ho:
+                                rows[:, :, bottom:] = 0.0
+                            if left:
+                                rows[:, :, :, :left] = 0.0
+                            if right < wo:
+                                rows[:, :, :, right:] = 0.0
+                            start = margin + (di - padding) * wu + dj - padding
+                            acc[start : start + total] += flat
+                    gx = acc[margin : margin + total].reshape(n, c, hu, wu)
+                else:
+                    gxp = np.zeros((n, c, hp, wp))
+                    for di in range(kh):
+                        for dj in range(kw):
+                            gxp[:, :, di : di + ho, dj : dj + wo] += np.matmul(
+                                w.data[:, :, di, dj].T, g3
+                            ).reshape(n, c, ho, wo)
+                    gx = gxp[inner] if padding else gxp
             finally:
                 if job is not None:
                     futures.wait((job,))
@@ -1045,7 +1089,6 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
                 job.result()  # raises what the worker raised
             _accumulate(w, gw.reshape(w.data.shape))
         if x.requires_grad:
-            gx = gxp[inner] if padding else gxp
             _accumulate(x, _upsample_grad(gx, factor) if factor > 1 else gx)
 
     return _node(out, parents, bwd)

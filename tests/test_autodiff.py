@@ -125,6 +125,10 @@ MODEL_CONV_SHAPES = [
 # architectures, then a 1x1 kernel on a non-square map upsampled 3x
 UPSAMPLED_CONV_SHAPES = [(16, 16, 16, 8, 3, 2), (6, 8, 8, 4, 3, 2), (3, 5, 7, 4, 1, 3)]
 
+# (C_in, H, W, C_out, k): convolutions the model does not build -- a 5x5
+# kernel, a non-square map, one input and one output channel
+EDGE_CONV_SHAPES = [(3, 10, 10, 4, 5), (3, 6, 11, 5, 3), (1, 8, 8, 1, 3), (1, 9, 6, 1, 1)]
+
 
 @pytest.mark.parametrize("n", [2, 0])  # 0: predict's forward on an empty split
 @pytest.mark.parametrize("padding", [0, 1])
@@ -439,6 +443,12 @@ def test_conv2d_rejects_an_upsample_factor_below_one(factor):
         conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), upsample=factor)
 
 
+@pytest.mark.parametrize("padding", [-1, True, 1.0, 0.5, None])
+def test_conv2d_rejects_a_padding_that_is_not_a_non_negative_integer(padding):
+    with pytest.raises(ValueError, match="padding"):
+        conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), padding=padding)
+
+
 # ---------------------------------------------------------------------------
 # conv2d on a worker thread: the kernel gradient, and a forward's last blocks
 
@@ -513,13 +523,22 @@ def test_conv2d_backward_on_a_worker_is_byte_equal_to_inline_and_reference(
     rs = np.random.RandomState(110 + padding)
     cases = [(shape, 1, n) for shape in MODEL_CONV_SHAPES for n in (2, 7, 64)]
     cases += [(shape[:5], shape[5], n) for shape in UPSAMPLED_CONV_SHAPES for n in (2, 7, 64)]
+    cases += [(shape, 1, n) for shape in EDGE_CONV_SHAPES for n in (1, 7)]
     ragged = 0
+    shifted = set()
     for (c, h, wid, o, k), f, n in cases:
         x, w, b = rs.randn(n, c, h, wid), rs.randn(o, c, k, k), rs.randn(o)
         x[0, :, :2] = 0.0  # exact zeros reach the activation
         b[0] = 0.0
         ho, wo = f * h + 2 * padding - k + 1, f * wid + 2 * padding - k + 1
+        # an output the size of the (upsampled) input takes the input
+        # gradient's shifted flat adds, any other the per-tap scatter
+        shifted.add((ho, wo) == (f * h, f * wid))
         g = rs.randn(n, o, ho, wo)
+        # exact zeros of both signs reach the input gradient's GEMMs; the
+        # byte comparisons below compare sign bits too
+        g[0, :, 0] = 0.0
+        g[-1, :, :, -1] = -0.0
 
         def fused(conv):
             return lambda x, w, b: leaky_relu(add(conv(x, w), reshape(b, (1, o, 1, 1))), 0.1)
@@ -557,6 +576,7 @@ def test_conv2d_backward_on_a_worker_is_byte_equal_to_inline_and_reference(
                 assert on_worker == reference, label
                 assert [r is not None for r in on_worker[1:]] == list(grads), label
     assert ragged > 0
+    assert shifted == {False, True}
     assert all(job.done() for job in worker.jobs)
 
 
