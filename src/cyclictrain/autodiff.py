@@ -329,6 +329,12 @@ def _check_slope(op: str, slope: float) -> None:
         raise ValueError(f"{op}: slope {slope} is outside [0, 1]")
 
 
+def _check_int(op: str, name: str, value, low: int) -> None:
+    """Reject a bool, a non-integer or an integer below ``low``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{op}: {name} {value!r} must be an integer >= {low}")
+
+
 def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
     """``max(x, slope * x)`` into ``out`` (a fresh array when None; may be ``x``).
@@ -947,10 +953,8 @@ def conv2d(x, w, padding: int = 0, *, bias=None, slope=None, upsample=None) -> T
     if slope is not None:
         _check_slope("conv2d", slope)
     factor = 1 if upsample is None else upsample
-    if factor < 1:
-        raise ValueError(f"conv2d: upsample factor {upsample} must be >= 1")
-    if isinstance(padding, bool) or not isinstance(padding, (int, np.integer)) or padding < 0:
-        raise ValueError(f"conv2d: padding {padding!r} must be a non-negative integer")
+    _check_int("conv2d", "upsample factor", factor, 1)
+    _check_int("conv2d", "padding", padding, 0)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D operands ({x.shape} vs {w.shape})")
     n, c, h, wid = x.data.shape
@@ -1109,6 +1113,7 @@ def maxpool2d(x, size: int = 2) -> Tensor:
     of a NaN window to its first NaN.
     """
     x = _as_tensor(x)
+    _check_int("maxpool2d", "size", size, 1)
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: expected 4-D input, got {x.shape}")
     n, c, h, w = x.data.shape
@@ -1160,6 +1165,7 @@ def upsample_nearest(x, factor: int = 2) -> Tensor:
     upsample=factor)``, which never builds the full-resolution map.
     """
     x = _as_tensor(x)
+    _check_int("upsample_nearest", "factor", factor, 1)
     if x.data.ndim != 4:
         raise ShapeError(f"upsample_nearest: expected 4-D input, got {x.shape}")
     out = x.data.repeat(factor, axis=2).repeat(factor, axis=3)

@@ -119,13 +119,11 @@ def _load_model_from_checkpoint(cfg: RunConfig, checkpoint_path: str):
 
 def cmd_finetune(args) -> int:
     cfg = load_run_config(args.config)
-    if cfg.finetune is None:
+    ft = cfg.finetune
+    if ft is None:
         raise ConfigError("finetune: section missing from config")
     out_dir = os.path.join(_resolve_out_dir(cfg), "finetune")
-    mode = args.mode if args.mode is not None else cfg.finetune.mode
-    mode = mode.replace("-", "_")
-    few_shot = args.few_shot if args.few_shot is not None else cfg.finetune.few_shot
-    target = cfg.finetune.dataset
+    target = ft.dataset
 
     model, _ = _load_model_from_checkpoint(cfg, args.checkpoint)
     if target.dataset_id not in model.datasets and not args.init_new_head:
@@ -141,9 +139,9 @@ def cmd_finetune(args) -> int:
             model,
             target,
             cfg.train,
-            mode=mode,
-            few_shot_k=few_shot,
-            epochs=cfg.finetune.epochs,
+            mode=ft.mode,
+            few_shot_k=ft.few_shot,
+            epochs=ft.epochs,
         )
     except synthdata.FewShotError as e:
         print(f"error: few-shot: {e}", file=sys.stderr)
@@ -157,11 +155,11 @@ def cmd_finetune(args) -> int:
     save_checkpoint(
         os.path.join(out_dir, "checkpoint"),
         result.model,
-        counters={"cycle": 0, "epoch": cfg.finetune.epochs},
+        counters={"cycle": 0, "epoch": ft.epochs},
         config_hash=config_hash(cfg),
     )
     summary = {
-        "mode": mode,
+        "mode": ft.mode,
         "dataset": target.dataset_id,
         "train_size": result.train_size,
         "trainable_params": result.trainable_params,
@@ -172,7 +170,7 @@ def cmd_finetune(args) -> int:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(
-        f"finetuned '{target.dataset_id}' ({mode}); train size {result.train_size}; "
+        f"finetuned '{target.dataset_id}' ({ft.mode}); train size {result.train_size}; "
         f"trainable {result.trainable_params}/{result.total_params} "
         f"({result.trainable_fraction:.4f})"
     )
@@ -286,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="finetune from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=["full", "head-only", "head_only"])
-    p.add_argument("--few-shot", type=int, dest="few_shot")
     p.add_argument("--init-new-head", action="store_true",
                    help="create heads for a dataset absent from the checkpoint")
     p.set_defaults(func=cmd_finetune)

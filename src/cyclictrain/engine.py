@@ -83,8 +83,6 @@ class TrainConfig:
     lock_release: dict[str, bool] = field(default_factory=dict)
     batch_size: int = 16
     weight_decay: float = 0.0
-    step_decay_factor: float = 1.0
-    step_decay_interval: int = 0
     epochs_per_task: int = 1
     num_cycles: int = 1
     eval_every_epoch: bool = False
@@ -98,17 +96,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not (0.0 <= self.momentum <= 1.0):
             raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
-        # a factor <= 0 flips or zeroes the learning rate from one interval to the next
-        if not (0.0 < self.step_decay_factor <= 1.0):
-            raise ValueError(f"step_decay_factor must lie in (0, 1], got {self.step_decay_factor}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs_per_task < 1:
             raise ValueError("epochs_per_task must be >= 1")
         if self.num_cycles < 0:
             raise ValueError("num_cycles must be >= 0")
-        if self.step_decay_interval < 0:
-            raise ValueError("step_decay_interval must be >= 0")
         unknown = set(self.lock_release) - set(TASKS)
         if unknown:
             raise ValueError(f"lock_release has unknown tasks {sorted(unknown)}")
@@ -125,11 +118,6 @@ class TrainConfig:
         if kind == "cls_head":
             return self.lr_cls_head
         raise ValueError(f"no learning rate for component '{component}'")
-
-    def lr_scale_at(self, global_epoch: int) -> float:
-        if self.step_decay_interval == 0:
-            return 1.0
-        return self.step_decay_factor ** (global_epoch // self.step_decay_interval)
 
 
 @dataclass(frozen=True)
@@ -326,8 +314,7 @@ def _batch_losses(model, teacher, task, dataset_id, batch):
     return total, task_term.item(), [(name, term.item()) for name, term in terms]
 
 
-def _train_pass(model, teacher, task, dataset_id, samples, epoch_seed, optimizer, config,
-                lr_scale=1.0):
+def _train_pass(model, teacher, task, dataset_id, samples, epoch_seed, optimizer, config):
     """One shuffled pass over ``samples``, stepping the optimizer per batch.
 
     Order and augmentation follow ``epoch_seed``.  Returns the per-batch task
@@ -340,7 +327,7 @@ def _train_pass(model, teacher, task, dataset_id, samples, epoch_seed, optimizer
         batch = [augment(samples[i], epoch_seed) for i in order[start : start + config.batch_size]]
         total, task_val, terms = _batch_losses(model, teacher, task, dataset_id, batch)
         grads = model.graph.backward(total)
-        optimizer.step(model.graph.parameters(), grads, lr_scale=lr_scale)
+        optimizer.step(model.graph.parameters(), grads)
         task_vals.append(task_val)
         for name, v in terms:
             term_vals.setdefault(name, []).append(v)
@@ -356,7 +343,6 @@ def run_epoch(
     config: TrainConfig,
     cycle: int = 0,
     epoch_in_cycle: int = 1,
-    global_epoch: int = 0,
 ) -> EpochSummary:
     """Train one scheduled epoch; what is scored after it is :func:`pretrain_epochs`'s call.
 
@@ -388,8 +374,7 @@ def run_epoch(
 
     model.graph.set_trainable_components(set(entry.trainable_components))
     task_vals, term_vals = _train_pass(
-        model, teacher, entry.task, entry.dataset_id, samples, epoch_seed, optimizer, config,
-        lr_scale=config.lr_scale_at(global_epoch),
+        model, teacher, entry.task, entry.dataset_id, samples, epoch_seed, optimizer, config
     )
     breakdown = LossBreakdown.build(
         float(np.mean(task_vals)),
@@ -587,7 +572,6 @@ def pretrain_epochs(state: TrainingState, dataset_specs, config: TrainConfig,
         summary = run_epoch(
             state.model, state.teacher if config.student_teacher else None, entry, bundle,
             state.optimizer, config, cycle=cycle, epoch_in_cycle=index + 1,
-            global_epoch=state.epochs_run,
         )
         ema_update(state.teacher, state.model)
         records = []
@@ -611,7 +595,6 @@ class PretrainResult:
     teacher: TeacherState
     records: list[MetricsRecord]
     epochs_run: int
-    cycles_run: int
 
 
 def run_pretraining(model: MultiTaskModel, dataset_specs, config: TrainConfig,
@@ -620,7 +603,7 @@ def run_pretraining(model: MultiTaskModel, dataset_specs, config: TrainConfig,
     state = TrainingState.fresh(model, config)
     records = [r for outcome in pretrain_epochs(state, dataset_specs, config, bundles)
                for r in outcome.records]
-    return PretrainResult(model, state.teacher, records, state.epochs_run, config.num_cycles)
+    return PretrainResult(model, state.teacher, records, state.epochs_run)
 
 
 # ---------------------------------------------------------------------------

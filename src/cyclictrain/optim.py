@@ -62,12 +62,7 @@ class AdamW:
         self.lr_for = lr_for
         self.state: dict[str, AdamWState] = {}
 
-    def step(
-        self,
-        params: Iterable,
-        grads: Mapping[str, np.ndarray],
-        lr_scale: float = 1.0,
-    ) -> None:
+    def step(self, params: Iterable, grads: Mapping[str, np.ndarray]) -> None:
         """Apply one update to every component in ``grads``.
 
         ``params`` are the graph's :class:`~cyclictrain.model.Parameter`
@@ -124,7 +119,7 @@ class AdamW:
             update /= tmp
             np.multiply(data, self.weight_decay, out=tmp)
             update += tmp
-            update *= st.lr * lr_scale
+            update *= st.lr
             data -= update
 
     def _state_for(self, component: str, size: int) -> AdamWState:

@@ -145,7 +145,7 @@ def test_criterion_02_lock_invariance():
         for i, entry in enumerate(plan.entries, start=1):
             before = model.graph.component_checksums()
             run_epoch(model, teacher, entry, bundles[ds], optimizer, cfg,
-                      cycle=cycle, epoch_in_cycle=i, global_epoch=epochs)
+                      cycle=cycle, epoch_in_cycle=i)
             epochs += 1
             ema_update(teacher, model)
             after = model.graph.component_checksums()

@@ -437,9 +437,9 @@ def test_conv2d_rejects_slope_outside_unit_interval(slope):
         conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), slope=slope)
 
 
-@pytest.mark.parametrize("factor", [0, -2])
+@pytest.mark.parametrize("factor", [0, -2, True, 2.0])
 def test_conv2d_rejects_an_upsample_factor_below_one(factor):
-    with pytest.raises(ValueError, match="upsample factor"):
+    with pytest.raises(ValueError, match="conv2d: upsample factor"):
         conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), upsample=factor)
 
 
@@ -447,6 +447,16 @@ def test_conv2d_rejects_an_upsample_factor_below_one(factor):
 def test_conv2d_rejects_a_padding_that_is_not_a_non_negative_integer(padding):
     with pytest.raises(ValueError, match="padding"):
         conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), padding=padding)
+
+
+@pytest.mark.parametrize("op, name", [(maxpool2d, "size"), (upsample_nearest, "factor")])
+@pytest.mark.parametrize("value", [-2, 0, True, 2.0, None])
+def test_spatial_ops_reject_a_window_or_factor_that_is_not_a_positive_integer(op, name, value):
+    x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
+    with pytest.raises(ValueError, match=f"{op.__name__}: {name}"):
+        op(x, value)
+    # a numpy integer is an integer
+    np.testing.assert_array_equal(op(x, np.int64(2)).data, op(x, 2).data)
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,6 @@ BAD_TRAINING_NUMBERS = [
     ("weight_decay", -0.1, "weight_decay must be finite and non-negative"),
     ("weight_decay", float("inf"), "weight_decay must be finite and non-negative"),
     ("momentum", float("nan"), r"momentum must lie in \[0, 1\]"),
-    ("step_decay_factor", -0.5, r"step_decay_factor must lie in \(0, 1\]"),
-    ("step_decay_factor", 0.0, r"step_decay_factor must lie in \(0, 1\]"),
-    ("step_decay_factor", 1.5, r"step_decay_factor must lie in \(0, 1\]"),
-    ("step_decay_factor", float("nan"), r"step_decay_factor must lie in \(0, 1\]"),
 ]
 
 
@@ -220,8 +216,6 @@ def _finetune_reusing_an_id_with_another_seed(cfg):
     (_finetune_reusing_an_id_with_another_seed,
      "finetune.dataset: reuses the id 'labels' of datasets[1] with another spec; "
      "one id names one dataset"),
-    (_setting("train", "step_decay_interval", value=-5),
-     "train: step_decay_interval must be >= 0"),
     (_setting("datasets", 1, "num_images", value=1),
      "datasets[1].num_images: 1 images are too few to split into train, val and test "
      "(need >= 3)"),
@@ -230,8 +224,8 @@ def _finetune_reusing_an_id_with_another_seed(cfg):
      "(need >= 3)"),
 ], ids=["dataset-image-size", "finetune-image-size", "in-channels", "query-dim-zero",
         "loc-channels-negative", "seg-channels-zero", "finetune-reuses-an-id-with-other-heads",
-        "finetune-reuses-an-id-with-another-seed", "step-decay-interval-negative",
-        "dataset-of-one-image", "finetune-dataset-of-two-images"])
+        "finetune-reuses-an-id-with-another-seed", "dataset-of-one-image",
+        "finetune-dataset-of-two-images"])
 def test_a_config_the_model_cannot_run_exits_2_naming_its_field(tmp_path, capsys, edit, message):
     cfg = _base_config(str(tmp_path / "out"))
     edit(cfg)
@@ -246,6 +240,8 @@ REMOVED_KEYS = [
     ("train", "consistency_weight", 1.0),
     ("train", "mirror_heads", False),
     ("train", "eval_after_release", True),
+    ("train", "step_decay_factor", 1.0),
+    ("train", "step_decay_interval", 0),
     ("datasets", 0, "noise_level", 0.05),
 ]
 
@@ -262,9 +258,8 @@ def test_a_removed_key_exits_2_as_unknown(tmp_path, capsys, keys):
 
 
 def test_train_config_accepts_the_edges_of_each_range():
-    cfg = TrainConfig(lr_backbone=0.0, weight_decay=0.0, momentum=1.0, step_decay_factor=1.0)
-    assert cfg.lr_backbone == 0.0 and cfg.step_decay_factor == 1.0
-    assert TrainConfig(step_decay_factor=1e-9, step_decay_interval=1).lr_scale_at(1) == 1e-9
+    cfg = TrainConfig(lr_backbone=0.0, weight_decay=0.0, momentum=1.0)
+    assert cfg.lr_backbone == 0.0 and cfg.momentum == 1.0
 
 
 def test_config_hash_stable_and_out_dir_independent():
@@ -276,11 +271,11 @@ def test_config_hash_stable_and_out_dir_independent():
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("run_config.json", "4d7f52b455e320f231d8b4f6487a31c7844ecbe68b9c4a390f578e1930c33068"),
-    ("finetune_config.json", "22cbb9c4117cf3425630009abdcf6c97d7abe937c2dcb2eb0d0318b1ffcb4b06"),
+    ("run_config.json", "e9b401721bec494ae3eb3e1c8167214df16f1bbf1c38d9f6cb73c56e22424b32"),
+    ("finetune_config.json", "b0a42075cadd4a512bc76d70b7e603cbb2f1ab03a438276e9dfcb574c5699011"),
 ], ids=["run_config", "finetune_config"])
 def test_config_hash_pinned(name, expected):
-    # checkpoints written by earlier versions must keep matching their config
+    # a new hash makes every checkpoint written from the old one warn on load
     assert config_hash(load_run_config(str(DEMOS / name))) == expected
 
 
@@ -466,8 +461,7 @@ def test_cmd_finetune_head_only_new_dataset(tmp_path):
     }
     path = _write(tmp_path, cfg, "ft.json")
     ckpt = str(out / "checkpoints" / "final")
-    rc = cli.main(["finetune", "--checkpoint", ckpt, "--config", path,
-                   "--mode", "head-only", "--init-new-head"])
+    rc = cli.main(["finetune", "--checkpoint", ckpt, "--config", path, "--init-new-head"])
     assert rc == 0
     summary = json.loads((out / "finetune" / "summary.json").read_text())
     assert summary["mode"] == "head_only"
@@ -496,53 +490,53 @@ def test_cmd_finetune_missing_head_without_flag_fails(tmp_path):
     assert cli.main(["finetune", "--checkpoint", ckpt, "--config", path]) == 2
 
 
-def test_cmd_finetune_few_shot_records_train_size(tmp_path):
+def _own_dataset_finetune(cfg, **finetune):
+    """``cfg`` with a full finetune section on its first dataset, the ``finetune`` keys over it."""
+    return {**cfg, "finetune": {"dataset": cfg["datasets"][0], "mode": "full", "epochs": 1,
+                                **finetune}}
+
+
+def test_cmd_finetune_few_shot_records_train_size(tmp_path, monkeypatch):
     out, cfg = _pretrained(tmp_path)
-    cfg["finetune"] = {
-        "dataset": {
-            "dataset_id": "boxesmasks",
-            "num_images": 20,
-            "tasks": ["cls", "loc", "seg"],
-            "image_size": 16,
-            "min_instances": 1,
-            "max_instances": 1,
-            "seed": 11,
-        },
-        "mode": "full",
-        "epochs": 1,
-    }
-    path = _write(tmp_path, cfg, "ft.json")
     ckpt = str(out / "checkpoints" / "final")
-    assert cli.main(["finetune", "--checkpoint", ckpt, "--config", path,
-                     "--few-shot", "3"]) == 0
-    summary = json.loads((out / "finetune" / "summary.json").read_text())
-    assert summary["train_size"] == 3
-    assert summary["mode"] == "full"
+    hashes = []
+    for k in (3, 5):
+        monkeypatch.setenv("CYCLICTRAIN_OUT_DIR", str(tmp_path / f"k{k}"))
+        path = _write(tmp_path, _own_dataset_finetune(cfg, few_shot=k), f"ft{k}.json")
+        assert cli.main(["finetune", "--checkpoint", ckpt, "--config", path]) == 0
+        summary = json.loads((tmp_path / f"k{k}" / "finetune" / "summary.json").read_text())
+        assert (summary["train_size"], summary["mode"]) == (k, "full")
+        manifest = tmp_path / f"k{k}" / "finetune" / "checkpoint" / "manifest.json"
+        hashes.append(json.loads(manifest.read_text())["config_hash"])
+        assert hashes[-1] == config_hash(load_run_config(path))
+    assert hashes[0] != hashes[1]  # the checkpoint tells the two runs apart
+
+
+@pytest.mark.parametrize("flags", [["--mode", "head-only"], ["--few-shot", "3"]],
+                         ids=["mode", "few-shot"])
+def test_cmd_finetune_removed_flags_exit_2_before_writing(tmp_path, capsys, flags):
+    out, cfg = _pretrained(tmp_path)
+    path = _write(tmp_path, _own_dataset_finetune(cfg), "ft.json")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["finetune", "--checkpoint", str(out / "checkpoints" / "final"),
+                  "--config", path, *flags])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (out / "finetune").exists()
 
 
 def test_cmd_finetune_rejects_few_shot_outside_the_training_split(tmp_path, capsys):
     out, cfg = _pretrained(tmp_path)
-    cfg["finetune"] = {
-        "dataset": {
-            "dataset_id": "boxesmasks",
-            "num_images": 20,
-            "tasks": ["cls", "loc", "seg"],
-            "image_size": 16,
-            "min_instances": 1,
-            "max_instances": 1,
-            "seed": 11,
-        },
-        "mode": "full",
-        "epochs": 1,
-    }
-    path = _write(tmp_path, cfg, "ft.json")
     ckpt = str(out / "checkpoints" / "final")
     capsys.readouterr()
-    for k in (0, -3, 15):  # the training split holds floor(0.7 * 20) = 14
-        assert cli.main(["finetune", "--checkpoint", ckpt, "--config", path,
-                         "--few-shot", str(k)]) == 2
-        err = capsys.readouterr().err
-        assert f"requested {k} samples from a training split of 14" in err
+    # a k below 1 fails as the config loads; the training split holds floor(0.7 * 20) = 14
+    for k, message in ((0, "config error: finetune: few_shot must be >= 1"),
+                       (-3, "config error: finetune: few_shot must be >= 1"),
+                       (15, "requested 15 samples from a training split of 14")):
+        path = _write(tmp_path, _own_dataset_finetune(cfg, few_shot=k), "ft.json")
+        assert cli.main(["finetune", "--checkpoint", ckpt, "--config", path]) == 2
+        assert message in capsys.readouterr().err
     assert not (out / "finetune").exists()
 
 
@@ -726,8 +720,7 @@ def test_readme_pretrain_then_finetune_prints_no_hash_warning(tmp_path, monkeypa
     final = str(tmp_path / "demo" / "checkpoints" / "final")
     assert cli.main(["pretrain", "--config", str(DEMOS / "run_config.json")]) == 0
     assert cli.main(["finetune", "--checkpoint", final,
-                     "--config", str(DEMOS / "finetune_config.json"), "--mode", "head-only",
-                     "--few-shot", "3", "--init-new-head"]) == 0
+                     "--config", str(DEMOS / "finetune_config.json"), "--init-new-head"]) == 0
     assert cli.main(["eval", "--checkpoint", final, "--config", str(DEMOS / "finetune_config.json"),
                      "--dataset", "labels_boxes_masks"]) == 0
     assert "warning" not in capsys.readouterr().err

@@ -417,41 +417,9 @@ def test_run_epoch_rejects_empty_data_and_wrong_bundle():
 # run_pretraining
 
 
-def test_step_decay_scales_the_learning_rate_per_interval():
-    cfg = TrainConfig(step_decay_factor=0.1, step_decay_interval=2)
-    assert [cfg.lr_scale_at(e) for e in range(5)] == [1.0, 1.0, 0.1, 0.1, 0.1 ** 2]
-    assert [TrainConfig(step_decay_factor=0.1).lr_scale_at(e) for e in range(5)] == [1.0] * 5
-
-
-def test_every_pretraining_step_uses_the_global_epoch_decay(monkeypatch):
-    specs = _tiny_specs()[:2]  # 1 + (1 + 2) epochs per cycle
-    model, bundles, cfg = _build(specs, num_cycles=2, batch_size=4, seed=3,
-                                 step_decay_factor=0.5, step_decay_interval=2)
-    epochs_started = []
-    steps = []
-    original_run_epoch, original_step = engine.run_epoch, AdamW.step
-
-    def run_epoch(*args, **kwargs):
-        epochs_started.append(len(epochs_started))
-        return original_run_epoch(*args, **kwargs)
-
-    def step(self, params, grads, lr_scale=1.0):
-        steps.append((epochs_started[-1], lr_scale))
-        original_step(self, params, grads, lr_scale=lr_scale)
-
-    monkeypatch.setattr(engine, "run_epoch", run_epoch)
-    monkeypatch.setattr(AdamW, "step", step)
-    run_pretraining(model, specs, cfg, bundles=bundles)
-    assert epochs_started == list(range(8))
-    assert {epoch for epoch, _ in steps} == set(range(8))
-    assert all(scale == cfg.lr_scale_at(epoch) for epoch, scale in steps)
-    assert sorted({scale for _, scale in steps}) == [0.125, 0.25, 0.5, 1.0]
-
-
 def test_a_new_iterator_over_the_same_state_continues_the_run_exactly():
-    specs = _tiny_specs()[:2]  # 4 epochs per cycle; the lr steps down after epochs 3 and 6
-    cfg = TrainConfig(num_cycles=2, batch_size=4, seed=9, eval_every_epoch=True,
-                      step_decay_factor=0.5, step_decay_interval=3)
+    specs = _tiny_specs()[:2]  # 4 epochs per cycle
+    cfg = TrainConfig(num_cycles=2, batch_size=4, seed=9, eval_every_epoch=True)
     bundles = prepare_bundles(specs, cfg)
 
     def fresh():
@@ -484,7 +452,6 @@ def test_two_cycles_of_organ_scenario_run_24_epochs_12_evals():
     model = build_model(TINY_ARCH, [spec.model_spec()])
     result = run_pretraining(model, [spec], cfg)
     assert result.epochs_run == 24
-    assert result.cycles_run == 2
     # one evaluation point per release epoch
     assert len(result.records) == 12
     assert all(r.mode == "release" for r in result.records)
@@ -851,8 +818,8 @@ def test_head_only_finetune_rejects_a_moved_frozen_component_before_scoring(monk
 
     original_step = AdamW.step
 
-    def step(self, params, grads, lr_scale=1.0):
-        original_step(self, params, grads, lr_scale=lr_scale)
+    def step(self, params, grads):
+        original_step(self, params, grads)
         if scored:  # from the second epoch on, once the first has filled the memo
             model.graph["backbone/conv1/w"].tensor.data[0, 0, 0, 0] += 1e-3
 

@@ -143,16 +143,16 @@ def test_in_place_update_is_byte_equal_to_the_array_formula():
     b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.05, 3e-3
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    for t, scale in enumerate((1.0, 0.5, 0.25), start=1):
+    for t in range(1, 4):
         grad = rs.randn(3, 4)
         grad[1, 0] = 0.0
         flat = grad.reshape(-1)
-        opt.step(g.parameters(), {"backbone": flat}, lr_scale=scale)
+        opt.step(g.parameters(), {"backbone": flat})
         assert flat.tobytes() == grad.tobytes()  # the caller's gradient is not written
         m = b1 * m + (1.0 - b1) * grad
         v = b2 * v + (1.0 - b2) * (grad * grad)
         update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps) + wd * theta
-        theta = theta - (lr * scale) * update
+        theta = theta - lr * update
         entry = opt.state["backbone"]
         assert g["p"].tensor.data.tobytes() == theta.tobytes(), t
         assert g["p"].within(entry.m).tobytes() == m.tobytes(), t
@@ -272,7 +272,7 @@ def test_an_assigned_state_of_another_size_is_rejected_with_nothing_changed():
 # the per-component step against the per-array loop it replaced
 
 
-def _per_array_adamw(params, grads, data, state, lr_of, lr_scale, b1, b2, eps, wd):
+def _per_array_adamw(params, grads, data, state, lr_of, b1, b2, eps, wd):
     """The optimizer's earlier update: one pass of in-place ufuncs per array."""
     for p in params:
         if not p.trainable:
@@ -297,7 +297,7 @@ def _per_array_adamw(params, grads, data, state, lr_of, lr_scale, b1, b2, eps, w
         update /= tmp
         np.multiply(data[p.name], wd, out=tmp)
         update += tmp
-        update *= st["lr"] * lr_scale
+        update *= st["lr"]
         data[p.name] -= update
 
 
@@ -331,10 +331,10 @@ def test_per_component_step_matches_the_per_array_loop_byte_for_byte():
             continue
         task, mode, ds = phase
         model.graph.set_trainable_components(trainable_components(task, mode, ds))
-        for lr_scale in (1.0, 0.7, 0.3):
+        for _ in range(3):
             grads = model.graph.backward(_task_loss(model, task, ds, rs))
-            opt.step(model.graph.parameters(), grads, lr_scale=lr_scale)
-            _per_array_adamw(model.graph.parameters(), grads, data, ref_state, lr_of, lr_scale,
+            opt.step(model.graph.parameters(), grads)
+            _per_array_adamw(model.graph.parameters(), grads, data, ref_state, lr_of,
                              *BETAS, EPS, 0.05)
             for p in model.graph.parameters():
                 assert p.tensor.data.tobytes() == data[p.name].tobytes(), (phase, p.name)
@@ -360,7 +360,7 @@ def test_a_copied_optimizer_steps_like_the_original():
     twin, twin_opt = copy.deepcopy((model, opt))
     grads = model.graph.backward(_task_loss(model, "seg", "d0", rs))
     for m, o in ((model, opt), (twin, twin_opt)):
-        o.step(m.graph.parameters(), grads, lr_scale=0.7)
+        o.step(m.graph.parameters(), grads)
     assert twin.graph.component_checksums() == model.graph.component_checksums()
     for name, st in opt.state.items():
         other = twin_opt.state[name]
